@@ -1,24 +1,21 @@
 """Desk-scale computational lab for quantitative rectifiability.
 
 Weighted point clouds stand in for n-regular sets; every continuum quantity
-(Hausdorff measure of a projection, beta number, width of a cube, maximal
-function) is rendered as a finite, scale-indexed computation with an
-independently checkable contract.
+(Hausdorff measure of a projection, beta number, maximal function) is
+rendered as a finite, scale-indexed computation with an independently
+checkable contract.
 """
 
 __version__ = "0.1.0"
 
-from . import beta, cones, cubes, experiments, grassmann, heavytrees, pointset, stopping, width
+from . import beta, cubes, experiments, grassmann, pointset, stopping
 
 __all__ = [
     "beta",
-    "cones",
     "cubes",
     "experiments",
     "grassmann",
-    "heavytrees",
     "pointset",
     "stopping",
-    "width",
     "__version__",
 ]

@@ -20,7 +20,7 @@ from scipy.optimize import minimize_scalar
 
 from .cubes import CubeKey, CubeLattice
 from .grassmann import AffinePlane, Subspace
-from .pointset import Ball, RegularCloud
+from .pointset import Ball, RegularCloud, _pca_frame
 
 METHODS = ("pca", "pca_refined", "grid_oracle")
 REFINE_ITERATIONS = 50
@@ -55,17 +55,6 @@ def _weighted_median(s: np.ndarray, w: np.ndarray) -> float:
     cum = np.cumsum(w[order])
     k = int(np.searchsorted(cum, 0.5 * cum[-1]))
     return float(s[order[min(k, len(s) - 1)]])
-
-
-def _pca_frame(pts: np.ndarray, w: np.ndarray, n: int):
-    mean = np.average(pts, axis=0, weights=w)
-    centered = pts - mean
-    cov = (w[:, None] * centered).T @ centered
-    vals, vecs = np.linalg.eigh(cov)
-    order = np.argsort(vals)[::-1]
-    frame = vecs[:, order[:n]]
-    normals = vecs[:, order[n:]]
-    return frame, normals, mean
 
 
 def _l1_value(pts, w, normals, point, r, n) -> float:

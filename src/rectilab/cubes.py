@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -113,19 +114,17 @@ class CubeLattice:
     def children(self, cube: Cube) -> list[Cube]:
         return [self.get(k) for k in self.child_keys(cube.key)]
 
-    def _build_child_map(self):
-        if hasattr(self, "_child_map"):
-            return self._child_map
+    @cached_property
+    def _child_map(self) -> dict[CubeKey, list[CubeKey]]:
         cm: dict[CubeKey, list[CubeKey]] = {}
         for j in range(self.j_min + 1, self.j_max + 1):
             for cell in self.cubes[j]:
                 pk = (j - 1, tuple(c >> 1 for c in cell))
                 cm.setdefault(pk, []).append((j, cell))
-        self._child_map = cm
         return cm
 
     def child_keys(self, key: CubeKey) -> list[CubeKey]:
-        return sorted(self._build_child_map().get(key, []))
+        return sorted(self._child_map.get(key, []))
 
     def ball(self, cube: Cube, factor: float = 1.0) -> Ball:
         return Ball(cube.center, factor * self.ball_constant * cube.side)

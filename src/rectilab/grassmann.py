@@ -194,10 +194,7 @@ def metric(v1: Subspace, v2: Subspace) -> float:
 def metric_bar(v1: Subspace, v2: Subspace) -> float:
     """Equivalent metric: max distance of a unit vector of ``v1`` to ``v2``."""
     _check_same_shape(v1, v2)
-    if v1.n == 0:
-        return 0.0
-    residual = v1.basis - v2.basis @ (v2.basis.T @ v1.basis)
-    return float(np.linalg.norm(residual, ord=2))
+    return containment_residual(v1, v2)
 
 
 def _check_same_shape(v1: Subspace, v2: Subspace):

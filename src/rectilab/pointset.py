@@ -360,16 +360,24 @@ def projection_measure(
     return float(occupied) * grid_resolution**v.n
 
 
+def _pca_frame(pts: np.ndarray, w: np.ndarray, n: int):
+    """Weighted PCA: the top-n and remaining principal axes, and the weighted mean."""
+    mean = np.average(pts, axis=0, weights=w)
+    centered = pts - mean
+    cov = (w[:, None] * centered).T @ centered
+    vals, vecs = np.linalg.eigh(cov)
+    order = np.argsort(vals)[::-1]
+    frame = vecs[:, order[:n]]
+    normals = vecs[:, order[n:]]
+    return frame, normals, mean
+
+
 def _pca_direction(cloud: RegularCloud, ball: Ball, n: int) -> Subspace:
     mask = ball.contains(cloud.points)
     pts = cloud.points[mask]
-    w = cloud.weights[mask]
     if len(pts) <= n:
         return Subspace.axis(cloud.d, *range(n))
-    mean = np.average(pts, axis=0, weights=w)
-    cov = (w[:, None] * (pts - mean)).T @ (pts - mean)
-    vals, vecs = np.linalg.eigh(cov)
-    return Subspace(vecs[:, np.argsort(vals)[::-1][:n]])
+    return Subspace(_pca_frame(pts, cloud.weights[mask], n)[0])
 
 
 def pbp_margin(

@@ -8,13 +8,19 @@ weight profile transferring ball weights to cubes, the centred
 Hardy-Littlewood maximal function with dyadic radii, and the stopping
 recursion that extracts disjoint cubes carrying a definite fraction of the
 high-level mass at high density.
+
+``heavy_cubes`` drives the recursion through two stage functions:
+``_select_system`` (assignment of balls to systems and pigeonholing) and
+``_generations`` (the threshold loop). Both measure cubes with the helpers
+``_contained_mass`` (mass of the balls inside a cube) and ``_high_mass``
+(high-level mass on the grid cells of a cube, located by ``_cell_window``).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -95,9 +101,10 @@ class GridFunction:
         g = cls.zeros(family.d, depth)
         idx = range(len(family)) if subset is None else subset
         for i in idx:
-            sel = _cells_in_ball(family.centers[i], family.radii[i], depth, family.d)
-            if sel is not None:
-                g.values[sel] += family.weights[i]
+            cells = _cells_in_ball(family.centers[i], family.radii[i], depth, family.d)
+            if cells is not None:
+                window, inside = cells
+                g.values[window][inside] += family.weights[i]
         return g
 
 
@@ -107,32 +114,43 @@ def _axis_centers(depth: int) -> np.ndarray:
 
 
 def _cells_in_ball(center, radius, depth, d):
-    """Boolean mask (or None) of grid cells whose centres lie in the ball."""
+    """The ball's bounding window of grid cells and the mask of the cells in
+    that window whose centres lie in the ball, or None when there are none."""
     h = 2.0**-depth
     size = 2**depth
-    los, his = [], []
+    window = []
     for j in range(d):
         lo = max(0, int(math.ceil((center[j] - radius) / h - 0.5)))
         hi = min(size - 1, int(math.floor((center[j] + radius) / h - 0.5)))
         if lo > hi:
             return None
-        los.append(lo)
-        his.append(hi)
-    axes = [_axis_centers(depth)[lo : hi + 1] for lo, hi in zip(los, his)]
+        window.append(slice(lo, hi + 1))
+    axes = [_axis_centers(depth)[sl] for sl in window]
     mesh = np.meshgrid(*axes, indexing="ij")
     dist2 = sum((m - center[j]) ** 2 for j, m in enumerate(mesh))
     inside = dist2 <= radius**2
     if not inside.any():
         return None
-    mask = np.zeros((size,) * d, dtype=bool)
-    window = tuple(slice(lo, hi + 1) for lo, hi in zip(los, his))
-    mask[window] = inside
-    return mask
+    return tuple(window), inside
 
 
 def grid_ball_volume(center, radius, depth, d) -> float:
-    mask = _cells_in_ball(center, radius, depth, d)
-    return 0.0 if mask is None else float(mask.sum()) * 2.0 ** (-depth * d)
+    cells = _cells_in_ball(center, radius, depth, d)
+    return 0.0 if cells is None else float(cells[1].sum()) * 2.0 ** (-depth * d)
+
+
+def _cell_window(lo, hi, depth):
+    """Slices of the grid cells whose centres lie in the box [lo, hi), or None."""
+    size = 2**depth
+    h = 2.0**-depth
+    window = []
+    for a_j, b_j in zip(lo, hi):
+        a = max(0, int(math.ceil(a_j / h - 0.5)))
+        b = min(size - 1, int(math.floor(b_j / h - 0.5 - 1e-12)))
+        if a > b:
+            return None
+        window.append(slice(a, b + 1))
+    return tuple(window)
 
 
 # -- adjacent dyadic systems ------------------------------------------------
@@ -222,10 +240,6 @@ class AdjacentSystems:
                 break
             cube = self.parent(cube)
         return out
-
-
-def adjacent_systems(d: int) -> AdjacentSystems:
-    return AdjacentSystems(d)
 
 
 def weight_profile(family: BallFamily, systems: AdjacentSystems) -> dict[SystemCube, float]:
@@ -359,9 +373,6 @@ def _closure_tree(weight_keys: list[SystemCube], systems: AdjacentSystems):
         while True:
             if node.level == 0:
                 roots.add(node)
-                if node in seen:
-                    break
-                seen.add(node)
                 break
             parent = systems.parent(node)
             children.setdefault(parent, set()).add(node)
@@ -374,7 +385,7 @@ def _closure_tree(weight_keys: list[SystemCube], systems: AdjacentSystems):
     )
 
 
-def _generation_cubes(starts, weights, children, threshold, inclusive_start):
+def _generation_cubes(starts, weights, children, threshold):
     """Maximal cubes whose inclusive weighted ancestry reaches the threshold.
 
     ``starts`` are (cube, initial sum) pairs; descending from each start, the
@@ -394,153 +405,65 @@ def _generation_cubes(starts, weights, children, threshold, inclusive_start):
     return sorted(out, key=lambda c: (c.level, c.cell))
 
 
-def heavy_cubes(family: BallFamily, config: StoppingConfig, grid_depth: int) -> HeavyCubesResult:
-    """Extract disjoint dyadic cubes carrying dense, substantial mass.
-
-    Grid rendering of the stopping-time argument: if the total mass exceeds
-    M the unit cube alone is the answer; otherwise the balls are assigned to
-    shifted dyadic systems, the system carrying the largest high-level mass
-    is selected, and generations of maximal cubes are peeled off at
-    thresholds N_k = floor(N_w / 2^k) until the heavy cubes of some
-    generation carry a 2^-k fraction of the high-level mass. The returned
-    family satisfies, exactly as grid sums,
-
-        sum_R ||f_R||_1  >=  c 2^(-2(gamma+1)) N^-gamma   and
-        ||f_R||_1        >   M |R|  for every returned R,
-
-    whenever the run is not labeled vacuous. The working high-level set is
-    {f_i >= N / #systems} on the selected system's function; the maximal
-    function version of the hypothesis is evaluated and reported alongside.
-    """
-    d = family.d
-    systems = adjacent_systems(d)
-    s = len(systems)
-    f = GridFunction.from_balls(family, grid_depth)
-    cellvol = f.cell_volume
-    n, m_target, gamma, c = config.N, config.M, config.gamma, config.c
-    conclusion_floor = c * 2.0 ** (-2 * (gamma + 1)) * n**-gamma
-
-    grid_volumes = np.array(
-        [grid_ball_volume(family.centers[i], family.radii[i], grid_depth, d) for i in range(len(family))]
+def _contained_mass(centers, radii, masses, lo, hi) -> float:
+    """Total of ``masses`` over the balls that lie inside the box [lo, hi]."""
+    inside = np.all(centers - radii[:, None] >= lo - 1e-15, axis=1) & np.all(
+        centers + radii[:, None] <= hi + 1e-15, axis=1
     )
-    visible = grid_volumes > 0
+    return float(masses[inside].sum())
 
-    mf = maximal_function(f)
-    hyp_mf_mass = float(f.values[mf.values >= n].sum() * cellvol)
 
-    checks: dict = {"hypothesis_mf_mass": hyp_mf_mass, "hypothesis_mf_ok": hyp_mf_mass >= c * n**-gamma}
-    trace: dict = {
-        "systems": s,
-        "grid_depth": grid_depth,
-        "invisible_balls": int((~visible).sum()),
-        "generations": [],
-    }
+def _high_mass(fi: GridFunction, high: np.ndarray, lo, hi) -> float:
+    """Mass of ``fi`` on the cells of the box [lo, hi) that lie in ``high``."""
+    window = _cell_window(lo, hi, fi.depth)
+    if window is None:
+        return 0.0
+    return float(fi.values[window][high[window]].sum() * fi.cell_volume)
 
-    def full_norm(cube: SystemCube) -> float:
-        lo, hi = systems.bounds(cube)
-        inside = np.all(family.centers - family.radii[:, None] >= lo - 1e-15, axis=1) & np.all(
-            family.centers + family.radii[:, None] <= hi + 1e-15, axis=1
-        )
-        return float((family.weights[inside] * grid_volumes[inside]).sum())
 
-    # early exit: the unit cube already has density above M
-    if f.l1() > m_target:
-        cube = SystemCube(0, 0, (0,) * d)
-        masses = {cube: f.l1()}
-        checks["density_ok"] = masses[cube] > m_target * cube.volume(d)
-        checks["mass_retention_ok"] = masses[cube] >= conclusion_floor
-        trace["early_exit"] = True
-        return HeavyCubesResult("early_exit", [cube], masses, trace, checks, config, grid_depth)
-
-    if config.guarantee:
-        needed = recommended_A(d, gamma)
-        if config.A < needed:
-            raise ConfigurationError(
-                f"guarantee mode needs A >= {needed:.0f} in dimension {d} (got {config.A})"
-            )
-
-    # assignment and pigeonholing over systems
-    assigned: dict[int, list[int]] = {i: [] for i in range(s)}
+def _select_system(family: BallFamily, systems: AdjacentSystems, visible, n_working, grid_depth):
+    """Assign each visible ball to the system of its located cube and pick the
+    system i whose f_i has the most mass theta on {f_i >= n_working}.
+    Returns (i, theta, f_i, the high set, the indices of i's balls)."""
+    assigned: list[list[int]] = [[] for _ in range(len(systems))]
     for i in np.flatnonzero(visible):
         located, _ = systems.locate(family.centers[i], family.radii[i])
         assigned[located.system].append(int(i))
-    n_working = n / s
     best = None
-    for i in range(s):
-        fi = GridFunction.from_balls(family, grid_depth, subset=assigned[i])
+    for i, members in enumerate(assigned):
+        fi = GridFunction.from_balls(family, grid_depth, subset=members)
         high = fi.values >= n_working
-        theta = float(fi.values[high].sum() * cellvol)
+        theta = float(fi.values[high].sum() * fi.cell_volume)
         if best is None or theta > best[1]:
-            best = (i, theta, fi, high)
-    istar, theta, fi, high = best
-    trace["selected_system"] = istar
-    trace["theta"] = theta
-    checks["hypothesis_working_ok"] = theta >= c * n**-gamma
+            best = (i, theta, fi, high, np.array(members, dtype=int))
+    return best
 
-    if not checks["hypothesis_working_ok"]:
-        return HeavyCubesResult("vacuous", [], {}, trace, checks, config, grid_depth)
 
-    ball_idx = np.array(assigned[istar], dtype=int)
-    centers, radii = family.centers[ball_idx], family.radii[ball_idx]
-    weights_arr, gvols = family.weights[ball_idx], grid_volumes[ball_idx]
+def _generations(systems, balls: BallFamily, ball_masses, fi: GridFunction, high, theta, n_working, config):
+    """Threshold loop over the selected system's balls and their grid masses.
 
-    wmap: dict[SystemCube, float] = {}
-    for pos, i in enumerate(ball_idx):
-        located, _ = systems.locate(family.centers[i], family.radii[i])
-        for cube in systems.related_cubes(family.centers[i], family.radii[i], located):
-            wmap[cube] = wmap.get(cube, 0.0) + float(family.weights[i])
+    Generation k stops at N_k = floor(n_working / 2^k) below the previous
+    generation's light cubes; a cube is heavy when the balls inside it have
+    mass above M |R|. Returns the heavy cubes of the first generation that
+    carries 2^-k theta of high-level mass (None when none does), the
+    generation records and the loop's checks.
+    """
+    d, m_target = balls.d, config.M
+    wmap = weight_profile(balls, systems)
     children, roots = _closure_tree(list(wmap), systems)
-
-    def system_norm(cube: SystemCube) -> float:
-        lo, hi = systems.bounds(cube)
-        inside = np.all(centers - radii[:, None] >= lo - 1e-15, axis=1) & np.all(
-            centers + radii[:, None] <= hi + 1e-15, axis=1
-        )
-        return float((weights_arr[inside] * gvols[inside]).sum())
-
-    def high_mass(cube: SystemCube) -> float:
-        lo, hi = systems.bounds(cube)
-        window = _cell_window(lo, hi, grid_depth, d)
-        if window is None:
-            return 0.0
-        vals = fi.values[window]
-        return float(vals[high[window] if isinstance(high, np.ndarray) else high].sum() * cellvol)
-
-    def _cell_window(lo, hi, depth, dim):
-        size = 2**depth
-        h = 2.0**-depth
-        sl = []
-        for j in range(dim):
-            a = max(0, int(math.ceil(lo[j] / h - 0.5)))
-            b = min(size - 1, int(math.floor(hi[j] / h - 0.5 - 1e-12)))
-            if a > b:
-                return None
-            sl.append(slice(a, b + 1))
-        return tuple(sl)
-
-    # rebind; the closure above needs the helper defined first
-    def high_mass(cube: SystemCube) -> float:  # noqa: F811
-        lo, hi = systems.bounds(cube)
-        window = _cell_window(lo, hi, grid_depth, d)
-        if window is None:
-            return 0.0
-        block_vals = fi.values[window]
-        block_high = high[window]
-        return float(block_vals[block_high].sum() * cellvol)
-
     mass_constant = relation_constant(d)
+    records: list[dict] = []
+    checks: dict = {}
     threshold_product = 1.0
     prior_light_high = None
     starts = [(r, 0.0) for r in roots]
-    generation = 0
     heavy_result: list[SystemCube] | None = None
     empirical_a = 0.0
-    while generation < MAX_GENERATIONS:
-        generation += 1
+    for generation in range(1, MAX_GENERATIONS + 1):
         n_k = math.floor(n_working / 2.0**generation)
         if n_k < 1:
             break
-        cubes = _generation_cubes(starts, wmap, children, n_k, True)
+        cubes = _generation_cubes(starts, wmap, children, n_k)
         if not cubes:
             break
         threshold_product *= n_k
@@ -550,29 +473,18 @@ def heavy_cubes(family: BallFamily, config: StoppingConfig, grid_depth: int) -> 
             empirical_a,
             (total_side_volume * threshold_product / m_target**generation) ** (1.0 / generation),
         )
-        records = []
         heavy, light = [], []
         heavy_mass = light_mass = 0.0
         for cube in cubes:
-            norm_i = system_norm(cube)
-            hm = high_mass(cube)
-            is_heavy = norm_i > m_target * cube.volume(d)
-            records.append(
-                {
-                    "cube": cube,
-                    "system_norm": norm_i,
-                    "high_mass": hm,
-                    "volume": cube.volume(d),
-                    "heavy": is_heavy,
-                }
-            )
-            if is_heavy:
+            lo, hi = systems.bounds(cube)
+            hm = _high_mass(fi, high, lo, hi)
+            if _contained_mass(balls.centers, balls.radii, ball_masses, lo, hi) > m_target * cube.volume(d):
                 heavy.append(cube)
                 heavy_mass += hm
             else:
                 light.append(cube)
                 light_mass += hm
-        trace["generations"].append(
+        records.append(
             {
                 "k": generation,
                 "threshold": n_k,
@@ -596,7 +508,7 @@ def heavy_cubes(family: BallFamily, config: StoppingConfig, grid_depth: int) -> 
             break
         prior_light_high = light_mass
         starts = [(cube, 0.0) for cube in light]
-        if config.guarantee and generation >= gamma + 1:
+        if config.guarantee and generation >= config.gamma + 1:
             raise AssertionError(
                 "guarantee-mode run passed the promised generation bound; "
                 "this indicates an inadmissible family (balls below grid scale)"
@@ -604,20 +516,93 @@ def heavy_cubes(family: BallFamily, config: StoppingConfig, grid_depth: int) -> 
 
     checks["empirical_mass_constant"] = empirical_a
     checks.setdefault("coverage_ok", True)
-    checks["generations_run"] = generation
+    checks["generations_run"] = len(records)
+    return heavy_result, records, checks
 
-    if heavy_result is None:
+
+def heavy_cubes(family: BallFamily, config: StoppingConfig, grid_depth: int) -> HeavyCubesResult:
+    """Extract disjoint dyadic cubes carrying dense, substantial mass.
+
+    Grid rendering of the stopping-time argument: if the total mass exceeds
+    M the unit cube alone is the answer; otherwise ``_select_system`` assigns
+    the balls to shifted dyadic systems and selects the system carrying the
+    largest high-level mass, and ``_generations`` peels off generations of
+    maximal cubes at thresholds N_k = floor(N_w / 2^k) until the heavy cubes
+    of some generation carry a 2^-k fraction of the high-level mass. The
+    returned family satisfies, exactly as grid sums,
+
+        sum_R ||f_R||_1  >=  c 2^(-2(gamma+1)) N^-gamma   and
+        ||f_R||_1        >   M |R|  for every returned R,
+
+    whenever the run is not labeled vacuous. The working high-level set is
+    {f_i >= N / #systems} on the selected system's function; the maximal
+    function version of the hypothesis is evaluated and reported alongside.
+    """
+    d = family.d
+    systems = AdjacentSystems(d)
+    f = GridFunction.from_balls(family, grid_depth)
+    n, m_target, gamma, c = config.N, config.M, config.gamma, config.c
+    conclusion_floor = c * 2.0 ** (-2 * (gamma + 1)) * n**-gamma
+
+    grid_volumes = np.array(
+        [grid_ball_volume(family.centers[i], family.radii[i], grid_depth, d) for i in range(len(family))]
+    )
+    visible = grid_volumes > 0
+    ball_masses = family.weights * grid_volumes
+
+    mf = maximal_function(f)
+    hyp_mf_mass = float(f.values[mf.values >= n].sum() * f.cell_volume)
+
+    checks: dict = {"hypothesis_mf_mass": hyp_mf_mass, "hypothesis_mf_ok": hyp_mf_mass >= c * n**-gamma}
+    trace: dict = {
+        "systems": len(systems),
+        "grid_depth": grid_depth,
+        "invisible_balls": int((~visible).sum()),
+        "generations": [],
+    }
+
+    # early exit: the unit cube already has density above M
+    if f.l1() > m_target:
+        cube = SystemCube(0, 0, (0,) * d)
+        masses = {cube: f.l1()}
+        checks["density_ok"] = masses[cube] > m_target * cube.volume(d)
+        checks["mass_retention_ok"] = masses[cube] >= conclusion_floor
+        trace["early_exit"] = True
+        return HeavyCubesResult("early_exit", [cube], masses, trace, checks, config, grid_depth)
+
+    if config.guarantee:
+        needed = recommended_A(d, gamma)
+        if config.A < needed:
+            raise ConfigurationError(
+                f"guarantee mode needs A >= {needed:.0f} in dimension {d} (got {config.A})"
+            )
+
+    n_working = n / len(systems)
+    istar, theta, fi, high, ball_idx = _select_system(family, systems, visible, n_working, grid_depth)
+    trace["selected_system"] = istar
+    trace["theta"] = theta
+    checks["hypothesis_working_ok"] = theta >= c * n**-gamma
+    if not checks["hypothesis_working_ok"]:
+        return HeavyCubesResult("vacuous", [], {}, trace, checks, config, grid_depth)
+
+    balls = BallFamily(family.centers[ball_idx], family.radii[ball_idx], family.weights[ball_idx])
+    heavy, trace["generations"], loop_checks = _generations(
+        systems, balls, ball_masses[ball_idx], fi, high, theta, n_working, config
+    )
+    checks.update(loop_checks)
+    if heavy is None:
         return HeavyCubesResult("exhausted", [], {}, trace, checks, config, grid_depth)
 
-    masses = {cube: full_norm(cube) for cube in heavy_result}
+    masses = {
+        cube: _contained_mass(family.centers, family.radii, ball_masses, *systems.bounds(cube))
+        for cube in heavy
+    }
     retention = sum(masses.values())
     checks["mass_retention"] = retention
     checks["mass_retention_ok"] = retention >= conclusion_floor
-    checks["density_ok"] = all(
-        masses[cube] > m_target * cube.volume(d) for cube in heavy_result
-    )
-    checks["disjoint_ok"] = _pairwise_disjoint(heavy_result, systems)
-    return HeavyCubesResult("heavy_found", heavy_result, masses, trace, checks, config, grid_depth)
+    checks["density_ok"] = all(masses[cube] > m_target * cube.volume(d) for cube in heavy)
+    checks["disjoint_ok"] = _pairwise_disjoint(heavy, systems)
+    return HeavyCubesResult("heavy_found", heavy, masses, trace, checks, config, grid_depth)
 
 
 def _pairwise_disjoint(cubes: list[SystemCube], systems: AdjacentSystems) -> bool:
@@ -640,7 +625,7 @@ def exhaustive_verify(
     and that every returned cube is a genuine cube of its system with level
     at most max(oracle_depth, deepest returned level).
     """
-    systems = adjacent_systems(family.d)
+    systems = AdjacentSystems(family.d)
     depth = result.grid_depth
     gvols = np.array(
         [grid_ball_volume(family.centers[i], family.radii[i], depth, family.d) for i in range(len(family))]

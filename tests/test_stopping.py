@@ -1,0 +1,170 @@
+"""Grid rendering, adjacent systems, maximal function and the heavy-cube stopping run."""
+
+import math
+
+import numpy as np
+import pytest
+
+from rectilab import stopping as st
+
+CONFIG = st.StoppingConfig(N=40, M=2)
+
+
+def brute_cells(center, radius, depth):
+    """Mask over the whole grid of the cells whose centres lie in the ball, cell by cell."""
+    d = len(center)
+    size = 2**depth
+    h = 2.0**-depth
+    mask = np.zeros((size,) * d, dtype=bool)
+    for cell in np.ndindex(*mask.shape):
+        x = (np.array(cell) + 0.5) * h
+        mask[cell] = sum((x[j] - center[j]) ** 2 for j in range(d)) <= radius**2
+    return mask
+
+
+def sample_family(d, rng, count):
+    radii = rng.uniform(0.02, 0.3, size=count)
+    centers = np.column_stack([rng.uniform(radii, 1.0 - radii) for _ in range(d)])
+    # a ball that reaches the cube's faces, and one too small to hold a cell centre
+    centers = np.vstack([centers, np.full(d, 0.5), np.full(d, 0.25)])
+    radii = np.concatenate([radii, [0.5], [1e-3]])
+    return st.BallFamily(centers, radii, rng.uniform(0.0, 2.0, size=count + 2))
+
+
+def cube_bounds(cube, d):
+    """Bounds of a system cube from its definition: one-third shift per set bit."""
+    shift = np.array([((cube.system >> j) & 1) / 3.0 for j in range(d)])
+    lo = shift + np.array(cube.cell, dtype=float) * 2.0**-cube.level
+    return lo, lo + 2.0**-cube.level
+
+
+def families(d, depth, count, profile, config=CONFIG):
+    return [
+        st.random_family(d, np.random.default_rng(seed), profile=profile, config=config, grid_depth=depth)
+        for seed in range(count)
+    ]
+
+
+class TestGridRendering:
+    @pytest.mark.parametrize("d,depth", [(1, 6), (2, 5), (3, 3)])
+    def test_from_balls_and_volume_match_brute_force(self, d, depth):
+        fam = sample_family(d, np.random.default_rng(d), 6)
+        expected = np.zeros((2**depth,) * d)
+        for i in range(len(fam)):
+            cells = brute_cells(fam.centers[i], fam.radii[i], depth)
+            expected[cells] += fam.weights[i]
+            volume = st.grid_ball_volume(fam.centers[i], fam.radii[i], depth, d)
+            assert volume == cells.sum() * 2.0 ** (-depth * d)
+        np.testing.assert_array_equal(st.GridFunction.from_balls(fam, depth).values, expected)
+
+    def test_from_balls_subset(self):
+        fam = sample_family(2, np.random.default_rng(5), 6)
+        expected = np.zeros((32, 32))
+        for i in (4, 1):
+            expected[brute_cells(fam.centers[i], fam.radii[i], 5)] += fam.weights[i]
+        np.testing.assert_array_equal(st.GridFunction.from_balls(fam, 5, subset=[4, 1]).values, expected)
+
+    def test_ball_without_cell_centre_has_no_volume(self):
+        assert st.grid_ball_volume(np.array([0.25, 0.25]), 1e-3, 5, 2) == 0.0
+
+
+class TestAdjacentSystems:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_locate_contains_ball_with_bounded_ratio(self, d):
+        systems = st.AdjacentSystems(d)
+        rng = np.random.default_rng(10 + d)
+        for _ in range(200):
+            radius = math.exp(rng.uniform(math.log(1e-3), math.log(0.5)))
+            center = rng.uniform(radius, 1.0 - radius, size=d)
+            cube, ratio = systems.locate(center, radius)
+            lo, hi = cube_bounds(cube, d)
+            assert np.all(center - radius >= lo - 1e-15) and np.all(center + radius <= hi + 1e-15)
+            ball_volume = math.pi ** (d / 2) / math.gamma(d / 2 + 1) * radius**d
+            assert ratio == pytest.approx(2.0 ** (-cube.level * d) / ball_volume, rel=1e-12)
+            assert ratio <= systems.covering_constant + 1e-9
+
+    def test_locate_rejects_ball_outside_unit_cube(self):
+        with pytest.raises(ValueError):
+            st.AdjacentSystems(2).locate(np.array([0.05, 0.5]), 0.1)
+
+
+class TestMaximalFunction:
+    @pytest.mark.parametrize("d,depth", [(1, 8), (2, 5), (3, 3)])
+    def test_dominates_f(self, d, depth):
+        f = st.GridFunction.from_balls(sample_family(d, np.random.default_rng(20 + d), 5), depth)
+        assert np.all(st.maximal_function(f).values >= f.values)
+
+    def test_rejects_negative_grid(self):
+        values = np.zeros((8, 8))
+        values[3, 4] = -1e-9
+        with pytest.raises(ValueError):
+            st.maximal_function(st.GridFunction(values, 3))
+
+
+class TestHeavyCubes:
+    @pytest.mark.parametrize("d,depth", [(1, 10), (2, 6)])
+    def test_early_exit_exactly_above_M(self, d, depth):
+        seen = set()
+        for fam in families(d, depth, 12, "mixed"):
+            f = st.GridFunction.from_balls(fam, depth)
+            result = st.heavy_cubes(fam, CONFIG, depth)
+            assert (result.status == "early_exit") == (f.l1() > CONFIG.M)
+            seen.add(result.status == "early_exit")
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize(
+        "d,depth,config,seeds",
+        [
+            (1, 10, CONFIG, range(12)),
+            (2, 7, st.StoppingConfig(N=100, M=2), [0, 1, 2, 3]),
+        ],
+    )
+    def test_heavy_found_passes_oracle(self, d, depth, config, seeds):
+        found = 0
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            fam = st.random_family(d, rng, profile="peaked", config=config, grid_depth=depth)
+            result = st.heavy_cubes(fam, config, depth)
+            if result.status != "heavy_found":
+                continue
+            found += 1
+            assert st.exhaustive_verify(fam, config, result)["ok"]
+            assert result.checks["density_ok"] and result.checks["disjoint_ok"]
+            for cube in result.heavy:
+                lo, hi = cube_bounds(cube, d)
+                assert result.f_masses[cube] > config.M * np.prod(hi - lo)
+        assert found >= 2
+
+    @pytest.mark.parametrize("d,depth", [(1, 10), (2, 7)])
+    def test_generations_run_counts_generation_records(self, d, depth):
+        statuses = set()
+        for fam in families(d, depth, 8, "peaked"):
+            result = st.heavy_cubes(fam, CONFIG, depth)
+            if result.status in ("heavy_found", "exhausted"):
+                statuses.add(result.status)
+                assert result.checks["generations_run"] == len(result.trace["generations"])
+        assert statuses
+
+    def test_vacuous_without_high_mass(self):
+        fam = st.BallFamily(np.array([[0.5, 0.5]]), np.array([0.2]), np.array([1.0]))
+        result = st.heavy_cubes(fam, CONFIG, 6)
+        assert result.status == "vacuous" and result.heavy == [] and result.trace["theta"] == 0.0
+
+
+class TestStoppingConfig:
+    @pytest.mark.parametrize("gamma,M,c,A", [(1, 2.0, 1.0, 1.0), (2, 1.5, 0.5, 1.2)])
+    def test_guarantee_bound(self, gamma, M, c, A):
+        bound = A ** ((gamma + 1) ** 2) * M ** (gamma + 2) / c
+        with pytest.raises(st.ConfigurationError):
+            st.StoppingConfig(N=bound, M=M, gamma=gamma, c=c, A=A, guarantee=True)
+        with pytest.raises(st.ConfigurationError):
+            st.StoppingConfig(N=0.5 * bound, M=M, gamma=gamma, c=c, A=A, guarantee=True)
+        st.StoppingConfig(N=bound * (1 + 1e-9), M=M, gamma=gamma, c=c, A=A, guarantee=True)
+        st.StoppingConfig(N=0.5 * bound, M=M, gamma=gamma, c=c, A=A)
+
+    def test_guarantee_run_needs_recommended_A(self):
+        fam = st.BallFamily(np.array([[0.5, 0.5]]), np.array([0.2]), np.array([1.0]))
+        config = st.StoppingConfig(N=1e6, M=2, A=2.0, guarantee=True)
+        assert config.A < st.recommended_A(2, config.gamma)
+        with pytest.raises(st.ConfigurationError):
+            st.heavy_cubes(fam, config, 5)
