@@ -39,11 +39,6 @@ class BetaResult:
             raise ValueError("a plane-approximation coefficient is nonnegative")
 
 
-def _in_ball(cloud: RegularCloud, ball: Ball):
-    mask = ball.contains(cloud.points)
-    return cloud.points[mask], cloud.weights[mask]
-
-
 def _plane_from_angle(theta: float, offset: float) -> AffinePlane:
     direction = Subspace(np.array([[math.cos(theta)], [math.sin(theta)]]))
     normal = np.array([-math.sin(theta), math.cos(theta)])
@@ -57,14 +52,9 @@ def _weighted_median(s: np.ndarray, w: np.ndarray) -> float:
     return float(s[order[min(k, len(s) - 1)]])
 
 
-def _l1_value(pts, w, normals, point, r, n) -> float:
+def _plane_value(pts, w, normals, point, r, n, sup) -> float:
     dist = np.linalg.norm((pts - point) @ normals, axis=1)
-    return float(np.sum(w * dist) / r ** (n + 1))
-
-
-def _sup_value(pts, normals, point, r) -> float:
-    dist = np.linalg.norm((pts - point) @ normals, axis=1)
-    return float(dist.max() / r)
+    return float(dist.max() / r) if sup else float(np.sum(w * dist) / r ** (n + 1))
 
 
 def _planar_objective(theta, pts, w, r, sup):
@@ -107,9 +97,7 @@ def _general_refine(pts, w, r, n, sup):
     frame, normals, point = _pca_frame(pts, w, n)
 
     def value(nm, pt):
-        if sup:
-            return _sup_value(pts, nm, pt, r)
-        return _l1_value(pts, w, nm, pt, r, n)
+        return _plane_value(pts, w, nm, pt, r, n, sup)
 
     best = value(normals, point)
     for _ in range(REFINE_ITERATIONS):
@@ -167,7 +155,8 @@ def _grid_oracle(pts, w, ball: Ball, sup: bool, n_angles: int = 360, n_offsets: 
 def _compute(cloud: RegularCloud, ball: Ball, method: str, sup: bool) -> BetaResult:
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    pts, w = _in_ball(cloud, ball)
+    idx = cloud.ball_indices(ball)
+    pts, w = cloud.points[idx], cloud.weights[idx]
     if len(pts) == 0:
         raise ValueError("the ball does not meet the cloud")
     n, r = cloud.n, ball.radius
@@ -182,7 +171,7 @@ def _compute(cloud: RegularCloud, ball: Ball, method: str, sup: bool) -> BetaRes
 
     frame, normals, mean = _pca_frame(pts, w, n)
     if method == "pca":
-        value = _sup_value(pts, normals, mean, r) if sup else _l1_value(pts, w, normals, mean, r, n)
+        value = _plane_value(pts, w, normals, mean, r, n, sup)
         return BetaResult(value, AffinePlane(Subspace(frame), mean), "pca")
 
     if cloud.d == 2 and n == 1:

@@ -68,20 +68,19 @@ class CubeLattice:
         for j in range(j_min, j_max + 1):
             side = 2.0**-j
             cells = np.floor(pts / side).astype(np.int64)
-            level: dict[tuple[int, ...], list[int]] = {}
-            for i, cell in enumerate(map(tuple, cells)):
-                level.setdefault(cell, []).append(i)
+            # cubes in order of their first point, members ascending
+            uniq, first, inverse = np.unique(cells, axis=0, return_index=True, return_inverse=True)
+            inverse = inverse.ravel()
+            groups = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
+            dist = np.linalg.norm(pts - (cells + 0.5) * side, axis=1)
             built = {}
-            for cell, idx in level.items():
-                members = np.array(idx, dtype=np.int64)
-                cell_center = (np.array(cell, dtype=float) + 0.5) * side
-                local = pts[members]
-                center = local[np.argmin(np.linalg.norm(local - cell_center, axis=1))]
+            for u in np.argsort(first):
+                cell, members = tuple(uniq[u]), groups[u]
                 built[cell] = Cube(
                     level=j,
                     index=cell,
                     members=members,
-                    center=center,
+                    center=pts[members[np.argmin(dist[members])]].copy(),
                     weight=float(cloud.weights[members].sum()),
                 )
             self.cubes[j] = built
@@ -110,9 +109,6 @@ class CubeLattice:
     def parent(self, cube: Cube) -> Cube | None:
         pk = self.parent_key(cube.key)
         return None if pk is None else self.get(pk)
-
-    def children(self, cube: Cube) -> list[Cube]:
-        return [self.get(k) for k in self.child_keys(cube.key)]
 
     @cached_property
     def _child_map(self) -> dict[CubeKey, list[CubeKey]]:
@@ -168,10 +164,6 @@ class CubeLattice:
                 )
 
 
-def build_lattice(cloud: RegularCloud, j_min: int, j_max: int) -> CubeLattice:
-    return CubeLattice(cloud, j_min, j_max)
-
-
 @dataclass
 class DavidReport:
     inner_ball_constant: float
@@ -190,25 +182,29 @@ def diagnose_david_properties(lattice: CubeLattice) -> DavidReport:
     cloud = lattice.cloud
     inner = math.inf
     cubes = list(lattice.all_cubes())
-    densities = np.empty(len(cubes))
-    for pos, cube in enumerate(cubes):
-        dists = np.linalg.norm(cloud.points - cube.center, axis=1)
-        outside = np.ones(len(cloud.points), dtype=bool)
-        outside[cube.members] = False
-        relevant = dists[outside]
-        if relevant.size:
-            inner = min(inner, float(relevant.min()) / cube.side)
-        densities[pos] = cube.weight / cube.side**cloud.n
+    densities = np.array([cube.weight / cube.side**cloud.n for cube in cubes])
+    member = np.zeros(len(cloud.points), dtype=bool)
+    for cube in cubes:
+        if len(cube.members) == len(cloud.points):
+            continue
+        # the len(members)+1 nearest points hold a non-member; the ball through
+        # the first one found holds every non-member as near, up to rounding
+        member[cube.members] = True
+        dist, idx = cloud.tree.query(cube.center, k=len(cube.members) + 1)
+        first = dist[~member[idx]][0]
+        near = cloud.ball_indices(Ball(cube.center, first * (1.0 + 1e-12)))
+        outside = near[~member[near]]
+        member[cube.members] = False
+        nearest = np.linalg.norm(cloud.points[outside] - cube.center, axis=1).min()
+        inner = min(inner, float(nearest) / cube.side)
     med = float(np.median(densities))
     flagged = [
         cube.key
         for cube, dens in zip(cubes, densities)
         if dens > 100.0 * med or dens < med / 100.0
     ]
-    if not np.isfinite(inner):
-        inner = 1.0
     return DavidReport(
-        inner_ball_constant=float(inner),
+        inner_ball_constant=float(inner) if np.isfinite(inner) else 1.0,
         density_ratio_range=(float(densities.min()), float(densities.max())),
         flagged=flagged,
     )
@@ -341,9 +337,6 @@ def flagged_ancestry_counts(lattice: CubeLattice, q0, flag) -> np.ndarray:
         cube = lattice.get(key)
         if fn(cube):
             counts[cube.members] += 1
-    mask = np.zeros(len(lattice.cloud.points), dtype=bool)
-    mask[lattice.get(root).members] = True
-    counts[~mask] = 0
     return counts
 
 

@@ -5,6 +5,10 @@ Hausdorff measure on a set at a declared resolution. Generators are
 deterministic; every measure-like query (projection measure, ball mass,
 regularity constant) is a grid or ball count at a declared scale, so all
 statements about clouds are scale-indexed and reproducible.
+
+Ball queries go through ``RegularCloud.ball_indices`` and one lazily built
+k-d tree per cloud, so a cloud must not be mutated in place; ``dilated``,
+``rotated`` and ``dataclasses.replace`` make new clouds with fresh trees.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -39,13 +44,14 @@ class Ball:
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
+        if not np.all(np.isfinite(self.center)):
+            raise ValueError(f"ball center must be finite, got {self.center}")
+        if not (0.0 <= self.radius < math.inf):
+            raise ValueError(f"ball radius must be finite and nonnegative, got {self.radius}")
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return np.linalg.norm(pts - self.center, axis=1) <= self.radius
-
-    def scaled(self, factor: float) -> "Ball":
-        return Ball(self.center, self.radius * factor)
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,6 +62,9 @@ class RegularCloud:
     total weight positive and finite, no two points closer than
     resolution/4, and every weight inside
     [resolution^n / density_constant, density_constant * resolution^n].
+
+    The cloud owns one lazily built k-d tree over ``points`` (the spacing
+    check builds it), so its arrays must not be mutated in place.
     """
 
     points: np.ndarray
@@ -90,11 +99,25 @@ class RegularCloud:
             raise ValueError(
                 f"weights outside the uniform-density band [{lo:.3g}, {hi:.3g}]"
             )
-        if len(self.points) > 1:
-            pairs = cKDTree(self.points).query_pairs(self.resolution / 4.0)
-            if pairs:
-                i, j = next(iter(pairs))
-                raise ValueError(f"points {i} and {j} are closer than resolution/4")
+        pairs = self.tree.query_pairs(self.resolution / 4.0)
+        if pairs:
+            i, j = next(iter(pairs))
+            raise ValueError(f"points {i} and {j} are closer than resolution/4")
+
+    @cached_property
+    def tree(self) -> cKDTree:
+        """The cloud's k-d tree; ask it for balls only through ``ball_indices``."""
+        return cKDTree(self.points)
+
+    def ball_indices(self, ball: Ball) -> np.ndarray:
+        """Ascending indices of the points that ``Ball.contains`` accepts.
+
+        The tree is asked for a radius padded by a relative 1e-12; the exact
+        test then filters its answer.
+        """
+        near = self.tree.query_ball_point(ball.center, ball.radius * (1.0 + 1e-12), return_sorted=True)
+        near = np.asarray(near, dtype=np.intp)
+        return near[ball.contains(self.points[near])]
 
     @property
     def d(self) -> int:
@@ -114,7 +137,7 @@ class RegularCloud:
         return float(np.linalg.norm(hi - lo))
 
     def ball_mass(self, ball: Ball) -> float:
-        return float(self.weights[ball.contains(self.points)].sum())
+        return float(self.weights[self.ball_indices(ball)].sum())
 
     def enclosing_ball(self, factor: float = 1.0) -> Ball:
         lo, hi = self.bounding_box
@@ -327,11 +350,11 @@ def estimate_regularity(cloud: RegularCloud, trials: int, rng: np.random.Generat
     prob = cloud.weights / cloud.total_weight
     idx = rng.choice(len(cloud.points), size=trials, p=prob)
     radii = np.exp(rng.uniform(math.log(r_lo), math.log(r_hi), size=trials))
-    tree = cKDTree(cloud.points)
     worst, worst_ball = 1.0, Ball(cloud.points[idx[0]], radii[0])
     for i, r in zip(idx, radii):
         center = cloud.points[i]
-        mass = float(cloud.weights[tree.query_ball_point(center, r)].sum())
+        # radii are random, so no point lies on a sphere and the tree's test suffices
+        mass = float(cloud.weights[cloud.tree.query_ball_point(center, r)].sum())
         if mass <= 0:
             continue
         ratio = max(mass / r**cloud.n, r**cloud.n / mass)
@@ -351,12 +374,11 @@ def projection_measure(
     """
     if grid_resolution < cloud.resolution:
         raise ValueError("grid_resolution must be at least the cloud resolution")
-    mask = ball.contains(cloud.points)
-    if not mask.any():
-        return 0.0
-    coords = cloud.points[mask] @ v.basis  # (m, n)
+    coords = cloud.points[cloud.ball_indices(ball)] @ v.basis  # (m, n)
     cells = np.floor(coords / grid_resolution).astype(np.int64)
-    occupied = len(np.unique(cells, axis=0))
+    # distinct rows after a lexicographic sort; np.unique(axis=0) is ~10x slower
+    cells = cells[np.lexsort(cells.T)]
+    occupied = np.count_nonzero(np.any(cells[1:] != cells[:-1], axis=1)) + min(len(cells), 1)
     return float(occupied) * grid_resolution**v.n
 
 
@@ -373,11 +395,10 @@ def _pca_frame(pts: np.ndarray, w: np.ndarray, n: int):
 
 
 def _pca_direction(cloud: RegularCloud, ball: Ball, n: int) -> Subspace:
-    mask = ball.contains(cloud.points)
-    pts = cloud.points[mask]
-    if len(pts) <= n:
+    idx = cloud.ball_indices(ball)
+    if len(idx) <= n:
         return Subspace.axis(cloud.d, *range(n))
-    return Subspace(_pca_frame(pts, cloud.weights[mask], n)[0])
+    return Subspace(_pca_frame(cloud.points[idx], cloud.weights[idx], n)[0])
 
 
 def pbp_margin(
@@ -448,12 +469,9 @@ def graph_overlap(cloud: RegularCloud, graph_cloud: RegularCloud, ball: Ball) ->
     if cloud.d != graph_cloud.d:
         raise ValueError("clouds must share the ambient dimension")
     tol = 2.0 * max(cloud.resolution, graph_cloud.resolution)
-    mask = ball.contains(cloud.points)
-    if not mask.any():
-        return 0.0
-    tree = cKDTree(graph_cloud.points)
-    dist, _ = tree.query(cloud.points[mask], k=1)
-    return float(cloud.weights[mask][dist <= tol].sum())
+    idx = cloud.ball_indices(ball)
+    dist, _ = graph_cloud.tree.query(cloud.points[idx], k=1)
+    return float(cloud.weights[idx][dist <= tol].sum())
 
 
 def save_cloud(cloud: RegularCloud, path: str | Path, seed: int | None = None):

@@ -89,14 +89,14 @@ class TestBetaInf:
 
 class TestBetaLattice:
     def test_segment_all_near_zero(self):
-        lat = cb.build_lattice(ps.segment(1e-3), 0, 4)
+        lat = cb.CubeLattice(ps.segment(1e-3), 0, 4)
         betas = bt.beta_lattice(lat, "beta1")
         for key, res in betas.items():
             tol = 2.0 * lat.cloud.resolution / 2.0 ** -key[0]
             assert res.value <= tol
 
     def test_four_corners_flagged_levels(self):
-        lat = cb.build_lattice(ps.four_corners(4), 0, 4)
+        lat = cb.CubeLattice(ps.four_corners(4), 0, 4)
         betas = bt.beta_lattice(lat, "beta1")
         by_level = {}
         for (level, _), res in betas.items():
@@ -109,10 +109,10 @@ class TestBetaLattice:
 
     def test_translation_resampled_distribution(self):
         base = ps.four_corners(3)
-        lat0 = cb.build_lattice(base, 0, 4)
+        lat0 = cb.CubeLattice(base, 0, 4)
         shifted_pts = base.points + np.array([0.37, 0.11])
         shifted = ps.RegularCloud(shifted_pts, base.weights, 1, base.resolution, generator="fc-shift")
-        lat1 = cb.build_lattice(shifted, 0, 4)
+        lat1 = cb.CubeLattice(shifted, 0, 4)
         b0 = [r.value for r in bt.beta_lattice(lat0, "beta1").values() if not r.degenerate]
         b1 = [r.value for r in bt.beta_lattice(lat1, "beta1").values() if not r.degenerate]
         assert np.mean(b1) == pytest.approx(np.mean(b0), rel=0.5)
@@ -120,7 +120,7 @@ class TestBetaLattice:
 
 class TestWglSum:
     def test_segment_zero(self):
-        lat = cb.build_lattice(ps.segment(1e-3), 0, 4)
+        lat = cb.CubeLattice(ps.segment(1e-3), 0, 4)
         betas = bt.beta_lattice(lat, "beta1")
         assert bt.wgl_sum(lat, betas, 0.1, (0, (0, 0))) == 0.0
 
@@ -128,7 +128,7 @@ class TestWglSum:
         cloud = ps.four_corners(4)
         ratios = {}
         for depth in (4, 6):
-            lat = cb.build_lattice(cloud, 0, depth)
+            lat = cb.CubeLattice(cloud, 0, depth)
             betas = bt.beta_lattice(lat, "beta1")
             ratios[depth] = bt.wgl_sum(lat, betas, 0.05, (0, (0, 0)))
         assert ratios[6] >= 1.5 * ratios[4]
@@ -136,12 +136,12 @@ class TestWglSum:
 
 class TestBetaComparison:
     def test_segment_returns_none(self):
-        lat = cb.build_lattice(ps.segment(1e-3), 0, 3)
+        lat = cb.CubeLattice(ps.segment(1e-3), 0, 3)
         worst, used = bt.beta_comparison(lat)
         assert worst is None and used == 0
 
     def test_four_corners_bounded(self):
-        lat = cb.build_lattice(ps.four_corners(4), 0, 4)
+        lat = cb.CubeLattice(ps.four_corners(4), 0, 4)
         worst, used = bt.beta_comparison(lat)
         assert used > 0
         assert worst <= 10.0
@@ -150,7 +150,7 @@ class TestBetaComparison:
         constants = []
         for h in (0.1, 0.15, 0.2):
             cloud = two_segments(h, res=1e-2)
-            lat = cb.build_lattice(cloud, 0, 3)
+            lat = cb.CubeLattice(cloud, 0, 3)
             worst, used = bt.beta_comparison(lat)
             if worst is not None:
                 constants.append(worst)
@@ -210,7 +210,7 @@ class TestMethodAndSymmetryInvariants:
         assert b == pytest.approx(a, rel=0.05, abs=1e-3)
 
     def test_export(self, tmp_path):
-        lat = cb.build_lattice(ps.four_corners(2), 0, 2)
+        lat = cb.CubeLattice(ps.four_corners(2), 0, 2)
         betas = bt.beta_lattice(lat, "beta1")
         out = tmp_path / "betas.csv"
         bt.export_betas(betas, out)

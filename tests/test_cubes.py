@@ -9,17 +9,17 @@ from rectilab import pointset as ps
 
 @pytest.fixture(scope="module")
 def segment_lattice():
-    return cb.build_lattice(ps.segment(1e-3), 0, 4)
+    return cb.CubeLattice(ps.segment(1e-3), 0, 4)
 
 
 @pytest.fixture(scope="module")
 def cantor_lattice():
-    return cb.build_lattice(ps.four_corners(3), 0, 4)
+    return cb.CubeLattice(ps.four_corners(3), 0, 4)
 
 
 class TestBuildLattice:
     def test_segment_counts(self):
-        lat = cb.build_lattice(ps.segment(1e-2), 0, 2)
+        lat = cb.CubeLattice(ps.segment(1e-2), 0, 2)
         assert [len(lat.cubes[j]) for j in range(3)] == [1, 2, 4]
 
     def test_children_weights_sum_to_parent(self, cantor_lattice):
@@ -32,7 +32,7 @@ class TestBuildLattice:
     def test_four_corners_level_counts_by_scan(self):
         # construction-scan oracle: occupied cells counted straight off the points
         cloud = ps.four_corners(3)
-        lat = cb.build_lattice(cloud, 0, 3)
+        lat = cb.CubeLattice(cloud, 0, 3)
         for j in range(4):
             side = 2.0**-j
             expected = len({tuple(c) for c in np.floor(cloud.points / side).astype(int)})
@@ -66,27 +66,90 @@ class TestBuildLattice:
         cloud = ps.segment(0.1)
         bad = ps.RegularCloud(cloud.points, cloud.weights, 1, 0.2, validate=False)
         with pytest.raises(ValueError):
-            cb.build_lattice(bad, 0, 1)  # fine
+            cb.CubeLattice(bad, 0, 1)  # fine
             raise ValueError  # pragma: no cover
         with pytest.raises(ValueError):
-            cb.build_lattice(cloud, 0, 9)  # below resolution
+            cb.CubeLattice(cloud, 0, 9)  # below resolution
+
+
+def _loop_lattice(cloud, j_min, j_max):
+    """Per-point bucketing reference: {level: {cell: (members, center, weight)}}."""
+    out = {}
+    for j in range(j_min, j_max + 1):
+        side = 2.0**-j
+        level = {}
+        for i, cell in enumerate(map(tuple, np.floor(cloud.points / side).astype(np.int64))):
+            level.setdefault(cell, []).append(i)
+        built = {}
+        for cell, idx in level.items():
+            members = np.array(idx, dtype=np.int64)
+            local = cloud.points[members]
+            dist = np.linalg.norm(local - (np.array(cell, dtype=float) + 0.5) * side, axis=1)
+            built[cell] = (members, local[np.argmin(dist)], float(cloud.weights[members].sum()))
+        out[j] = built
+    return out
+
+
+@pytest.mark.parametrize(
+    "cloud", [ps.segment(1e-3), ps.four_corners(4), ps.hrycak(3), ps.circle(1e-2)], ids=lambda c: c.generator
+)
+def test_lattice_matches_loop_reference(cloud):
+    lat = cb.CubeLattice(cloud, 0, 4)
+    ref = _loop_lattice(cloud, 0, 4)
+    for j in range(5):
+        assert list(lat.cubes[j]) == list(ref[j])
+        for cell, (members, center, weight) in ref[j].items():
+            cube = lat.cubes[j][cell]
+            assert np.array_equal(cube.members, members)
+            assert np.array_equal(cube.center, center)
+            assert cube.weight == weight
+
+
+def _david_oracle(lat):
+    """All-pairs inner-ball constant and density range."""
+    pts = lat.cloud.points
+    inner = np.inf
+    densities = []
+    for cube in lat.all_cubes():
+        outside = np.setdiff1d(np.arange(len(pts)), cube.members)
+        if outside.size:
+            inner = min(inner, np.linalg.norm(pts[outside] - cube.center, axis=1).min() / cube.side)
+        densities.append(cube.weight / cube.side**lat.cloud.n)
+    return (1.0 if np.isinf(inner) else float(inner)), (min(densities), max(densities))
 
 
 class TestDavidDiagnostics:
+    @pytest.mark.parametrize(
+        "cloud, j_max",
+        [(ps.segment(1e-3), 6), (ps.four_corners(4), 6), (ps.hrycak(3), 4)],
+        ids=["segment", "four_corners", "hrycak"],
+    )
+    def test_matches_all_pairs_oracle(self, cloud, j_max):
+        lat = cb.CubeLattice(cloud, 0, j_max)
+        report = cb.diagnose_david_properties(lat)
+        inner, (lo, hi) = _david_oracle(lat)
+        assert report.inner_ball_constant == inner
+        assert report.density_ratio_range == (lo, hi)
+
+    def test_single_point_cloud(self):
+        cloud = ps.RegularCloud(np.array([[0.3, 0.3]]), np.array([0.25]), 1, 0.25)
+        report = cb.diagnose_david_properties(cb.CubeLattice(cloud, 0, 1))
+        assert report.inner_ball_constant == 1.0
+
     def test_aligned_segment_inner_ball(self):
-        lat = cb.build_lattice(ps.segment(1e-3), 0, 3)
+        lat = cb.CubeLattice(ps.segment(1e-3), 0, 3)
         report = cb.diagnose_david_properties(lat)
         assert report.inner_ball_constant >= 0.25
 
     def test_point_near_wall_flags_small_constant(self):
         pts = np.array([[0.499, 0.0], [0.501, 0.0]])
         cloud = ps.RegularCloud(pts, np.full(2, 0.25), 1, 0.25, validate=False)
-        lat = cb.build_lattice(cloud, 0, 1)
+        lat = cb.CubeLattice(cloud, 0, 1)
         report = cb.diagnose_david_properties(lat)
         assert report.inner_ball_constant < 0.05  # diagnostic, not an error
 
     def test_four_corners_density_band(self):
-        lat = cb.build_lattice(ps.four_corners(4), 0, 3)
+        lat = cb.CubeLattice(ps.four_corners(4), 0, 3)
         lo, hi = cb.diagnose_david_properties(lat).density_ratio_range
         assert hi / lo <= 4.0
 
@@ -108,7 +171,7 @@ class TestDecomposeTrees:
         assert set(segment_lattice.child_keys(root)) <= child_tops
 
     def test_uniform_flags_binary_lattice(self):
-        lat = cb.build_lattice(ps.segment(2.0**-5), 0, 3)
+        lat = cb.CubeLattice(ps.segment(2.0**-5), 0, 3)
         forest = cb.decompose_trees(lat, lambda c: True, 2, (0, (0, 0)))
         first = forest.trees[0]
         assert {k[0] for k in first.leaves} == {1}

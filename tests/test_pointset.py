@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rectilab import pointset as ps
-from rectilab.grassmann import Subspace
+from rectilab.grassmann import Subspace, random_rotation
 
 X_AXIS = Subspace.axis(2, 0)
 Y_AXIS = Subspace.axis(2, 1)
@@ -182,6 +183,21 @@ class TestProjectionMeasure:
             + ps.projection_measure(cloud, v, big, g)
         )
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_counts_distinct_cells(self, dim):
+        # oracle: distinct rows by np.unique over the brute-force ball mask
+        v = Subspace.axis(dim, *range(dim - 1))
+        f = lambda t: [0.2 * np.sin(5.0 * t.sum())]  # noqa: E731
+        cloud = ps.lipschitz_graph_cloud(f, v, 2.0, 2.0**-6)
+        rng = np.random.default_rng(dim)
+        for _ in range(20):
+            w = Subspace(np.linalg.qr(rng.standard_normal((dim, dim - 1)))[0])
+            ball = ps.Ball(rng.uniform(0.0, 1.0, dim), rng.uniform(0.05, 0.8))
+            g = cloud.resolution * rng.uniform(1.0, 4.0)
+            coords = cloud.points[_brute_ball(cloud.points, ball)] @ w.basis
+            expected = len(np.unique(np.floor(coords / g).astype(np.int64), axis=0)) * g ** (dim - 1)
+            assert ps.projection_measure(cloud, w, ball, g) == expected
+
     def test_empty_intersection(self):
         cloud = ps.segment(1e-2)
         assert ps.projection_measure(cloud, X_AXIS, ps.Ball(np.array([5.0, 5.0]), 0.1), 1e-2) == 0.0
@@ -252,6 +268,102 @@ class TestGraphOverlap:
         # points within the 2h tolerance of the diagonal line
         assert overlap <= 20.0 * h
         assert overlap > 0.0
+
+
+class TestBallValidation:
+    @pytest.mark.parametrize("radius", [-1e-9, -1.0, math.inf, math.nan])
+    def test_bad_radius(self, radius):
+        with pytest.raises(ValueError, match="radius"):
+            ps.Ball(np.zeros(2), radius)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_bad_center(self, bad):
+        with pytest.raises(ValueError, match="center"):
+            ps.Ball(np.array([0.5, bad]), 1.0)
+
+    def test_zero_radius_holds_its_centre(self):
+        cloud = ps.segment(0.1)
+        ball = ps.Ball(cloud.points[3], 0.0)
+        assert list(cloud.ball_indices(ball)) == [3]
+
+
+def _brute_ball(points, ball):
+    return np.flatnonzero(np.linalg.norm(points - ball.center, axis=1) <= ball.radius)
+
+
+class TestBallIndices:
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=1, max_value=300),
+        st.integers(min_value=1, max_value=3),
+        st.sampled_from(["plain", "dilated", "rotated"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_equals_brute_force_mask(self, seed, size, d, kind):
+        rng = np.random.default_rng(seed)
+        center = rng.uniform(-1.0, 1.0, d)
+        radius = float(rng.uniform(0.0, 1.5))
+        # a third of the points sit on the sphere, up to rounding either way
+        on_sphere = rng.standard_normal((size // 3, d))
+        on_sphere = center + radius * on_sphere / np.linalg.norm(on_sphere, axis=1, keepdims=True)
+        pts = np.vstack([rng.uniform(-2.0, 2.0, (size - len(on_sphere), d)), on_sphere])
+        cloud = ps.RegularCloud(pts, np.ones(size), 1, 1e-3, validate=False)
+        ball = ps.Ball(center, radius)
+        if kind == "dilated":
+            cloud, ball = cloud.dilated(3.0), ps.Ball(3.0 * center, 3.0 * radius)
+        elif kind == "rotated":
+            g = random_rotation(d, rng)
+            cloud, ball = cloud.rotated(g), ps.Ball(g @ center, radius)
+        got = cloud.ball_indices(ball)
+        assert np.array_equal(got, _brute_ball(cloud.points, ball))
+        assert cloud.ball_mass(ball) == float(cloud.weights[_brute_ball(cloud.points, ball)].sum())
+
+    def test_new_cloud_gets_its_own_tree(self):
+        cloud = ps.four_corners(3)
+        assert cloud.dilated(2.0).tree is not cloud.tree
+        assert cloud.rotated(np.eye(2)).tree is not cloud.tree
+        assert cloud.tree is cloud.tree
+
+
+class TestParentValues:
+    """Values of the full-scan implementation, which the tree queries must reproduce."""
+
+    @pytest.fixture(scope="class")
+    def curve(self):
+        f = lambda t: 0.25 * np.sin(2.0 * np.pi * t[0])  # noqa: E731
+        return ps.lipschitz_graph_cloud(f, X_AXIS, 1.6, 2.0**-9)
+
+    def test_estimate_regularity(self, curve):
+        rep = ps.estimate_regularity(curve, 400, np.random.default_rng(3))
+        assert rep.C0_estimate == 2.9109724772566783
+        assert rep.worst_ball.radius == 0.4940757326987849
+        # brute-force oracle over the same draws
+        rng = np.random.default_rng(3)
+        idx = rng.choice(len(curve.points), size=400, p=curve.weights / curve.total_weight)
+        r_lo, r_hi = 4.0 * curve.resolution, curve.diameter
+        radii = np.exp(rng.uniform(math.log(r_lo), math.log(r_hi), size=400))
+        worst = 1.0
+        for i, r in zip(idx, radii):
+            mass = curve.weights[_brute_ball(curve.points, ps.Ball(curve.points[i], r))].sum()
+            worst = max(worst, mass / r, r / mass)
+        assert rep.C0_estimate == pytest.approx(worst, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "center, radius, expected",
+        [
+            ((0.5, 0.0), 0.3, (0.6040676037673571, 0.007273584717117299, 0.0078125)),
+            ((0.2, 0.1), 0.25, (0.6384107513022419, 0.0036366949243325517, 0.00390625)),
+        ],
+    )
+    def test_graph_overlap(self, curve, center, radius, expected):
+        seg = ps.segment(2.0**-9)
+        ball = ps.Ball(np.array(center), radius)
+        got = (
+            ps.graph_overlap(curve, curve, ball),
+            ps.graph_overlap(curve, seg, ball),
+            ps.graph_overlap(seg, curve, ball),
+        )
+        assert got == expected
 
 
 class TestIO:
