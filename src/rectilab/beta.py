@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .cubes import CubeKey, CubeLattice
+from .cubes import CubeKey, CubeLattice, _as_key
 from .grassmann import AffinePlane, Subspace
 from .pointset import Ball, RegularCloud, _pca_frame
 
@@ -207,7 +207,7 @@ def beta_lattice(
 
 def wgl_sum(lattice: CubeLattice, betas: dict[CubeKey, BetaResult], epsilon: float, q0) -> float:
     """Carleson ratio: flagged-cube mass under q0 over the mass of q0."""
-    root = q0 if isinstance(q0, tuple) else q0.key
+    root = _as_key(q0)
     total = 0.0
     for key in lattice.descendants(root):
         if key not in betas:

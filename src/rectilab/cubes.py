@@ -3,13 +3,16 @@
 Cubes are ambient half-open dyadic grid cells intersected with a cloud;
 cube centres snap to cloud points and every cube carries the ball
 B_Q = B(c_Q, C * side) with C = 3 * sqrt(d), which makes the balls nested
-along parent links. Cubes are identified by (level, cell index) keys.
+along parent links. Cubes are identified by (level, cell index) keys, and
+flags are mappings from those keys to bools. Functions that take a root
+cube accept a ``Cube`` or its key.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -19,6 +22,7 @@ import numpy as np
 from .pointset import Ball, RegularCloud
 
 CubeKey = tuple[int, tuple[int, ...]]
+Flags = Mapping[CubeKey, bool]
 
 
 @dataclass(eq=False)
@@ -226,11 +230,11 @@ class Forest:
     root: CubeKey
 
 
-def _flag_fn(flag):
-    return flag if callable(flag) else (lambda cube: bool(flag[cube.key]))
+def _as_key(q) -> CubeKey:
+    return q.key if isinstance(q, Cube) else q
 
 
-def decompose_trees(lattice: CubeLattice, flag, n_stop: int, q0) -> Forest:
+def decompose_trees(lattice: CubeLattice, flags: Flags, n_stop: int, q0) -> Forest:
     """Stopping-time decomposition of the cubes under ``q0`` into trees.
 
     Walking down from each tree top, a cube becomes a leaf as soon as the
@@ -242,8 +246,7 @@ def decompose_trees(lattice: CubeLattice, flag, n_stop: int, q0) -> Forest:
     """
     if n_stop < 1:
         raise ValueError("the stopping count must be >= 1")
-    root = q0.key if isinstance(q0, Cube) else q0
-    fn = _flag_fn(flag)
+    root = _as_key(q0)
     trees: list[Tree] = []
     pending = [root]
     while pending:
@@ -252,8 +255,7 @@ def decompose_trees(lattice: CubeLattice, flag, n_stop: int, q0) -> Forest:
         stack = [(top, 0)]
         while stack:
             key, count = stack.pop()
-            cube = lattice.get(key)
-            count += 1 if fn(cube) else 0
+            count += 1 if flags[key] else 0
             tree.cubes.add(key)
             children = lattice.child_keys(key)
             if count >= n_stop:
@@ -310,45 +312,40 @@ def _is_ancestor(ancestor: CubeKey, key: CubeKey) -> bool:
     return tuple(c >> shift for c in cellk) == cella
 
 
-def big_count(lattice: CubeLattice, point_index: int, q, flag) -> int:
+def big_count(lattice: CubeLattice, point_index: int, q, flags: Flags) -> int:
     """Number of flagged cubes between the point and ``q`` (inclusive)."""
-    root = q.key if isinstance(q, Cube) else q
+    root = _as_key(q)
     if not lattice.contains_point(root, point_index):
         raise ValueError("the point does not lie in the given cube")
-    fn = _flag_fn(flag)
     count = 0
     for j in range(root[0], lattice.j_max + 1):
         key = lattice.key_of_point(point_index, j)
-        if key[1] in lattice.cubes[j] and fn(lattice.get(key)):
+        if key[1] in lattice.cubes[j] and flags[key]:
             count += 1
     return count
 
 
-def flagged_ancestry_counts(lattice: CubeLattice, q0, flag) -> np.ndarray:
+def flagged_ancestry_counts(lattice: CubeLattice, q0, flags: Flags) -> np.ndarray:
     """Per-point count of flagged cubes containing the point under ``q0``.
 
     Vectorised companion of ``big_count``: entry i is the number of flagged
     cubes Q' with point i in Q' and Q' inside q0; points outside q0 get 0.
     """
-    root = q0.key if isinstance(q0, Cube) else q0
-    fn = _flag_fn(flag)
     counts = np.zeros(len(lattice.cloud.points), dtype=np.int64)
-    for key in lattice.descendants(root):
-        cube = lattice.get(key)
-        if fn(cube):
-            counts[cube.members] += 1
+    for key in lattice.descendants(_as_key(q0)):
+        if flags[key]:
+            counts[lattice.get(key).members] += 1
     return counts
 
 
-def e_q_set(lattice: CubeLattice, q, n_threshold: int, flag) -> np.ndarray:
+def e_q_set(lattice: CubeLattice, q, n_threshold: int, flags: Flags) -> np.ndarray:
     """Member indices of ``q`` whose flagged-ancestry count reaches the threshold."""
-    counts = flagged_ancestry_counts(lattice, q, flag)
-    root = q.key if isinstance(q, Cube) else q
-    members = lattice.get(root).members
+    counts = flagged_ancestry_counts(lattice, q, flags)
+    members = lattice.get(_as_key(q)).members
     return members[counts[members] >= n_threshold]
 
 
-def packing_check(lattice: CubeLattice, flag, n_threshold: int, q0) -> dict:
+def packing_check(lattice: CubeLattice, flags: Flags, n_threshold: int, q0) -> dict:
     """Carleson packing consequence of small high-count sets.
 
     If for every cube Q under q0 the members with flagged-ancestry count
@@ -356,19 +353,15 @@ def packing_check(lattice: CubeLattice, flag, n_threshold: int, q0) -> dict:
     at most 2 n mu(q0). Returns the hypothesis status, the flagged mass,
     and whether the bound holds.
     """
-    root = q0.key if isinstance(q0, Cube) else q0
-    fn = _flag_fn(flag)
+    root = _as_key(q0)
     cloud = lattice.cloud
     hypothesis_ok = True
     for key in lattice.descendants(root):
-        cube = lattice.get(key)
-        idx = e_q_set(lattice, key, n_threshold, fn)
-        if cloud.weights[idx].sum() > 0.5 * cube.weight + 1e-12:
+        idx = e_q_set(lattice, key, n_threshold, flags)
+        if cloud.weights[idx].sum() > 0.5 * lattice.get(key).weight + 1e-12:
             hypothesis_ok = False
             break
-    flagged_mass = sum(
-        lattice.get(k).weight for k in lattice.descendants(root) if fn(lattice.get(k))
-    )
+    flagged_mass = sum(lattice.get(k).weight for k in lattice.descendants(root) if flags[k])
     bound = 2.0 * n_threshold * lattice.get(root).weight
     return {
         "hypothesis_ok": hypothesis_ok,

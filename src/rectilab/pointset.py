@@ -58,8 +58,8 @@ class Ball:
 class RegularCloud:
     """Weighted points approximating H^n on a set at a stated resolution.
 
-    Invariants (checked on construction unless ``validate=False``):
-    total weight positive and finite, no two points closer than
+    Invariants (checked on construction unless ``validate=False``): finite
+    points, total weight positive and finite, no two points closer than
     resolution/4, and every weight inside
     [resolution^n / density_constant, density_constant * resolution^n].
 
@@ -87,6 +87,9 @@ class RegularCloud:
     def _check(self):
         if len(self.points) != len(self.weights):
             raise ValueError("points and weights must have equal length")
+        bad = np.flatnonzero(~np.isfinite(self.points).all(axis=1))
+        if bad.size:
+            raise ValueError(f"point {bad[0]} is not finite: {self.points[bad[0]]}")
         total = float(self.weights.sum())
         if not (0.0 < total < math.inf):
             raise ValueError("total weight must be finite and positive")

@@ -9,7 +9,9 @@ Hardy-Littlewood maximal function with dyadic radii, and the stopping
 recursion that extracts disjoint cubes carrying a definite fraction of the
 high-level mass at high density.
 
-``heavy_cubes`` drives the recursion through two stage functions:
+``heavy_cubes`` renders each ball once, and that one rendering gives f, the
+balls' grid volumes and the per-system functions f_i; it locates each
+visible ball once. It drives the recursion through two stage functions:
 ``_select_system`` (assignment of balls to systems and pigeonholing) and
 ``_generations`` (the threshold loop). Both measure cubes with the helpers
 ``_contained_mass`` (mass of the balls inside a cube) and ``_high_mass``
@@ -21,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +55,9 @@ class BallFamily:
         object.__setattr__(self, "weights", w)
         if not (len(c) == len(r) == len(w)):
             raise ValueError("centers, radii, weights must have equal length")
+        for name, values in (("centers", c), ("radii", r), ("weights", w)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{name} must be finite, got {values[~np.isfinite(values)][0]}")
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
         if np.any(r <= 0):
@@ -93,24 +99,18 @@ class GridFunction:
         return float(self.values.sum() * self.cell_volume)
 
     @classmethod
-    def zeros(cls, d: int, depth: int) -> "GridFunction":
-        return cls(np.zeros((2**depth,) * d), depth)
+    def from_balls(cls, family: BallFamily, depth: int) -> "GridFunction":
+        return cls._summed(_render(family, depth), family.weights, family.d, depth)
 
     @classmethod
-    def from_balls(cls, family: BallFamily, depth: int, subset=None) -> "GridFunction":
-        g = cls.zeros(family.d, depth)
-        idx = range(len(family)) if subset is None else subset
-        for i in idx:
-            cells = _cells_in_ball(family.centers[i], family.radii[i], depth, family.d)
+    def _summed(cls, rendered, weights, d: int, depth: int) -> "GridFunction":
+        """Sum of weight times indicator over rendered balls, added in the given order."""
+        g = cls(np.zeros((2**depth,) * d), depth)
+        for cells, w in zip(rendered, weights):
             if cells is not None:
                 window, inside = cells
-                g.values[window][inside] += family.weights[i]
+                g.values[window][inside] += w
         return g
-
-
-def _axis_centers(depth: int) -> np.ndarray:
-    h = 2.0**-depth
-    return (np.arange(2**depth) + 0.5) * h
 
 
 def _cells_in_ball(center, radius, depth, d):
@@ -125,13 +125,18 @@ def _cells_in_ball(center, radius, depth, d):
         if lo > hi:
             return None
         window.append(slice(lo, hi + 1))
-    axes = [_axis_centers(depth)[sl] for sl in window]
+    axes = [(np.arange(sl.start, sl.stop) + 0.5) * h for sl in window]
     mesh = np.meshgrid(*axes, indexing="ij")
     dist2 = sum((m - center[j]) ** 2 for j, m in enumerate(mesh))
     inside = dist2 <= radius**2
     if not inside.any():
         return None
     return tuple(window), inside
+
+
+def _render(family: BallFamily, depth: int) -> list:
+    """``_cells_in_ball`` of every ball, in index order."""
+    return [_cells_in_ball(c, r, depth, family.d) for c, r in zip(family.centers, family.radii)]
 
 
 def grid_ball_volume(center, radius, depth, d) -> float:
@@ -245,30 +250,27 @@ class AdjacentSystems:
 def weight_profile(family: BallFamily, systems: AdjacentSystems) -> dict[SystemCube, float]:
     """Cube weights: each ball contributes to the comparable-volume cubes of
     its assigned system (one assignment per ball, via ``locate``)."""
+    located = [systems.locate(c, r)[0] for c, r in zip(family.centers, family.radii)]
+    return _cube_weights(family, located, systems)
+
+
+def _cube_weights(family: BallFamily, located: list[SystemCube], systems: AdjacentSystems):
     out: dict[SystemCube, float] = {}
-    for i in range(len(family)):
-        located, _ = systems.locate(family.centers[i], family.radii[i])
-        for cube in systems.related_cubes(family.centers[i], family.radii[i], located):
-            out[cube] = out.get(cube, 0.0) + float(family.weights[i])
+    for c, r, w, cube in zip(family.centers, family.radii, family.weights, located):
+        for rel in systems.related_cubes(c, r, cube):
+            out[rel] = out.get(rel, 0.0) + float(w)
     return out
 
 
 # -- maximal function --------------------------------------------------------
 
-_KERNEL_CACHE: dict = {}
-
-
+@lru_cache(maxsize=64)
 def _ball_kernel(d: int, depth: int, radius: float):
-    key = (d, depth, radius)
-    if key in _KERNEL_CACHE:
-        return _KERNEL_CACHE[key]
     h = 2.0**-depth
     reach = int(math.floor(radius / h + 0.5))
     offsets = np.arange(-reach, reach + 1) * h
     mesh = np.meshgrid(*([offsets] * d), indexing="ij")
-    kernel = (sum(m**2 for m in mesh) <= radius**2).astype(float)
-    _KERNEL_CACHE[key] = kernel
-    return kernel
+    return (sum(m**2 for m in mesh) <= radius**2).astype(float)
 
 
 def maximal_function(f: GridFunction) -> GridFunction:
@@ -285,11 +287,8 @@ def maximal_function(f: GridFunction) -> GridFunction:
     for k in range(0, f.depth + 1):
         radius = 2.0**-k
         kernel = _ball_kernel(f.d, f.depth, radius)
-        if kernel.size == 1:
-            avg = f.values
-        else:
-            avg = fftconvolve(f.values, kernel, mode="same") / kernel.sum()
-            np.maximum(avg, 0.0, out=avg)
+        avg = fftconvolve(f.values, kernel, mode="same") / kernel.sum()
+        np.maximum(avg, 0.0, out=avg)
         np.maximum(best, avg, out=best)
     return GridFunction(best, f.depth)
 
@@ -310,6 +309,8 @@ class StoppingConfig:
     guarantee: bool = False
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.N, self.M, self.gamma, self.c, self.A))):
+            raise ConfigurationError(f"N, M, gamma, c and A must be finite, got {self}")
         if self.gamma < 1 or self.M < 1 or self.N <= 0 or self.c <= 0 or self.A < 1:
             raise ConfigurationError("need gamma >= 1, M >= 1, N > 0, c > 0, A >= 1")
         if self.guarantee:
@@ -347,10 +348,6 @@ class HeavyCubesResult:
     checks: dict
     config: StoppingConfig
     grid_depth: int
-
-    @property
-    def vacuous(self) -> bool:
-        return self.status == "vacuous"
 
     def export_trace(self, path: str | Path):
         with open(path, "w") as fh:
@@ -421,26 +418,27 @@ def _high_mass(fi: GridFunction, high: np.ndarray, lo, hi) -> float:
     return float(fi.values[window][high[window]].sum() * fi.cell_volume)
 
 
-def _select_system(family: BallFamily, systems: AdjacentSystems, visible, n_working, grid_depth):
-    """Assign each visible ball to the system of its located cube and pick the
-    system i whose f_i has the most mass theta on {f_i >= n_working}.
-    Returns (i, theta, f_i, the high set, the indices of i's balls)."""
-    assigned: list[list[int]] = [[] for _ in range(len(systems))]
+def _select_system(family: BallFamily, systems: AdjacentSystems, rendered, visible, n_working, depth):
+    """Locate each visible ball once, assign it to the system of its cube and
+    pick the system i whose f_i has the most mass theta on {f_i >= n_working}.
+    Returns (i, theta, f_i, the high set, i's balls as index -> located cube)."""
+    assigned: list[dict[int, SystemCube]] = [{} for _ in range(len(systems))]
     for i in np.flatnonzero(visible):
-        located, _ = systems.locate(family.centers[i], family.radii[i])
-        assigned[located.system].append(int(i))
+        cube, _ = systems.locate(family.centers[i], family.radii[i])
+        assigned[cube.system][int(i)] = cube
     best = None
     for i, members in enumerate(assigned):
-        fi = GridFunction.from_balls(family, grid_depth, subset=members)
+        idx = list(members)
+        fi = GridFunction._summed([rendered[j] for j in idx], family.weights[idx], family.d, depth)
         high = fi.values >= n_working
         theta = float(fi.values[high].sum() * fi.cell_volume)
         if best is None or theta > best[1]:
-            best = (i, theta, fi, high, np.array(members, dtype=int))
+            best = (i, theta, fi, high, members)
     return best
 
 
-def _generations(systems, balls: BallFamily, ball_masses, fi: GridFunction, high, theta, n_working, config):
-    """Threshold loop over the selected system's balls and their grid masses.
+def _generations(systems, balls, located, ball_masses, fi, high, theta, n_working, config):
+    """Threshold loop over the selected system's balls, located cubes and grid masses.
 
     Generation k stops at N_k = floor(n_working / 2^k) below the previous
     generation's light cubes; a cube is heavy when the balls inside it have
@@ -449,11 +447,11 @@ def _generations(systems, balls: BallFamily, ball_masses, fi: GridFunction, high
     generation records and the loop's checks.
     """
     d, m_target = balls.d, config.M
-    wmap = weight_profile(balls, systems)
+    wmap = _cube_weights(balls, located, systems)
     children, roots = _closure_tree(list(wmap), systems)
     mass_constant = relation_constant(d)
     records: list[dict] = []
-    checks: dict = {}
+    checks: dict = {"mass_law_violations": [], "coverage_ok": True}
     threshold_product = 1.0
     prior_light_high = None
     starts = [(r, 0.0) for r in roots]
@@ -497,12 +495,11 @@ def _generations(systems, balls: BallFamily, ball_masses, fi: GridFunction, high
             }
         )
         if total_side_volume > mass_law_bound * (1.0 + 1e-9):
-            checks.setdefault("mass_law_violations", []).append(generation)
-        if prior_light_high is not None:
-            covered = heavy_mass + light_mass
-            checks.setdefault("coverage_ok", True)
-            if covered < prior_light_high - 1e-9 * max(1.0, prior_light_high):
-                checks["coverage_ok"] = False
+            checks["mass_law_violations"].append(generation)
+        if prior_light_high is not None and (
+            heavy_mass + light_mass < prior_light_high - 1e-9 * max(1.0, prior_light_high)
+        ):
+            checks["coverage_ok"] = False
         if heavy_mass >= 2.0**-generation * theta:
             heavy_result = heavy
             break
@@ -515,7 +512,6 @@ def _generations(systems, balls: BallFamily, ball_masses, fi: GridFunction, high
             )
 
     checks["empirical_mass_constant"] = empirical_a
-    checks.setdefault("coverage_ok", True)
     checks["generations_run"] = len(records)
     return heavy_result, records, checks
 
@@ -540,13 +536,13 @@ def heavy_cubes(family: BallFamily, config: StoppingConfig, grid_depth: int) -> 
     """
     d = family.d
     systems = AdjacentSystems(d)
-    f = GridFunction.from_balls(family, grid_depth)
+    rendered = _render(family, grid_depth)
+    f = GridFunction._summed(rendered, family.weights, d, grid_depth)
     n, m_target, gamma, c = config.N, config.M, config.gamma, config.c
     conclusion_floor = c * 2.0 ** (-2 * (gamma + 1)) * n**-gamma
 
-    grid_volumes = np.array(
-        [grid_ball_volume(family.centers[i], family.radii[i], grid_depth, d) for i in range(len(family))]
-    )
+    cell_counts = np.array([0.0 if cells is None else float(cells[1].sum()) for cells in rendered])
+    grid_volumes = cell_counts * f.cell_volume
     visible = grid_volumes > 0
     ball_masses = family.weights * grid_volumes
 
@@ -578,16 +574,17 @@ def heavy_cubes(family: BallFamily, config: StoppingConfig, grid_depth: int) -> 
             )
 
     n_working = n / len(systems)
-    istar, theta, fi, high, ball_idx = _select_system(family, systems, visible, n_working, grid_depth)
+    istar, theta, fi, high, members = _select_system(family, systems, rendered, visible, n_working, grid_depth)
     trace["selected_system"] = istar
     trace["theta"] = theta
     checks["hypothesis_working_ok"] = theta >= c * n**-gamma
     if not checks["hypothesis_working_ok"]:
         return HeavyCubesResult("vacuous", [], {}, trace, checks, config, grid_depth)
 
+    ball_idx = list(members)
     balls = BallFamily(family.centers[ball_idx], family.radii[ball_idx], family.weights[ball_idx])
     heavy, trace["generations"], loop_checks = _generations(
-        systems, balls, ball_masses[ball_idx], fi, high, theta, n_working, config
+        systems, balls, list(members.values()), ball_masses[ball_idx], fi, high, theta, n_working, config
     )
     checks.update(loop_checks)
     if heavy is None:

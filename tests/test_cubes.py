@@ -7,6 +7,11 @@ from rectilab import cubes as cb
 from rectilab import pointset as ps
 
 
+def flags_on(lattice, chosen):
+    """Flags of every cube of the lattice, set exactly on the keys in ``chosen``."""
+    return {c.key: c.key in chosen for c in lattice.all_cubes()}
+
+
 @pytest.fixture(scope="module")
 def segment_lattice():
     return cb.CubeLattice(ps.segment(1e-3), 0, 4)
@@ -156,14 +161,14 @@ class TestDavidDiagnostics:
 
 class TestDecomposeTrees:
     def test_no_flags_single_tree(self, segment_lattice):
-        forest = cb.decompose_trees(segment_lattice, lambda c: False, 1, (0, (0,) * 2))
+        forest = cb.decompose_trees(segment_lattice, flags_on(segment_lattice, set()), 1, (0, (0,) * 2))
         assert len(forest.trees) == 1
         assert forest.trees[0].leaves == set()
         assert len(forest.trees[0].cubes) == len(segment_lattice)
 
     def test_flag_only_at_root(self, segment_lattice):
         root = (0, (0, 0))
-        forest = cb.decompose_trees(segment_lattice, lambda c: c.key == root, 1, root)
+        forest = cb.decompose_trees(segment_lattice, flags_on(segment_lattice, {root}), 1, root)
         first = forest.trees[0]
         assert first.cubes == {root} and first.leaves == {root}
         # every child of the root tops its own tree
@@ -172,7 +177,7 @@ class TestDecomposeTrees:
 
     def test_uniform_flags_binary_lattice(self):
         lat = cb.CubeLattice(ps.segment(2.0**-5), 0, 3)
-        forest = cb.decompose_trees(lat, lambda c: True, 2, (0, (0, 0)))
+        forest = cb.decompose_trees(lat, {c.key: True for c in lat.all_cubes()}, 2, (0, (0, 0)))
         first = forest.trees[0]
         assert {k[0] for k in first.leaves} == {1}
         for tree in forest.trees:
@@ -183,7 +188,7 @@ class TestDecomposeTrees:
         rng = np.random.default_rng(0)
         keys = [c.key for c in cantor_lattice.all_cubes()]
         chosen = {k for k in keys if rng.random() < 0.3}
-        forest = cb.decompose_trees(cantor_lattice, lambda c: c.key in chosen, 2, (0, (0, 0)))
+        forest = cb.decompose_trees(cantor_lattice, {k: k in chosen for k in keys}, 2, (0, (0, 0)))
         seen = [k for t in forest.trees for k in t.cubes]
         assert len(seen) == len(set(seen)) == len(cantor_lattice)
 
@@ -192,7 +197,7 @@ class TestDecomposeTrees:
         keys = [c.key for c in cantor_lattice.all_cubes()]
         chosen = {k for k in keys if rng.random() < 0.5}
         n = 2
-        forest = cb.decompose_trees(cantor_lattice, lambda c: c.key in chosen, n, (0, (0, 0)))
+        forest = cb.decompose_trees(cantor_lattice, {k: k in chosen for k in keys}, n, (0, (0, 0)))
         for tree in forest.trees:
             for i in cantor_lattice.get(tree.top).members:
                 count = sum(
@@ -207,7 +212,7 @@ class TestDecomposeTrees:
         rng = np.random.default_rng(2)
         keys = [c.key for c in cantor_lattice.all_cubes()]
         chosen = {k for k in keys if rng.random() < 0.4}
-        out = cb.packing_check(cantor_lattice, lambda c: c.key in chosen, 3, (0, (0, 0)))
+        out = cb.packing_check(cantor_lattice, {k: k in chosen for k in keys}, 3, (0, (0, 0)))
         assert out["ok"]
 
 
@@ -216,7 +221,7 @@ class TestValidateTree:
         rng = np.random.default_rng(3)
         keys = [c.key for c in cantor_lattice.all_cubes()]
         chosen = {k for k in keys if rng.random() < 0.5}
-        forest = cb.decompose_trees(cantor_lattice, lambda c: c.key in chosen, 2, (0, (0, 0)))
+        forest = cb.decompose_trees(cantor_lattice, {k: k in chosen for k in keys}, 2, (0, (0, 0)))
         for tree in forest.trees:
             ok, witness = cb.validate_tree(tree, cantor_lattice)
             assert ok, witness
@@ -240,14 +245,15 @@ class TestValidateTree:
 
 class TestAncestryCounts:
     def test_no_flags(self, segment_lattice):
-        assert cb.big_count(segment_lattice, 0, (0, (0, 0)), lambda c: False) == 0
-        assert len(cb.e_q_set(segment_lattice, (0, (0, 0)), 1, lambda c: False)) == 0
+        assert cb.big_count(segment_lattice, 0, (0, (0, 0)), flags_on(segment_lattice, set())) == 0
+        assert len(cb.e_q_set(segment_lattice, (0, (0, 0)), 1, flags_on(segment_lattice, set()))) == 0
 
     def test_all_flags_equals_depth(self, segment_lattice):
         lat = segment_lattice
         levels = lat.j_max - lat.j_min + 1
-        assert cb.big_count(lat, 0, (0, (0, 0)), lambda c: True) == levels
-        members = cb.e_q_set(lat, (0, (0, 0)), levels, lambda c: True)
+        flags = {c.key: True for c in lat.all_cubes()}
+        assert cb.big_count(lat, 0, (0, (0, 0)), flags) == levels
+        members = cb.e_q_set(lat, (0, (0, 0)), levels, flags)
         assert len(members) == len(lat.cloud.points)
 
     def test_random_flags_match_bruteforce(self, cantor_lattice):
@@ -255,7 +261,7 @@ class TestAncestryCounts:
         rng = np.random.default_rng(4)
         keys = [c.key for c in lat.all_cubes()]
         chosen = {k for k in keys if rng.random() < 0.5}
-        flag = lambda c: c.key in chosen
+        flag = {k: k in chosen for k in keys}
         counts = cb.flagged_ancestry_counts(lat, (0, (0, 0)), flag)
         for i in rng.integers(0, len(lat.cloud.points), size=24):
             brute = sum(

@@ -376,6 +376,12 @@ class TestIO:
         assert np.array_equal(back.weights, cloud.weights)
         assert back.n == cloud.n and back.resolution == cloud.resolution
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_is_named(self, bad):
+        points = np.array([[0.0, 0.0], [0.5, 0.5], [1.0, bad], [bad, 1.0]])
+        with pytest.raises(ValueError, match=r"point 2 is not finite"):
+            ps.RegularCloud(points, np.full(4, 0.1), 1, 0.1)
+
     def test_invariant_validation(self):
         with pytest.raises(ValueError):
             ps.RegularCloud(np.zeros((2, 2)), np.array([1.0, 1.0]), 1, 1.0)  # coincident points

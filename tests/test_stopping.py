@@ -57,15 +57,22 @@ class TestGridRendering:
             assert volume == cells.sum() * 2.0 ** (-depth * d)
         np.testing.assert_array_equal(st.GridFunction.from_balls(fam, depth).values, expected)
 
-    def test_from_balls_subset(self):
-        fam = sample_family(2, np.random.default_rng(5), 6)
-        expected = np.zeros((32, 32))
-        for i in (4, 1):
-            expected[brute_cells(fam.centers[i], fam.radii[i], 5)] += fam.weights[i]
-        np.testing.assert_array_equal(st.GridFunction.from_balls(fam, 5, subset=[4, 1]).values, expected)
-
     def test_ball_without_cell_centre_has_no_volume(self):
         assert st.grid_ball_volume(np.array([0.25, 0.25]), 1e-3, 5, 2) == 0.0
+
+
+class TestBallFamily:
+    @pytest.mark.parametrize("field", ["centers", "radii", "weights"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, field, bad):
+        args = {
+            "centers": np.array([[0.5, 0.5], [0.3, 0.3]]),
+            "radii": np.array([0.1, 0.2]),
+            "weights": np.ones(2),
+        }
+        args[field].flat[1] = bad
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            st.BallFamily(**args)
 
 
 class TestAdjacentSystems:
@@ -145,6 +152,70 @@ class TestHeavyCubes:
                 assert result.checks["generations_run"] == len(result.trace["generations"])
         assert statuses
 
+    @pytest.mark.parametrize("d,depth", [(1, 10), (2, 7)])
+    def test_loop_checks_have_fixed_keys(self, d, depth):
+        statuses = set()
+        for fam in families(d, depth, 8, "peaked"):
+            result = st.heavy_cubes(fam, CONFIG, depth)
+            if result.status in ("heavy_found", "exhausted"):
+                statuses.add(result.status)
+                assert isinstance(result.checks["mass_law_violations"], list)
+                assert isinstance(result.checks["coverage_ok"], bool)
+        assert statuses
+
+    @pytest.mark.parametrize(
+        "d,depth,config,max_balls,seeds",
+        [
+            (1, 10, CONFIG, 64, range(6)),
+            (2, 6, st.StoppingConfig(N=10, M=2), 6, range(12)),
+            (3, 5, st.StoppingConfig(N=10, M=2), 4, range(5)),
+        ],
+        ids=["d1", "d2", "d3"],
+    )
+    def test_selected_system_matches_brute_force(self, d, depth, config, max_balls, seeds):
+        """Group the balls by located system, build each f_i cell by cell and
+        pick the system with the most mass on {f_i >= N / 2^d}."""
+        systems = st.AdjacentSystems(d)
+        compared = 0
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            fam = st.random_family(d, rng, max_balls, profile="peaked", config=config, grid_depth=depth)
+            result = st.heavy_cubes(fam, config, depth)
+            if result.status == "early_exit":
+                continue
+            grids = np.zeros((len(systems),) + (2**depth,) * d)
+            for i in range(len(fam)):
+                cube, _ = systems.locate(fam.centers[i], fam.radii[i])
+                grids[cube.system][brute_cells(fam.centers[i], fam.radii[i], depth)] += fam.weights[i]
+            thetas = [float(g[g >= config.N / len(systems)].sum() * 2.0 ** (-depth * d)) for g in grids]
+            assert result.trace["selected_system"] == int(np.argmax(thetas))
+            assert result.trace["theta"] == max(thetas)
+            compared += 1
+        assert compared >= 2
+
+    @pytest.mark.parametrize("d,depth", [(1, 10), (2, 7)])
+    def test_renders_each_ball_once_and_locates_no_ball_twice(self, d, depth, monkeypatch):
+        fam = st.random_family(d, np.random.default_rng(1), profile="peaked", config=CONFIG, grid_depth=depth)
+        balls = [(tuple(c), float(r)) for c, r in zip(fam.centers, fam.radii)]
+        visible = [b for b in balls if st.grid_ball_volume(np.array(b[0]), b[1], depth, d) > 0]
+        rendered, located = [], []
+        cells_in_ball, locate = st._cells_in_ball, st.AdjacentSystems.locate
+
+        def counted_cells(center, radius, *args):
+            rendered.append((tuple(center), float(radius)))
+            return cells_in_ball(center, radius, *args)
+
+        def counted_locate(self, center, radius):
+            located.append((tuple(center), float(radius)))
+            return locate(self, center, radius)
+
+        monkeypatch.setattr(st, "_cells_in_ball", counted_cells)
+        monkeypatch.setattr(st.AdjacentSystems, "locate", counted_locate)
+        result = st.heavy_cubes(fam, CONFIG, depth)
+        assert result.status in ("heavy_found", "exhausted")
+        assert sorted(rendered) == sorted(balls)
+        assert sorted(located) == sorted(visible)
+
     def test_vacuous_without_high_mass(self):
         fam = st.BallFamily(np.array([[0.5, 0.5]]), np.array([0.2]), np.array([1.0]))
         result = st.heavy_cubes(fam, CONFIG, 6)
@@ -152,6 +223,12 @@ class TestHeavyCubes:
 
 
 class TestStoppingConfig:
+    @pytest.mark.parametrize("param", ["N", "M", "gamma", "c", "A"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, param, bad):
+        with pytest.raises(st.ConfigurationError, match="finite"):
+            st.StoppingConfig(**{"N": 40.0, "M": 2.0, param: bad})
+
     @pytest.mark.parametrize("gamma,M,c,A", [(1, 2.0, 1.0, 1.0), (2, 1.5, 0.5, 1.2)])
     def test_guarantee_bound(self, gamma, M, c, A):
         bound = A ** ((gamma + 1) ** 2) * M ** (gamma + 2) / c
