@@ -25,6 +25,11 @@ from .pointset import Ball, RegularCloud, _pca_frame
 METHODS = ("pca", "pca_refined", "grid_oracle")
 REFINE_ITERATIONS = 50
 REFINE_TOL = 1e-8
+# grid_oracle: angles in [0, pi) and offsets across the ball's diameter
+ORACLE_ANGLES = 360
+ORACLE_OFFSETS = 100
+# beta_comparison skips cubes whose mean coefficient is below this times resolution / radius
+FLOOR_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -45,7 +50,10 @@ def _plane_from_angle(theta: float, offset: float) -> AffinePlane:
     return AffinePlane(direction, offset * normal)
 
 
-def _weighted_median(s: np.ndarray, w: np.ndarray) -> float:
+def _best_offset(s: np.ndarray, w: np.ndarray, sup: bool) -> float:
+    """The c minimising max |s - c| (sup: the midrange) or sum w |s - c| (a weighted median)."""
+    if sup:
+        return 0.5 * (s.min() + s.max())
     order = np.argsort(s)
     cum = np.cumsum(w[order])
     k = int(np.searchsorted(cum, 0.5 * cum[-1]))
@@ -58,13 +66,10 @@ def _plane_value(pts, w, normals, point, r, n, sup) -> float:
 
 
 def _planar_objective(theta, pts, w, r, sup):
-    normal = np.array([-math.sin(theta), math.cos(theta)])
-    s = pts @ normal
-    if sup:
-        c = 0.5 * (s.min() + s.max())
-        return float((np.abs(s - c)).max() / r), c
-    c = _weighted_median(s, w)
-    return float(np.sum(w * np.abs(s - c)) / r**2), c
+    s = pts @ np.array([-math.sin(theta), math.cos(theta)])
+    c = _best_offset(s, w, sup)
+    spread = np.abs(s - c)
+    return (float(spread.max() / r) if sup else float(np.sum(w * spread) / r**2)), c
 
 
 def _planar_refine(pts, w, r, sup, theta0):
@@ -91,10 +96,10 @@ def _planar_refine(pts, w, r, sup, theta0):
     return min(val, best_val), theta, c
 
 
-def _general_refine(pts, w, r, n, sup):
-    """Coordinate descent over frame rotations and offsets, monotone steps."""
+def _general_refine(pts, w, r, n, sup, frame, normals, point):
+    """Coordinate descent from the PCA fit (frame, normals, point) over frame
+    rotations and offsets, monotone steps."""
     d = pts.shape[1]
-    frame, normals, point = _pca_frame(pts, w, n)
 
     def value(nm, pt):
         return _plane_value(pts, w, nm, pt, r, n, sup)
@@ -106,26 +111,24 @@ def _general_refine(pts, w, r, n, sup):
             for j in range(d - n):
                 u, m = frame[:, i].copy(), normals[:, j].copy()
 
-                def rotated(t):
-                    fr = frame.copy()
+                def turned_normals(t):
                     nm = normals.copy()
-                    fr[:, i] = math.cos(t) * u + math.sin(t) * m
                     nm[:, j] = -math.sin(t) * u + math.cos(t) * m
-                    return fr, nm
+                    return nm
 
                 res = minimize_scalar(
-                    lambda t: value(rotated(t)[1], point), bounds=(-0.6, 0.6), method="bounded"
+                    lambda t: value(turned_normals(t), point), bounds=(-0.6, 0.6), method="bounded"
                 )
                 if res.fun < best - 1e-12:
-                    frame, normals = rotated(float(res.x))
+                    t = float(res.x)
+                    # the frame turns only on an accepted step, into a new C-ordered array:
+                    # its memory layout changes the rounding of the AffinePlane anchor
+                    frame = frame.copy()
+                    frame[:, i] = math.cos(t) * u + math.sin(t) * m
+                    normals = turned_normals(t)
                     best = float(res.fun)
         rel = (pts - point) @ normals
-        shift = np.zeros(d - n)
-        for j in range(d - n):
-            if sup:
-                shift[j] = 0.5 * (rel[:, j].min() + rel[:, j].max())
-            else:
-                shift[j] = _weighted_median(rel[:, j], w)
+        shift = np.array([_best_offset(rel[:, j], w, sup) for j in range(d - n)])
         candidate = point + normals @ shift
         cand_val = value(normals, candidate)
         if cand_val < best:
@@ -135,15 +138,15 @@ def _general_refine(pts, w, r, n, sup):
     return best, frame, point
 
 
-def _grid_oracle(pts, w, ball: Ball, sup: bool, n_angles: int = 360, n_offsets: int = 100) -> BetaResult:
+def _grid_oracle(pts, w, ball: Ball, sup: bool) -> BetaResult:
     r = ball.radius
-    thetas = np.arange(n_angles) * math.pi / n_angles
+    thetas = np.arange(ORACLE_ANGLES) * math.pi / ORACLE_ANGLES
     best = (math.inf, 0.0, 0.0)
     for theta in thetas:
         normal = np.array([-math.sin(theta), math.cos(theta)])
         s = pts @ normal
         mid = float(ball.center @ normal)
-        offsets = np.linspace(mid - r, mid + r, n_offsets)
+        offsets = np.linspace(mid - r, mid + r, ORACLE_OFFSETS)
         spread = np.abs(s[None, :] - offsets[:, None])
         vals = spread.max(axis=1) / r if sup else (spread * w[None, :]).sum(axis=1) / r**2
         k = int(np.argmin(vals))
@@ -178,7 +181,7 @@ def _compute(cloud: RegularCloud, ball: Ball, method: str, sup: bool) -> BetaRes
         theta0 = math.atan2(frame[1, 0], frame[0, 0])
         val, theta, c = _planar_refine(pts, w, r, sup, theta0)
         return BetaResult(val, _plane_from_angle(theta, c), "pca_refined")
-    val, fr, pt = _general_refine(pts, w, r, n, sup)
+    val, fr, pt = _general_refine(pts, w, r, n, sup, frame, normals, mean)
     return BetaResult(val, AffinePlane(Subspace(fr), pt), "pca_refined")
 
 
@@ -221,14 +224,13 @@ def beta_comparison(
     lattice: CubeLattice,
     samples: int | None = None,
     method: str = "pca_refined",
-    floor_factor: float = 2.0,
     rng: np.random.Generator | None = None,
 ):
     """Worst ratio of the sup coefficient to the mean coefficient at double radius.
 
     For sampled cubes, compares beta_inf(B_Q) against
     beta1(2 B_Q)^(1/(n+1)), skipping cubes whose mean coefficient sits below
-    the discretization floor (floor_factor * resolution / radius). Returns
+    the discretization floor (FLOOR_FACTOR * resolution / radius). Returns
     (worst constant, count of contributing cubes); the constant is None when
     nothing clears the floor.
     """
@@ -242,7 +244,7 @@ def beta_comparison(
     for cube in cubes:
         small, big = lattice.ball(cube), lattice.ball(cube, 2.0)
         b1 = beta1(cloud, big, method)
-        if b1.degenerate or b1.value < floor_factor * cloud.resolution / big.radius:
+        if b1.degenerate or b1.value < FLOOR_FACTOR * cloud.resolution / big.radius:
             continue
         binf = beta_inf(cloud, small, method)
         ratio = binf.value / b1.value**power

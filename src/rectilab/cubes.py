@@ -220,9 +220,6 @@ class Tree:
     cubes: set[CubeKey] = field(default_factory=set)
     leaves: set[CubeKey] = field(default_factory=set)
 
-    def weight(self, lattice: CubeLattice) -> float:
-        return lattice.get(self.top).weight
-
 
 @dataclass
 class Forest:

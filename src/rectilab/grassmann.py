@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 ORTHO_TOL = 1e-10
+# sample_in_ball gives up after this many rejected draws
+SAMPLE_MAX_TRIES = 10_000
 
 
 class DimensionMismatchError(ValueError):
@@ -96,9 +98,6 @@ class Subspace:
     def zero(cls, d: int) -> "Subspace":
         return cls(np.zeros((d, 0)))
 
-    def project(self, x: np.ndarray) -> np.ndarray:
-        return project(self, x)
-
     def coords(self, x: np.ndarray) -> np.ndarray:
         """Coefficients of the projection of ``x`` in this basis."""
         return np.asarray(x, dtype=float) @ self.basis
@@ -171,9 +170,6 @@ class GrassmannBall:
     def __post_init__(self):
         if not 0.0 <= self.radius <= 2.0:
             raise ValueError("radius must lie in [0, 2], the diameter bound of G(d,n)")
-
-    def contains(self, v: Subspace) -> bool:
-        return metric(self.center, v) <= self.radius
 
 
 def project(v: Subspace, x: np.ndarray) -> np.ndarray:
@@ -256,9 +252,7 @@ def rotate(g: np.ndarray, v: Subspace) -> Subspace:
     return Subspace(orthonormalize(g @ v.basis))
 
 
-def sample_in_ball(
-    ball: GrassmannBall, rng: np.random.Generator, max_tries: int = 10_000
-) -> Subspace:
+def sample_in_ball(ball: GrassmannBall, rng: np.random.Generator) -> Subspace:
     """A random subspace inside a Grassmannian ball.
 
     Gaussian perturbation of the center basis, rejected until the metric
@@ -268,7 +262,7 @@ def sample_in_ball(
     c, r = ball.center, ball.radius
     if r == 0.0:
         return c
-    for _ in range(max_tries):
+    for _ in range(SAMPLE_MAX_TRIES):
         scale = r * rng.uniform(0.1, 1.1)
         g = c.basis + scale * rng.standard_normal(c.basis.shape)
         try:
@@ -277,7 +271,7 @@ def sample_in_ball(
             continue
         if metric(c, v) <= r:
             return v
-    raise RuntimeError("ball sampling did not accept within max_tries")
+    raise RuntimeError(f"ball sampling did not accept within {SAMPLE_MAX_TRIES} tries")
 
 
 def nearest_subspace_in(w2: Subspace, v1: Subspace, w1: Subspace) -> Subspace:

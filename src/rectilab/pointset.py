@@ -9,6 +9,10 @@ statements about clouds are scale-indexed and reproducible.
 Ball queries go through ``RegularCloud.ball_indices`` and one lazily built
 k-d tree per cloud, so a cloud must not be mutated in place; ``dilated``,
 ``rotated`` and ``dataclasses.replace`` make new clouds with fresh trees.
+Per-ball routines select a ball's points once per call: ``pbp_margin``
+selects once, fits its PCA candidate once and counts every sampled
+direction's shadow on that selection, with ``projection_measure`` as the
+per-call reference for one shadow.
 """
 
 from __future__ import annotations
@@ -373,16 +377,21 @@ def projection_measure(
 
     Projects the in-ball points to v-coordinates, bins them into half-open
     grid cells of side ``grid_resolution``, and returns occupied cells times
-    cell volume.
+    cell volume. This is the one-call reference for the shadows that
+    ``pbp_margin`` counts on one selection of the ball.
     """
     if grid_resolution < cloud.resolution:
         raise ValueError("grid_resolution must be at least the cloud resolution")
-    coords = cloud.points[cloud.ball_indices(ball)] @ v.basis  # (m, n)
-    cells = np.floor(coords / grid_resolution).astype(np.int64)
+    return _shadow(cloud.points[cloud.ball_indices(ball)], v, grid_resolution)
+
+
+def _shadow(pts: np.ndarray, v: Subspace, g: float) -> float:
+    """Occupied half-open grid cells of side g under the projection of pts to v, times g^n."""
+    cells = np.floor(pts @ v.basis / g).astype(np.int64)
     # distinct rows after a lexicographic sort; np.unique(axis=0) is ~10x slower
     cells = cells[np.lexsort(cells.T)]
     occupied = np.count_nonzero(np.any(cells[1:] != cells[:-1], axis=1)) + min(len(cells), 1)
-    return float(occupied) * grid_resolution**v.n
+    return float(occupied) * g**v.n
 
 
 def _pca_frame(pts: np.ndarray, w: np.ndarray, n: int):
@@ -395,13 +404,6 @@ def _pca_frame(pts: np.ndarray, w: np.ndarray, n: int):
     frame = vecs[:, order[:n]]
     normals = vecs[:, order[n:]]
     return frame, normals, mean
-
-
-def _pca_direction(cloud: RegularCloud, ball: Ball, n: int) -> Subspace:
-    idx = cloud.ball_indices(ball)
-    if len(idx) <= n:
-        return Subspace.axis(cloud.d, *range(n))
-    return Subspace(_pca_frame(cloud.points[idx], cloud.weights[idx], n)[0])
 
 
 def pbp_margin(
@@ -418,14 +420,24 @@ def pbp_margin(
     For each candidate centre V0 (the weighted PCA plane first, then Haar
     samples), the margin is
     ``min over n_directions samples V in B(V0, delta) of shadow/r^n - delta``.
-    Returns the candidate with the largest margin; the margin is negative
-    when no candidate certifies the projection bound everywhere in its ball.
+    Returns the candidate with the largest margin. A margin >= 0 certifies
+    PBP on the ball at the sampled directions: every sampled V in
+    B(V0, delta) has shadow at least delta r^n. A negative margin means no
+    candidate did. The ball's points are selected once per call; each
+    shadow equals ``projection_measure(cloud, V, ball, grid_resolution)``.
     """
     if n_directions < 16:
         raise ValueError("n_directions must be >= 16")
     g = grid_resolution if grid_resolution is not None else cloud.resolution
+    if g < cloud.resolution:
+        raise ValueError("grid_resolution must be at least the cloud resolution")
     n = cloud.n
-    candidates = [_pca_direction(cloud, ball, n)]
+    idx = cloud.ball_indices(ball)
+    pts = cloud.points[idx]
+    if len(idx) <= n:
+        candidates = [Subspace.axis(cloud.d, *range(n))]
+    else:
+        candidates = [Subspace(_pca_frame(pts, cloud.weights[idx], n)[0])]
     candidates += [sample_haar(cloud.d, n, rng) for _ in range(n_candidates - 1)]
     best_v0, best_margin = candidates[0], -math.inf
     rn = ball.radius**n
@@ -434,34 +446,12 @@ def pbp_margin(
         margin = math.inf
         for _ in range(n_directions):
             v = sample_in_ball(gball, rng)
-            margin = min(margin, projection_measure(cloud, v, ball, g) / rn - delta)
+            margin = min(margin, _shadow(pts, v, g) / rn - delta)
             if margin < best_margin:
                 break
         if margin > best_margin:
             best_v0, best_margin = v0, margin
     return best_v0, float(best_margin)
-
-
-def check_pbp(
-    cloud: RegularCloud,
-    ball: Ball,
-    delta: float,
-    n_directions: int,
-    rng: np.random.Generator,
-    n_candidates: int = 8,
-    grid_resolution: float | None = None,
-):
-    """Search for a witness ball of directions with uniformly big shadows.
-
-    Returns (V0, margin) with margin >= 0 when a witness is found, else None
-    (absence of a witness is a value, not an error).
-    """
-    v0, margin = pbp_margin(
-        cloud, ball, delta, n_directions, rng, n_candidates, grid_resolution
-    )
-    if margin >= 0.0:
-        return v0, margin
-    return None
 
 
 def graph_overlap(cloud: RegularCloud, graph_cloud: RegularCloud, ball: Ball) -> float:

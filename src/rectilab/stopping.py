@@ -20,11 +20,9 @@ visible ball once. It drives the recursion through two stage functions:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 from scipy.signal import fftconvolve
@@ -32,6 +30,8 @@ from scipy.signal import fftconvolve
 from .grassmann import unit_ball_volume
 
 MAX_GENERATIONS = 40
+# exhaustive_verify accepts returned cubes down to this level (or the deepest returned one)
+ORACLE_DEPTH = 8
 
 
 class ConfigurationError(ValueError):
@@ -71,9 +71,6 @@ class BallFamily:
 
     def __len__(self) -> int:
         return len(self.radii)
-
-    def volumes(self) -> np.ndarray:
-        return unit_ball_volume(self.d) * self.radii**self.d
 
 
 @dataclass
@@ -349,16 +346,6 @@ class HeavyCubesResult:
     config: StoppingConfig
     grid_depth: int
 
-    def export_trace(self, path: str | Path):
-        with open(path, "w") as fh:
-            json.dump(self.trace, fh, indent=2, sort_keys=True, default=_json_cube)
-
-
-def _json_cube(obj):
-    if isinstance(obj, SystemCube):
-        return {"system": obj.system, "level": obj.level, "cell": list(obj.cell)}
-    raise TypeError(type(obj))
-
 
 def _closure_tree(weight_keys: list[SystemCube], systems: AdjacentSystems):
     """Ancestor closure of the weighted cubes, as child links plus roots."""
@@ -612,25 +599,24 @@ def _pairwise_disjoint(cubes: list[SystemCube], systems: AdjacentSystems) -> boo
     return True
 
 
-def exhaustive_verify(
-    family: BallFamily, config: StoppingConfig, result: HeavyCubesResult, oracle_depth: int = 8
-) -> dict:
+def exhaustive_verify(family: BallFamily, config: StoppingConfig, result: HeavyCubesResult) -> dict:
     """Independent re-check of a stopping run against brute-force enumeration.
 
     Recomputes each returned cube's sub-function norm by direct summation,
     confirms the density and retention inequalities, pairwise disjointness,
     and that every returned cube is a genuine cube of its system with level
-    at most max(oracle_depth, deepest returned level).
+    at most max(ORACLE_DEPTH, deepest returned level). Runs labeled
+    ``vacuous`` or ``exhausted`` return no cubes and pass unchecked.
     """
+    out = {"status": result.status, "ok": True, "failures": []}
+    if result.status in ("vacuous", "exhausted"):
+        return out
     systems = AdjacentSystems(family.d)
     depth = result.grid_depth
     gvols = np.array(
         [grid_ball_volume(family.centers[i], family.radii[i], depth, family.d) for i in range(len(family))]
     )
-    out = {"status": result.status, "ok": True, "failures": []}
-    if result.status in ("vacuous", "exhausted"):
-        return out
-    max_level = max([oracle_depth] + [cb.level for cb in result.heavy])
+    max_level = max([ORACLE_DEPTH] + [cb.level for cb in result.heavy])
     conclusion_floor = (
         config.c * 2.0 ** (-2 * (config.gamma + 1)) * config.N**-config.gamma
     )
@@ -671,7 +657,15 @@ def random_family(
     Profiles: ``bulk`` (generic balls, typically early-exit), ``peaked``
     (low total mass with a few hot small balls, exercising the generation
     recursion), ``mixed`` (either, by coin flip).
+
+    Radii are drawn from [4 * 2^-grid_depth, 0.2], so ``grid_depth`` must be
+    at least 5; a smaller depth raises ``ValueError`` before any draw.
     """
+    if grid_depth < 5:
+        raise ValueError(
+            f"grid_depth must be >= 5, got {grid_depth}: the smallest radius 4 * 2^-grid_depth "
+            "would exceed the 0.2 cap of the radius draw"
+        )
     if profile == "mixed":
         profile = "bulk" if rng.random() < 0.5 else "peaked"
     count = int(rng.integers(2, max_balls + 1))

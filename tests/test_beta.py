@@ -8,7 +8,7 @@ import pytest
 from rectilab import beta as bt
 from rectilab import cubes as cb
 from rectilab import pointset as ps
-from rectilab.grassmann import random_rotation
+from rectilab.grassmann import Subspace, random_rotation
 
 
 def two_segments(h: float, res: float = 5e-3) -> ps.RegularCloud:
@@ -208,6 +208,29 @@ class TestMethodAndSymmetryInvariants:
         a = bt.beta1(cloud, ball, "pca_refined").value
         b = bt.beta1(rotated, rball, "pca_refined").value
         assert b == pytest.approx(a, rel=0.05, abs=1e-3)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_refined_never_above_pca_in_three_dimensions(self, n):
+        if n == 1:
+            f = lambda t: [0.2 * np.sin(4.0 * t[0]), 0.1 * np.cos(3.0 * t[0])]  # noqa: E731
+            cloud = ps.lipschitz_graph_cloud(f, Subspace.axis(3, 0), 1.5, 2.0**-6)
+        else:
+            f = lambda t: [0.15 * np.sin(3.0 * t[0]) * np.cos(2.0 * t[1])]  # noqa: E731
+            cloud = ps.lipschitz_graph_cloud(f, Subspace.axis(3, 0, 1), 1.0, 2.0**-4)
+        lat = cb.CubeLattice(cloud, 0, 2)
+        for which in ("beta1", "beta_inf"):
+            refined = bt.beta_lattice(lat, which, "pca_refined")
+            pca = bt.beta_lattice(lat, which, "pca")
+            assert not any(r.degenerate for r in refined.values())
+            for key, res in refined.items():
+                assert res.value <= pca[key].value + 1e-12
+
+    def test_refined_vanishes_on_a_flat_plane_in_three_dimensions(self):
+        flat = ps.lipschitz_graph_cloud(lambda t: [0.0], Subspace.axis(3, 0, 1), 0.5, 2.0**-4)
+        cloud = flat.rotated(random_rotation(3, np.random.default_rng(9)))
+        ball = ps.Ball(cloud.points.mean(axis=0), 0.4)
+        for fn in (bt.beta1, bt.beta_inf):
+            assert fn(cloud, ball, "pca_refined").value <= 1e-12
 
     def test_export(self, tmp_path):
         lat = cb.CubeLattice(ps.four_corners(2), 0, 2)

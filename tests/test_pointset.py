@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rectilab import pointset as ps
-from rectilab.grassmann import Subspace, random_rotation
+from rectilab.grassmann import GrassmannBall, Subspace, random_rotation, sample_haar, sample_in_ball
 
 X_AXIS = Subspace.axis(2, 0)
 Y_AXIS = Subspace.axis(2, 1)
@@ -207,9 +207,7 @@ class TestCheckPBP:
     def test_segment_witness_near_x_axis(self):
         cloud = ps.segment(1e-3)
         ball = ps.Ball(np.array([0.5, 0.0]), 0.5)
-        out = ps.check_pbp(cloud, ball, 0.1, 32, np.random.default_rng(5), grid_resolution=5e-3)
-        assert out is not None
-        v0, margin = out
+        v0, margin = ps.pbp_margin(cloud, ball, 0.1, 32, np.random.default_rng(5), grid_resolution=5e-3)
         assert margin > 0.0
         assert abs(float(v0.basis[0, 0])) > 0.99  # close to the x-axis
 
@@ -225,16 +223,88 @@ class TestCheckPBP:
     def test_graph_witness(self):
         cloud = ps.lipschitz_graph_cloud(lambda t: [abs(t[0] - 0.5)], X_AXIS, 1.0, 2e-3)
         ball = cloud.enclosing_ball(1.2)
-        out = ps.check_pbp(cloud, ball, 0.2, 32, np.random.default_rng(8), grid_resolution=8e-3)
-        assert out is not None
+        _, margin = ps.pbp_margin(cloud, ball, 0.2, 32, np.random.default_rng(8), grid_resolution=8e-3)
+        assert margin >= 0.0
 
     def test_delta_monotonicity(self):
         cloud = ps.segment(1e-3)
         ball = ps.Ball(np.array([0.5, 0.0]), 0.5)
         for seed in (1, 2, 3):
-            big = ps.check_pbp(cloud, ball, 0.2, 24, np.random.default_rng(seed), grid_resolution=5e-3)
-            small = ps.check_pbp(cloud, ball, 0.09, 24, np.random.default_rng(seed), grid_resolution=5e-3)
-            assert big is not None and small is not None
+            _, big = ps.pbp_margin(cloud, ball, 0.2, 24, np.random.default_rng(seed), grid_resolution=5e-3)
+            _, small = ps.pbp_margin(cloud, ball, 0.09, 24, np.random.default_rng(seed), grid_resolution=5e-3)
+            assert big >= 0.0 and small >= 0.0
+
+
+def pbp_reference(cloud, ball, delta, n_directions, rng, n_candidates=8, g=None):
+    """The per-direction loop on ``projection_measure``: one ball selection per shadow."""
+    g = cloud.resolution if g is None else g
+    n = cloud.n
+    idx = _brute_ball(cloud.points, ball)
+    if len(idx) <= n:
+        v0 = Subspace.axis(cloud.d, *range(n))
+    else:
+        v0 = Subspace(ps._pca_frame(cloud.points[idx], cloud.weights[idx], n)[0])
+    candidates = [v0] + [sample_haar(cloud.d, n, rng) for _ in range(n_candidates - 1)]
+    best_v0, best = candidates[0], -math.inf
+    for v0 in candidates:
+        margin = math.inf
+        for _ in range(n_directions):
+            v = sample_in_ball(GrassmannBall(v0, delta), rng)
+            margin = min(margin, ps.projection_measure(cloud, v, ball, g) / ball.radius**n - delta)
+            if margin < best:
+                break
+        if margin > best:
+            best_v0, best = v0, margin
+    return best_v0, best
+
+
+class TestPBPMarginReference:
+    CASES = {
+        "segment": lambda: (ps.segment(1e-3), ps.Ball(np.array([0.5, 0.0]), 0.5), 5e-3),
+        "four_corners": lambda: (ps.four_corners(4), ps.Ball(np.array([0.5, 0.5]), 0.75), None),
+        "surface": lambda: (
+            ps.lipschitz_graph_cloud(
+                lambda t: [0.15 * np.sin(3.0 * t[0]) * np.cos(2.0 * t[1])], Subspace.axis(3, 0, 1), 1.0, 2.0**-4
+            ),
+            ps.Ball(np.array([0.5, 0.5, 0.0]), 0.4),
+            None,
+        ),
+        # at most n points in the ball: the axis plane is the first candidate
+        "tiny_ball": lambda: (ps.four_corners(3), ps.Ball(np.array([1.0 / 128, 1.0 / 128]), 1e-3), None),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_equals_per_direction_loop(self, case):
+        cloud, ball, g = self.CASES[case]()
+        for seed in (3, 4):
+            v0, margin = ps.pbp_margin(cloud, ball, 0.2, 16, np.random.default_rng(seed), grid_resolution=g)
+            ref_v0, ref = pbp_reference(cloud, ball, 0.2, 16, np.random.default_rng(seed), g=g)
+            assert v0.basis.tobytes() == ref_v0.basis.tobytes()
+            assert margin == ref
+
+    def test_tiny_ball_takes_axis_candidate(self):
+        cloud, ball, _ = self.CASES["tiny_ball"]()
+        assert len(cloud.ball_indices(ball)) <= cloud.n
+        v0, _ = ps.pbp_margin(cloud, ball, 0.2, 16, np.random.default_rng(3))
+        assert np.array_equal(v0.basis, Subspace.axis(2, 0).basis)
+
+    def test_selects_the_ball_once(self, monkeypatch):
+        cloud, ball, _ = self.CASES["four_corners"]()
+        calls = []
+        ball_indices = ps.RegularCloud.ball_indices
+
+        def counted(self, b):
+            calls.append(b)
+            return ball_indices(self, b)
+
+        monkeypatch.setattr(ps.RegularCloud, "ball_indices", counted)
+        ps.pbp_margin(cloud, ball, 0.2, 16, np.random.default_rng(3))
+        assert calls == [ball]
+
+    def test_rejects_grid_below_resolution(self):
+        cloud, ball, _ = self.CASES["four_corners"]()
+        with pytest.raises(ValueError, match="grid_resolution"):
+            ps.pbp_margin(cloud, ball, 0.2, 16, np.random.default_rng(3), grid_resolution=cloud.resolution / 2)
 
 
 class TestGraphOverlap:

@@ -222,6 +222,37 @@ class TestHeavyCubes:
         assert result.status == "vacuous" and result.heavy == [] and result.trace["theta"] == 0.0
 
 
+class TestExhaustiveVerify:
+    def test_vacuous_run_renders_nothing(self, monkeypatch):
+        fam = st.BallFamily(np.array([[0.5, 0.5]]), np.array([0.2]), np.array([1.0]))
+        result = st.heavy_cubes(fam, CONFIG, 6)
+        assert result.status == "vacuous"
+        rendered = []
+        cells_in_ball = st._cells_in_ball
+
+        def counted_cells(*args):
+            rendered.append(args)
+            return cells_in_ball(*args)
+
+        monkeypatch.setattr(st, "_cells_in_ball", counted_cells)
+        verdict = st.exhaustive_verify(fam, CONFIG, result)
+        assert verdict == {"status": "vacuous", "ok": True, "failures": []}
+        assert rendered == []
+
+
+class TestRandomFamily:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_rejects_depth_below_five(self, d):
+        with pytest.raises(ValueError, match="grid_depth must be >= 5"):
+            st.random_family(d, np.random.default_rng(0), config=CONFIG, grid_depth=4)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_depth_five_works(self, d):
+        for seed in range(5):
+            fam = st.random_family(d, np.random.default_rng(seed), config=CONFIG, grid_depth=5)
+            assert fam.d == d and np.all(fam.radii >= 4.0 * 2.0**-5)
+
+
 class TestStoppingConfig:
     @pytest.mark.parametrize("param", ["N", "M", "gamma", "c", "A"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
