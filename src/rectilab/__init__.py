@@ -8,12 +8,11 @@ checkable contract.
 
 __version__ = "0.1.0"
 
-from . import beta, cubes, experiments, grassmann, pointset, stopping
+from . import beta, cubes, grassmann, pointset, stopping
 
 __all__ = [
     "beta",
     "cubes",
-    "experiments",
     "grassmann",
     "pointset",
     "stopping",

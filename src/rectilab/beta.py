@@ -121,8 +121,6 @@ def _general_refine(pts, w, r, n, sup, frame, normals, point):
                 )
                 if res.fun < best - 1e-12:
                     t = float(res.x)
-                    # the frame turns only on an accepted step, into a new C-ordered array:
-                    # its memory layout changes the rounding of the AffinePlane anchor
                     frame = frame.copy()
                     frame[:, i] = math.cos(t) * u + math.sin(t) * m
                     normals = turned_normals(t)

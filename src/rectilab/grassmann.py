@@ -132,7 +132,8 @@ class AffinePlane:
         a = np.zeros(self.direction.d) if self.anchor is None else np.asarray(self.anchor, float)
         if a.shape != (self.direction.d,):
             raise DimensionMismatchError("anchor dimension does not match the direction")
-        a = a - self.direction.basis @ (self.direction.basis.T @ a)
+        b = np.ascontiguousarray(self.direction.basis)  # same rounding for every memory layout
+        a = a - b @ (b.T @ a)
         object.__setattr__(self, "anchor", a)
 
     @property

@@ -13,9 +13,11 @@ high-level mass at high density.
 balls' grid volumes and the per-system functions f_i; it locates each
 visible ball once. It drives the recursion through two stage functions:
 ``_select_system`` (assignment of balls to systems and pigeonholing) and
-``_generations`` (the threshold loop). Both measure cubes with the helpers
-``_contained_mass`` (mass of the balls inside a cube) and ``_high_mass``
-(high-level mass on the grid cells of a cube, located by ``_cell_window``).
+``_generations`` (the threshold loop; ``_generation_cubes`` reads each
+generation's cubes from the weight map, walking every weighted cube up to
+its start). Both measure cubes with the helpers ``_contained_mass`` (mass of
+the balls inside a cube) and ``_high_mass`` (high-level mass on the grid
+cells of a cube, located by ``_cell_window``).
 """
 
 from __future__ import annotations
@@ -347,45 +349,27 @@ class HeavyCubesResult:
     grid_depth: int
 
 
-def _closure_tree(weight_keys: list[SystemCube], systems: AdjacentSystems):
-    """Ancestor closure of the weighted cubes, as child links plus roots."""
-    children: dict[SystemCube, set[SystemCube]] = {}
-    roots: set[SystemCube] = set()
-    seen: set[SystemCube] = set()
-    for key in weight_keys:
-        node = key
-        while True:
-            if node.level == 0:
-                roots.add(node)
-                break
-            parent = systems.parent(node)
-            children.setdefault(parent, set()).add(node)
-            if node in seen:
-                break
-            seen.add(node)
-            node = parent
-    return {k: sorted(v, key=lambda c: (c.level, c.cell)) for k, v in children.items()}, sorted(
-        roots, key=lambda c: (c.level, c.cell)
-    )
+def _generation_cubes(starts, weights, systems, threshold):
+    """Weighted cubes where the chain sum from their start first reaches ``threshold``.
 
-
-def _generation_cubes(starts, weights, children, threshold):
-    """Maximal cubes whose inclusive weighted ancestry reaches the threshold.
-
-    ``starts`` are (cube, initial sum) pairs; descending from each start, the
-    cumulative sum of cube weights first reaching ``threshold`` marks a
-    stopping cube (coarse-to-fine, lexicographic per level by scanning order).
+    A cube's start is its ancestor-or-self in ``starts`` (the previous
+    generation's light cubes), or its level-0 ancestor when ``starts`` is None
+    (generation 1); a cube under no start is never returned. Weights are summed
+    coarse to fine from the start, whose own weight counts (the inclusive-start
+    rule). Sorted by (level, cell).
     """
     out = []
-    stack = list(starts)
-    while stack:
-        node, acc = stack.pop()
-        acc = acc + weights.get(node, 0.0)
-        if acc >= threshold:
-            out.append(node)
+    for cube in weights:
+        chain = [cube]
+        while chain[-1].level > 0 and (starts is None or chain[-1] not in starts):
+            chain.append(systems.parent(chain[-1]))
+        if starts is not None and chain[-1] not in starts:
             continue
-        for child in children.get(node, ()):
-            stack.append((child, acc))
+        acc = 0.0
+        for node in reversed(chain):
+            before, acc = acc, acc + weights.get(node, 0.0)
+        if before < threshold <= acc:
+            out.append(cube)
     return sorted(out, key=lambda c: (c.level, c.cell))
 
 
@@ -435,20 +419,19 @@ def _generations(systems, balls, located, ball_masses, fi, high, theta, n_workin
     """
     d, m_target = balls.d, config.M
     wmap = _cube_weights(balls, located, systems)
-    children, roots = _closure_tree(list(wmap), systems)
     mass_constant = relation_constant(d)
     records: list[dict] = []
     checks: dict = {"mass_law_violations": [], "coverage_ok": True}
     threshold_product = 1.0
     prior_light_high = None
-    starts = [(r, 0.0) for r in roots]
+    starts = None
     heavy_result: list[SystemCube] | None = None
     empirical_a = 0.0
     for generation in range(1, MAX_GENERATIONS + 1):
         n_k = math.floor(n_working / 2.0**generation)
         if n_k < 1:
             break
-        cubes = _generation_cubes(starts, wmap, children, n_k)
+        cubes = _generation_cubes(starts, wmap, systems, n_k)
         if not cubes:
             break
         threshold_product *= n_k
@@ -491,7 +474,7 @@ def _generations(systems, balls, located, ball_masses, fi, high, theta, n_workin
             heavy_result = heavy
             break
         prior_light_high = light_mass
-        starts = [(cube, 0.0) for cube in light]
+        starts = set(light)
         if config.guarantee and generation >= config.gamma + 1:
             raise AssertionError(
                 "guarantee-mode run passed the promised generation bound; "

@@ -283,6 +283,15 @@ class TestInvariantsAndSerialization:
         assert p1.close_to(p2)
         assert abs(p1.anchor @ d.basis[:, 0]) < 1e-12
 
+    def test_affine_plane_anchor_ignores_basis_layout(self):
+        rng = np.random.default_rng(18)
+        for _ in range(500):
+            basis = gr.sample_haar(3, 2, rng).basis
+            point = rng.normal(size=3)
+            c_plane = gr.AffinePlane(gr.Subspace(np.ascontiguousarray(basis)), point)
+            f_plane = gr.AffinePlane(gr.Subspace(np.asfortranarray(basis)), point)
+            assert c_plane.anchor.tobytes() == f_plane.anchor.tobytes()
+
     def test_fiber_distance(self):
         v = gr.Subspace.axis(2, 0)
         fib = gr.fiber_through(v, np.array([0.5, 7.0]))  # vertical line x = 0.5

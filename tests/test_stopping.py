@@ -101,6 +101,18 @@ class TestMaximalFunction:
         f = st.GridFunction.from_balls(sample_family(d, np.random.default_rng(20 + d), 5), depth)
         assert np.all(st.maximal_function(f).values >= f.values)
 
+    @pytest.mark.parametrize("d,depth", [(1, 8), (2, 5), (3, 3)])
+    def test_monotone_in_f(self, d, depth):
+        rng = np.random.default_rng(30 + d)
+        shape = (2**depth,) * d
+        for _ in range(5):
+            f = rng.uniform(0.0, 2.0, shape) * (rng.random(shape) < 0.3)
+            g = f + rng.uniform(0.0, 1.0, shape) * (rng.random(shape) < 0.5)
+            mf = st.maximal_function(st.GridFunction(f, depth)).values
+            mg = st.maximal_function(st.GridFunction(g, depth)).values
+            # the averages come from FFTs, hence the rounding allowance
+            assert np.all(mf <= mg + 1e-12 * g.max())
+
     def test_rejects_negative_grid(self):
         values = np.zeros((8, 8))
         values[3, 4] = -1e-9
@@ -220,6 +232,78 @@ class TestHeavyCubes:
         fam = st.BallFamily(np.array([[0.5, 0.5]]), np.array([0.2]), np.array([1.0]))
         result = st.heavy_cubes(fam, CONFIG, 6)
         assert result.status == "vacuous" and result.heavy == [] and result.trace["theta"] == 0.0
+
+
+def ancestors(cube):
+    """The cube's ancestors from level 0 down to the cube itself, by cell arithmetic."""
+    return [
+        st.SystemCube(cube.system, level, tuple(c >> (cube.level - level) for c in cube.cell))
+        for level in range(cube.level + 1)
+    ]
+
+
+def stopping_rule(wmap, starts, threshold):
+    """Weighted cubes whose chain sum from their start reaches the threshold at
+    the cube and at no coarser cube; ``starts`` None means every level-0 cube."""
+    out = []
+    for cube in wmap:
+        chain = ancestors(cube)
+        at = [i for i, q in enumerate(chain) if (q in starts if starts is not None else q.level == 0)]
+        if not at:
+            continue
+        sums = np.cumsum([wmap.get(q, 0.0) for q in chain[at[0]:]])
+        if sums[-1] >= threshold and np.all(sums[:-1] < threshold):
+            out.append(cube)
+    return sorted(out, key=lambda c: (c.level, c.cell))
+
+
+class TestGenerations:
+    def test_records_match_brute_force_rule(self):
+        """Rebuild the selected system's weight map ball by ball and check each
+        generation's cubes, and that each lies in a light cube of the one before."""
+        records = multi_generation_runs = 0
+        for d, depth in [(1, 10), (2, 7), (3, 5)]:
+            systems = st.AdjacentSystems(d)
+            for fam in families(d, depth, 12, "peaked"):
+                result = st.heavy_cubes(fam, CONFIG, depth)
+                gens = result.trace["generations"]
+                if not gens:
+                    continue
+                wmap = {}
+                for c, r, w in zip(fam.centers, fam.radii, fam.weights):
+                    if st.grid_ball_volume(c, r, depth, d) == 0.0:
+                        continue
+                    cube, _ = systems.locate(c, r)
+                    if cube.system == result.trace["selected_system"]:
+                        for rel in systems.related_cubes(c, r, cube):
+                            wmap[rel] = wmap.get(rel, 0.0) + float(w)
+                starts = None
+                for record in gens:
+                    cubes = sorted(record["heavy"] + record["light"], key=lambda c: (c.level, c.cell))
+                    assert cubes == stopping_rule(wmap, starts, record["threshold"])
+                    if starts is not None:
+                        assert all(set(ancestors(cube)) & starts for cube in cubes)
+                    starts = set(record["light"])
+                records += len(gens)
+                multi_generation_runs += len(gens) > 1
+        assert records >= 20 and multi_generation_runs >= 5
+
+    def test_generation_cubes_on_hand_built_weights(self):
+        """Start a reaches the threshold by itself, so its weighted descendants are
+        not returned; b's grandchild reaches it through b's unweighted child; c
+        lies under no start of the last two calls."""
+        cube = lambda system, level, x: st.SystemCube(system, level, (x,))
+        a, b, c = cube(0, 1, 0), cube(0, 1, 1), cube(1, 2, 0)
+        wmap = {
+            a: 5.0, cube(0, 2, 0): 1.0, cube(0, 3, 0): 4.0,
+            b: 1.0, cube(0, 3, 4): 2.0, cube(0, 3, 5): 1.0,
+            c: 10.0,
+        }
+        systems = st.AdjacentSystems(1)
+        assert cube(0, 2, 2) not in wmap
+        assert st._generation_cubes(None, wmap, systems, 3.0) == [a, c, cube(0, 3, 4)]
+        assert st._generation_cubes({a, b}, wmap, systems, 3.0) == [a, cube(0, 3, 4)]
+        assert st._generation_cubes({b}, wmap, systems, 3.5) == []
 
 
 class TestExhaustiveVerify:
