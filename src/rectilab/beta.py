@@ -218,33 +218,24 @@ def wgl_sum(lattice: CubeLattice, betas: dict[CubeKey, BetaResult], epsilon: flo
     return total / lattice.get(root).weight
 
 
-def beta_comparison(
-    lattice: CubeLattice,
-    samples: int | None = None,
-    method: str = "pca_refined",
-    rng: np.random.Generator | None = None,
-):
+def beta_comparison(lattice: CubeLattice):
     """Worst ratio of the sup coefficient to the mean coefficient at double radius.
 
-    For sampled cubes, compares beta_inf(B_Q) against
+    For every cube, compares beta_inf(B_Q) against
     beta1(2 B_Q)^(1/(n+1)), skipping cubes whose mean coefficient sits below
     the discretization floor (FLOOR_FACTOR * resolution / radius). Returns
     (worst constant, count of contributing cubes); the constant is None when
     nothing clears the floor.
     """
     cloud = lattice.cloud
-    cubes = list(lattice.all_cubes())
-    if samples is not None and samples < len(cubes):
-        rng = rng or np.random.default_rng(0)
-        cubes = [cubes[i] for i in rng.choice(len(cubes), size=samples, replace=False)]
     worst, used = None, 0
     power = 1.0 / (cloud.n + 1)
-    for cube in cubes:
+    for cube in lattice.all_cubes():
         small, big = lattice.ball(cube), lattice.ball(cube, 2.0)
-        b1 = beta1(cloud, big, method)
+        b1 = beta1(cloud, big)
         if b1.degenerate or b1.value < FLOOR_FACTOR * cloud.resolution / big.radius:
             continue
-        binf = beta_inf(cloud, small, method)
+        binf = beta_inf(cloud, small)
         ratio = binf.value / b1.value**power
         used += 1
         if worst is None or ratio > worst:

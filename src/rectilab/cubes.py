@@ -41,12 +41,6 @@ class Cube:
     def side(self) -> float:
         return 2.0 ** -self.level
 
-    def __hash__(self):
-        return hash(self.key)
-
-    def __eq__(self, other):
-        return isinstance(other, Cube) and self.key == other.key
-
 
 class CubeLattice:
     """Nested dyadic decomposition of a cloud between two levels.

@@ -34,7 +34,7 @@ def _as_matrix(basis) -> np.ndarray:
     return b
 
 
-def orthonormalize(vectors: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def orthonormalize(vectors: np.ndarray) -> np.ndarray:
     """Orthonormal basis for the column span of ``vectors``.
 
     Raises DegenerateInputError if the columns are numerically dependent.
@@ -43,7 +43,7 @@ def orthonormalize(vectors: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     if m.shape[1] == 0:
         return m
     q, r = np.linalg.qr(m)
-    if np.min(np.abs(np.diag(r))) <= tol * max(1.0, float(np.max(np.abs(m)))):
+    if np.min(np.abs(np.diag(r))) <= 1e-12 * max(1.0, float(np.max(np.abs(m)))):
         raise DegenerateInputError("input vectors are numerically linearly dependent")
     return q
 
@@ -152,12 +152,12 @@ class AffinePlane:
         normal = rel - tang @ self.direction.basis.T
         return np.linalg.norm(normal, axis=-1)
 
-    def close_to(self, other: "AffinePlane", tol: float = 1e-9) -> bool:
+    def close_to(self, other: "AffinePlane") -> bool:
         if self.m != other.m or self.d != other.d:
             return False
         return (
-            metric(self.direction, other.direction) <= tol
-            and np.linalg.norm(self.anchor - other.anchor) <= tol
+            metric(self.direction, other.direction) <= 1e-9
+            and np.linalg.norm(self.anchor - other.anchor) <= 1e-9
         )
 
 
@@ -376,22 +376,20 @@ def integrate_affine(
     samples: int,
     rng: np.random.Generator,
     window_radius: float = 1.0,
-    window_center: np.ndarray | None = None,
 ) -> tuple[float, float]:
     """Monte Carlo integral of a plane functional over affine m-planes in R^d.
 
     The invariant measure on affine planes factors through fibers of
     orthogonal projections: sample V Haar in G(d, d-m), an anchor w uniform
-    in a (d-m)-ball window inside V, evaluate ``f`` on the fiber through w,
-    and weight by the window volume. ``f`` must vanish on planes missing the
-    window. Returns (estimate, standard_error).
+    in the (d-m)-ball window about the origin in V, evaluate ``f`` on the
+    fiber through w, and weight by the window volume. ``f`` must vanish on
+    planes missing the window. Returns (estimate, standard_error).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if not 0 < m < d:
         raise DimensionMismatchError("need 0 < m < d")
     k = d - m
-    center = np.zeros(d) if window_center is None else np.asarray(window_center, float)
     volume = unit_ball_volume(k) * window_radius**k
     values = np.empty(samples)
     for i in range(samples):
@@ -399,8 +397,7 @@ def integrate_affine(
         direction = rng.standard_normal(k)
         direction /= np.linalg.norm(direction)
         radius = window_radius * rng.random() ** (1.0 / k)
-        w_coords = v.coords(center) + radius * direction
-        anchor = v.basis @ w_coords
+        anchor = v.basis @ (radius * direction)
         plane = AffinePlane(orthogonal_complement(v), anchor)
         values[i] = f(plane)
     est = float(np.mean(values) * volume)

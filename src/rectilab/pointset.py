@@ -17,7 +17,6 @@ per-call reference for one shadow.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -174,31 +173,6 @@ class RegularityReport:
             raise ValueError("a regularity constant is always >= 1")
 
 
-def _merge_close_points(points: np.ndarray, weights: np.ndarray, radius: float):
-    """Union points closer than ``radius``, summing weights (dedup contract)."""
-    tree = cKDTree(points)
-    parent = np.arange(len(points))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in tree.query_pairs(radius):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-    roots = np.array([find(i) for i in range(len(points))])
-    out_pts, out_w = [], []
-    for r in np.unique(roots):
-        mask = roots == r
-        w = weights[mask].sum()
-        out_pts.append(points[mask][np.argmax(weights[mask])])
-        out_w.append(w)
-    return np.array(out_pts), np.array(out_w)
-
-
 def four_corners(k: int) -> RegularCloud:
     """Generation-k four-corners Cantor cloud in the unit square.
 
@@ -226,8 +200,8 @@ def hrycak(m: int) -> RegularCloud:
     Starting from the unit segment, repeat m times: split every segment into
     m equal pieces and rotate each piece by 2*pi/m about its own left
     endpoint (rotations accumulate across stages, pieces keep their left
-    endpoints). The result is m^m segments of length m^-m, sampled at one
-    point per segment.
+    endpoints). The result is m^m segments of length m^-m, sampled at their
+    midpoints: m^m points of weight m^-m each.
     """
     if not 2 <= m <= 5:
         raise ValueError("m must be in 2..5")
@@ -245,11 +219,9 @@ def hrycak(m: int) -> RegularCloud:
         new_angles = np.repeat(angles + angle_step, m)
         starts, angles, length = new_starts, new_angles, piece
     mids = starts + 0.5 * length * np.column_stack([np.cos(angles), np.sin(angles)])
-    weights = np.full(len(mids), length)
-    pts, w = _merge_close_points(mids, weights, length / 4.0)
     return RegularCloud(
-        pts, w, n=1, resolution=length, density_constant=2.0 * m**2,
-        generator="hrycak", params={"m": m},
+        mids, np.full(len(mids), length), n=1, resolution=length,
+        density_constant=2.0 * m**2, generator="hrycak", params={"m": m},
     )
 
 
@@ -348,7 +320,8 @@ def estimate_regularity(cloud: RegularCloud, trials: int, rng: np.random.Generat
 
     Samples centres from the cloud (weighted) and radii log-uniformly in
     [4 * resolution, diam]; the estimate is the worst ratio between ball
-    mass and r^n in either direction.
+    mass and r^n in either direction. Each centre has positive weight and
+    lies in its own ball, so every ball mass is positive.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -362,8 +335,6 @@ def estimate_regularity(cloud: RegularCloud, trials: int, rng: np.random.Generat
         center = cloud.points[i]
         # radii are random, so no point lies on a sphere and the tree's test suffices
         mass = float(cloud.weights[cloud.tree.query_ball_point(center, r)].sum())
-        if mass <= 0:
-            continue
         ratio = max(mass / r**cloud.n, r**cloud.n / mass)
         if ratio > worst:
             worst, worst_ball = ratio, Ball(center, float(r))
@@ -470,11 +441,12 @@ def graph_overlap(cloud: RegularCloud, graph_cloud: RegularCloud, ball: Ball) ->
 def save_cloud(cloud: RegularCloud, path: str | Path, seed: int | None = None):
     """CSV with header x1..xd,weight plus a JSON sidecar of the metadata."""
     path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i + 1}" for i in range(cloud.d)] + ["weight"])
-        for p, w in zip(cloud.points, cloud.weights):
-            writer.writerow([repr(float(x)) for x in p] + [repr(float(w))])
+    header = ",".join([f"x{i + 1}" for i in range(cloud.d)] + ["weight"])
+    # "%s" writes each float64 as its shortest round-trip repr, so loading is exact
+    np.savetxt(
+        path, np.column_stack([cloud.points, cloud.weights]), fmt="%s", delimiter=",",
+        header=header, comments="", newline="\r\n",
+    )
     sidecar = {
         "n": cloud.n,
         "resolution": cloud.resolution,
@@ -489,9 +461,7 @@ def save_cloud(cloud: RegularCloud, path: str | Path, seed: int | None = None):
 
 def load_cloud(path: str | Path) -> RegularCloud:
     path = Path(path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    data = np.array([[float(x) for x in row] for row in rows[1:]])
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     with open(path.with_suffix(path.suffix + ".json")) as fh:
         meta = json.load(fh)
     return RegularCloud(

@@ -588,7 +588,8 @@ def exhaustive_verify(family: BallFamily, config: StoppingConfig, result: HeavyC
     Recomputes each returned cube's sub-function norm by direct summation,
     confirms the density and retention inequalities, pairwise disjointness,
     and that every returned cube is a genuine cube of its system with level
-    at most max(ORACLE_DEPTH, deepest returned level). Runs labeled
+    at most max(ORACLE_DEPTH, deepest returned level); a cube of no system is
+    named as "identity" and left out of the other checks. Runs labeled
     ``vacuous`` or ``exhausted`` return no cubes and pass unchecked.
     """
     out = {"status": result.status, "ok": True, "failures": []}
@@ -603,10 +604,12 @@ def exhaustive_verify(family: BallFamily, config: StoppingConfig, result: HeavyC
     conclusion_floor = (
         config.c * 2.0 ** (-2 * (config.gamma + 1)) * config.N**-config.gamma
     )
-    total = 0.0
+    total, genuine = 0.0, []
     for cube in result.heavy:
         if not (0 <= cube.system < len(systems)) or cube.level > max_level:
             out["failures"].append(("identity", cube))
+            continue
+        genuine.append(cube)
         lo, hi = systems.bounds(cube)
         norm = 0.0
         for i in range(len(family)):
@@ -621,7 +624,7 @@ def exhaustive_verify(family: BallFamily, config: StoppingConfig, result: HeavyC
         total += norm
     if total < conclusion_floor:
         out["failures"].append(("retention", total, conclusion_floor))
-    if not _pairwise_disjoint(result.heavy, systems):
+    if not _pairwise_disjoint(genuine, systems):
         out["failures"].append(("disjoint",))
     out["ok"] = not out["failures"]
     return out

@@ -68,13 +68,11 @@ class TestBuildLattice:
             assert tuple(cube.center) in pts
 
     def test_empty_cloud_rejected(self):
-        cloud = ps.segment(0.1)
-        bad = ps.RegularCloud(cloud.points, cloud.weights, 1, 0.2, validate=False)
-        with pytest.raises(ValueError):
-            cb.CubeLattice(bad, 0, 1)  # fine
-            raise ValueError  # pragma: no cover
-        with pytest.raises(ValueError):
-            cb.CubeLattice(cloud, 0, 9)  # below resolution
+        empty = ps.RegularCloud(np.empty((0, 2)), np.empty(0), 1, 0.1, validate=False)
+        with pytest.raises(ValueError, match="empty cloud"):
+            cb.CubeLattice(empty, 0, 1)
+        with pytest.raises(ValueError, match="below the cloud resolution"):
+            cb.CubeLattice(ps.segment(0.1), 0, 9)
 
 
 def _loop_lattice(cloud, j_min, j_max):
@@ -217,14 +215,47 @@ class TestDecomposeTrees:
 
 
 class TestValidateTree:
-    def test_decomposition_always_validates(self, cantor_lattice):
+    @pytest.fixture(scope="class")
+    def forest(self, cantor_lattice):
         rng = np.random.default_rng(3)
         keys = [c.key for c in cantor_lattice.all_cubes()]
         chosen = {k for k in keys if rng.random() < 0.5}
-        forest = cb.decompose_trees(cantor_lattice, {k: k in chosen for k in keys}, 2, (0, (0, 0)))
+        return cb.decompose_trees(cantor_lattice, {k: k in chosen for k in keys}, 2, (0, (0, 0)))
+
+    @pytest.fixture(scope="class")
+    def branching(self, forest, cantor_lattice):
+        """A tree of the decomposition with a leaf that has children in the lattice."""
+        return next(
+            tree for tree in forest.trees
+            if any(cantor_lattice.child_keys(leaf) for leaf in tree.leaves)
+        )
+
+    def test_decomposition_always_validates(self, forest, cantor_lattice):
         for tree in forest.trees:
             ok, witness = cb.validate_tree(tree, cantor_lattice)
             assert ok, witness
+
+    def test_cube_outside_the_top(self, forest, cantor_lattice):
+        tree = next(t for t in forest.trees if t.top[0] > 0)
+        root = forest.root
+        tampered = cb.Tree(top=tree.top, cubes=tree.cubes | {root}, leaves=set(tree.leaves))
+        assert cb.validate_tree(tampered, cantor_lattice) == (False, ("top", tree.top, root))
+
+    def test_leaf_outside_the_tree(self, branching, cantor_lattice):
+        stray = next(c.key for c in cantor_lattice.all_cubes() if c.key not in branching.cubes)
+        tampered = cb.Tree(top=branching.top, cubes=set(branching.cubes), leaves=branching.leaves | {stray})
+        assert cb.validate_tree(tampered, cantor_lattice) == (False, ("leaves", stray))
+
+    def test_leaf_with_a_child_in_the_tree(self, branching, cantor_lattice):
+        top = branching.top
+        assert top not in branching.leaves
+        tampered = cb.Tree(top=top, cubes=set(branching.cubes), leaves=branching.leaves | {top})
+        assert cb.validate_tree(tampered, cantor_lattice) == (False, ("leaves", top))
+
+    def test_unmarked_leaf(self, branching, cantor_lattice):
+        leaf = next(leaf for leaf in branching.leaves if cantor_lattice.child_keys(leaf))
+        tampered = cb.Tree(top=branching.top, cubes=set(branching.cubes), leaves=branching.leaves - {leaf})
+        assert cb.validate_tree(tampered, cantor_lattice) == (False, ("leaves", leaf))
 
     def test_missing_middle_ancestor(self, segment_lattice):
         lat = segment_lattice

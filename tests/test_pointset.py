@@ -69,6 +69,12 @@ class TestHrycak:
 
         assert max_shadow(ps.hrycak(4)) < max_shadow(ps.hrycak(2))
 
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_m_to_the_m_points_of_weight_m_to_the_minus_m(self, m):
+        c = ps.hrycak(m)
+        assert c.points.shape == (m**m, 2)
+        assert np.array_equal(c.weights, np.full(m**m, float(m) ** -m))
+
     def test_range_check(self):
         with pytest.raises(ValueError):
             ps.hrycak(1)
@@ -445,6 +451,34 @@ class TestIO:
         assert np.array_equal(back.points, cloud.points)
         assert np.array_equal(back.weights, cloud.weights)
         assert back.n == cloud.n and back.resolution == cloud.resolution
+
+    def test_save_writes_header_then_crlf_rows_of_reprs(self, tmp_path):
+        points = np.array([[1e-05, -0.0], [0.1 + 0.2, 1e16], [-2.5e-300, 123456789.123]])
+        cloud = ps.RegularCloud(points, np.array([5e-324, 0.0001234, 2.0**-11]), 1, 0.1, validate=False)
+        path = tmp_path / "cloud.csv"
+        ps.save_cloud(cloud, path)
+        rows = ["x1,x2,weight"] + [
+            ",".join(repr(float(x)) for x in [*p, w]) for p, w in zip(points, cloud.weights)
+        ]
+        assert path.read_bytes() == "".join(row + "\r\n" for row in rows).encode()
+
+    @pytest.mark.parametrize("case", ["lf", "one-point", "graph-3d"])
+    def test_load_is_bitwise(self, tmp_path, case):
+        if case == "graph-3d":
+            f = lambda t: 0.2 * np.sin(2.0 * np.pi * t[0]) * np.cos(2.0 * np.pi * t[1])  # noqa: E731
+            cloud = ps.lipschitz_graph_cloud(f, Subspace.axis(3, 0, 1), 1.8, 2.0**-4)
+        elif case == "one-point":
+            cloud = ps.RegularCloud(np.array([[0.1 + 0.2, 1.0 / 3.0]]), np.array([0.1]), 1, 0.1)
+        else:
+            cloud = ps.hrycak(3)
+        path = tmp_path / "cloud.csv"
+        ps.save_cloud(cloud, path)
+        if case == "lf":
+            path.write_bytes(path.read_bytes().replace(b"\r\n", b"\n"))
+        back = ps.load_cloud(path)
+        assert back.points.shape == cloud.points.shape
+        assert back.points.tobytes() == cloud.points.tobytes()
+        assert back.weights.tobytes() == cloud.weights.tobytes()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_point_is_named(self, bad):

@@ -1,5 +1,6 @@
 """Grid rendering, adjacent systems, maximal function and the heavy-cube stopping run."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -322,6 +323,53 @@ class TestExhaustiveVerify:
         verdict = st.exhaustive_verify(fam, CONFIG, result)
         assert verdict == {"status": "vacuous", "ok": True, "failures": []}
         assert rendered == []
+
+    @pytest.fixture(scope="class")
+    def found(self):
+        """A seeded ``heavy_found`` run with two heavy cubes, which the oracle passes."""
+        fam = st.random_family(1, np.random.default_rng(6), profile="peaked", config=CONFIG, grid_depth=10)
+        result = st.heavy_cubes(fam, CONFIG, 10)
+        assert result.status == "heavy_found" and len(result.heavy) == 2
+        assert st.exhaustive_verify(fam, CONFIG, result)["ok"]
+        return fam, result
+
+    @staticmethod
+    def names(verdict):
+        assert verdict["failures"] and verdict["ok"] is False
+        return [failure[0] for failure in verdict["failures"]]
+
+    @pytest.mark.parametrize("system", [-1, 2])
+    def test_cube_of_no_system(self, found, system):
+        fam, result = found
+        bad = dataclasses.replace(result.heavy[0], system=system)
+        tampered = dataclasses.replace(result, heavy=[bad, result.heavy[1]])
+        verdict = st.exhaustive_verify(fam, CONFIG, tampered)
+        assert ("identity", bad) in verdict["failures"]
+        assert set(self.names(verdict)) <= {"identity", "retention"}
+
+    def test_doubled_norm(self, found):
+        fam, result = found
+        cube = result.heavy[1]
+        f_masses = {**result.f_masses, cube: 2.0 * result.f_masses[cube]}
+        verdict = st.exhaustive_verify(fam, CONFIG, dataclasses.replace(result, f_masses=f_masses))
+        assert self.names(verdict) == ["norm"]
+        assert verdict["failures"][0][1] == cube and verdict["failures"][0][3] == f_masses[cube]
+
+    def test_larger_density_target(self, found):
+        fam, result = found
+        verdict = st.exhaustive_verify(fam, dataclasses.replace(CONFIG, M=1e9), result)
+        assert self.names(verdict) == ["density", "density"]
+        assert [failure[1] for failure in verdict["failures"]] == result.heavy
+
+    def test_larger_mass_constant(self, found):
+        fam, result = found
+        verdict = st.exhaustive_verify(fam, dataclasses.replace(CONFIG, c=1e6), result)
+        assert self.names(verdict) == ["retention"]
+
+    def test_repeated_cube(self, found):
+        fam, result = found
+        tampered = dataclasses.replace(result, heavy=result.heavy + [result.heavy[0]])
+        assert self.names(st.exhaustive_verify(fam, CONFIG, tampered)) == ["disjoint"]
 
 
 class TestRandomFamily:
