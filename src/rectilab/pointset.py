@@ -225,90 +225,67 @@ def hrycak(m: int) -> RegularCloud:
     )
 
 
-def segment(resolution: float = 1e-3, length: float = 1.0) -> RegularCloud:
-    """Unit-density segment on the x-axis, sampled at cell centres."""
-    cells = max(1, round(length / resolution))
-    h = length / cells
+def segment(resolution: float = 1e-3) -> RegularCloud:
+    """Unit-density unit segment on the x-axis, sampled at cell centres."""
+    cells = max(1, round(1.0 / resolution))
+    h = 1.0 / cells
     xs = (np.arange(cells) + 0.5) * h
     pts = np.column_stack([xs, np.zeros(cells)])
     return RegularCloud(
         pts, np.full(cells, h), n=1, resolution=h,
-        generator="segment", params={"length": length},
+        generator="segment", params={"length": 1.0},
     )
 
 
-def circle(resolution: float = 2e-3, radius: float = 1.0) -> RegularCloud:
-    """Circle of the given radius centred at the origin, arclength weights."""
-    count = max(8, round(2.0 * math.pi * radius / resolution))
+def circle(resolution: float = 2e-3) -> RegularCloud:
+    """Unit circle centred at the origin, arclength weights."""
+    count = max(8, round(2.0 * math.pi / resolution))
     theta = 2.0 * math.pi * np.arange(count) / count
-    pts = radius * np.column_stack([np.cos(theta), np.sin(theta)])
-    h = 2.0 * math.pi * radius / count
+    pts = np.column_stack([np.cos(theta), np.sin(theta)])
+    h = 2.0 * math.pi / count
     return RegularCloud(
         pts, np.full(count, h), n=1, resolution=h,
-        generator="circle", params={"radius": radius},
+        generator="circle", params={"radius": 1.0},
     )
 
 
-def lipschitz_graph_cloud(
-    f,
-    v: Subspace,
-    lipschitz_bound: float,
-    resolution: float,
-    box: tuple[float, float] | np.ndarray = (0.0, 1.0),
-) -> RegularCloud:
-    """Cloud sampling the graph of ``f`` over the subspace ``v``.
+def lipschitz_graph_cloud(f, v: Subspace, lipschitz_bound: float, resolution: float) -> RegularCloud:
+    """Cloud sampling the graph of ``f`` over the unit cube [0, 1]^n of ``v``.
 
     ``f`` maps n-vectors of v-coordinates to (d-n)-vectors of coordinates in
-    a fixed orthonormal basis of the complement. Grid cells of side
-    ``resolution`` tile the coordinate box; each sample carries the graph
-    area element of its cell, estimated from finite differences. The
-    empirical Lipschitz constant over the grid is checked against the
-    declared bound.
+    a fixed orthonormal basis of the complement. Grid cells of side about
+    ``resolution`` tile the cube; each sample carries the graph area element
+    of its cell, estimated from finite differences. The empirical Lipschitz
+    constant over the grid is checked against the declared bound.
     """
     n, d = v.n, v.d
     comp = v.complement()
-    box = np.asarray(box, dtype=float)
-    if box.ndim == 1:
-        box = np.tile(box, (n, 1))
-    cells = [max(1, round((hi - lo) / resolution)) for lo, hi in box]
-    axes = [(lo + (np.arange(c) + 0.5) * (hi - lo) / c) for (lo, hi), c in zip(box, cells)]
-    steps = [(hi - lo) / c for (lo, hi), c in zip(box, cells)]
-    mesh = np.meshgrid(*axes, indexing="ij")
+    cells = max(1, round(1.0 / resolution))
+    step = 1.0 / cells
+    axis = (np.arange(cells) + 0.5) / cells
+    mesh = np.meshgrid(*([axis] * n), indexing="ij")
     coords = np.stack([m.ravel() for m in mesh], axis=-1)  # (N, n)
     values = np.array([np.atleast_1d(np.asarray(f(t), dtype=float)) for t in coords])
 
-    grid_shape = tuple(cells)
-    vals_grid = values.reshape(grid_shape + (d - n,))
-    grads = []
+    vals_grid = values.reshape((cells,) * n + (d - n,))
+    grad_sq = np.zeros(len(coords))
     worst = (0.0, None)
-    for axis in range(n):
-        diff = np.diff(vals_grid, axis=axis)
-        slopes = np.linalg.norm(diff, axis=-1) / steps[axis]
+    for a in range(n):
+        slopes = np.linalg.norm(np.diff(vals_grid, axis=a), axis=-1) / step
         if slopes.size:
             idx = np.unravel_index(np.argmax(slopes), slopes.shape)
             if slopes[idx] > worst[0]:
-                lo_idx = list(idx)
                 hi_idx = list(idx)
-                hi_idx[axis] += 1
-                worst = (
-                    float(slopes[idx]),
-                    (
-                        np.array([axes[a][lo_idx[a]] for a in range(n)]),
-                        np.array([axes[a][hi_idx[a]] for a in range(n)]),
-                    ),
-                )
-        grad = np.gradient(vals_grid, axes[axis], axis=axis)
-        grads.append(np.linalg.norm(np.atleast_1d(grad), axis=-1).reshape(-1))
+                hi_idx[a] += 1
+                worst = (float(slopes[idx]), (axis[list(idx)], axis[hi_idx]))
+        grad = np.gradient(vals_grid, axis, axis=a)
+        grad_sq += np.linalg.norm(np.atleast_1d(grad), axis=-1).reshape(-1) ** 2
     if worst[0] > lipschitz_bound * (1.0 + 1e-9):
         raise LipschitzViolationError(lipschitz_bound, worst[0], worst[1])
 
-    grad_sq = np.zeros(len(coords))
-    for g in grads:
-        grad_sq += g**2
-    cell_volume = float(np.prod(steps))
-    area = np.sqrt(1.0 + grad_sq) * cell_volume
+    area = np.sqrt(1.0 + grad_sq) * math.prod([step] * n)
     pts = coords @ v.basis.T + values @ comp.basis.T
-    density_c = max(8.0, 4.0 * math.sqrt(1.0 + lipschitz_bound**2) * (max(steps) / resolution) ** n)
+    density_c = max(8.0, 4.0 * math.sqrt(1.0 + lipschitz_bound**2) * (step / resolution) ** n)
     return RegularCloud(
         pts, area, n=n, resolution=resolution, density_constant=density_c,
         generator="graph", params={"lipschitz": lipschitz_bound},

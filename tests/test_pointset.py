@@ -145,7 +145,7 @@ class TestEstimateRegularity:
 
     def test_planar_disc_interior_density(self):
         v = Subspace.axis(3, 0, 1)
-        sheet = ps.lipschitz_graph_cloud(lambda t: [0.0], v, 0.5, 0.01, box=(0.0, 1.0))
+        sheet = ps.lipschitz_graph_cloud(lambda t: [0.0], v, 0.5, 0.01)
         r = 0.2
         mass = sheet.ball_mass(ps.Ball(np.array([0.5, 0.5, 0.0]), r))
         assert mass / r**2 == pytest.approx(math.pi, rel=0.05)
@@ -332,7 +332,7 @@ class TestGraphOverlap:
 
     def test_segment_against_its_rotation(self):
         h = 1e-3
-        seg = ps.segment(h, length=1.0)
+        seg = ps.segment(h)
         shifted = seg.points - np.array([0.5, 0.0])
         base = ps.RegularCloud(shifted, seg.weights, 1, h, generator="seg0")
         theta = math.pi / 4

@@ -276,7 +276,7 @@ class TestGenerations:
                         continue
                     cube, _ = systems.locate(c, r)
                     if cube.system == result.trace["selected_system"]:
-                        for rel in systems.related_cubes(c, r, cube):
+                        for rel in systems.related_cubes(r, cube):
                             wmap[rel] = wmap.get(rel, 0.0) + float(w)
                 starts = None
                 for record in gens:
