@@ -346,20 +346,22 @@ class HeavyCubesResult:
 def _generation_cubes(starts, weights, systems, threshold):
     """Weighted cubes where the chain sum from their start first reaches ``threshold``.
 
-    A cube's start is its ancestor-or-self in ``starts`` (the previous
-    generation's light cubes), or its level-0 ancestor when ``starts`` is None
-    (generation 1); a cube under no start is never returned. Weights are summed
-    coarse to fine from the start, whose own weight counts (the inclusive-start
-    rule). Sorted by (level, cell).
+    In generation 1 (``starts`` None) a cube's start is its level-0 ancestor,
+    and weights are summed coarse to fine from the start's own. Later, a
+    cube's start is its ancestor-or-self in ``starts`` (the previous
+    generation's light cubes), and the start's own weight is left out: it
+    already reached the previous, larger threshold. So every cube returned
+    lies strictly inside a start, and a cube under no start is never returned.
+    Sorted by (level, cell).
     """
     out = []
     for cube in weights:
         chain = [cube]
         while chain[-1].level > 0 and (starts is None or chain[-1] not in starts):
             chain.append(systems.parent(chain[-1]))
-        if starts is not None and chain[-1] not in starts:
+        if starts is not None and chain.pop() not in starts:
             continue
-        acc = 0.0
+        before = acc = 0.0
         for node in reversed(chain):
             before, acc = acc, acc + weights.get(node, 0.0)
         if before < threshold <= acc:
@@ -488,13 +490,14 @@ def heavy_cubes(family: BallFamily, config: StoppingConfig, grid_depth: int) -> 
     the balls to shifted dyadic systems and selects the system carrying the
     largest high-level mass, and ``_generations`` peels off generations of
     maximal cubes at thresholds N_k = floor(N_w / 2^k) until the heavy cubes
-    of some generation carry a 2^-k fraction of the high-level mass. The
-    returned family satisfies, exactly as grid sums,
+    of some generation carry a 2^-k fraction of the high-level mass. A
+    ``heavy_found`` run returns a family that satisfies, exactly as grid sums,
 
         sum_R ||f_R||_1  >=  c 2^(-2(gamma+1)) N^-gamma   and
-        ||f_R||_1        >   M |R|  for every returned R,
+        ||f_R||_1        >   M |R|  for every returned R.
 
-    whenever the run is not labeled vacuous. The working high-level set is
+    Outside guarantee mode a run whose hypotheses hold can still end
+    ``exhausted``, with no cubes. The working high-level set is
     {f_i >= N / #systems} on the selected system's function; the maximal
     function version of the hypothesis is evaluated and reported alongside.
     """

@@ -245,15 +245,16 @@ def ancestors(cube):
 
 def stopping_rule(wmap, starts, threshold):
     """Weighted cubes whose chain sum from their start reaches the threshold at
-    the cube and at no coarser cube; ``starts`` None means every level-0 cube."""
+    the cube and at no coarser cube; ``starts`` None means every level-0 cube,
+    whose weight counts, and otherwise a start's own weight is left out."""
     out = []
     for cube in wmap:
         chain = ancestors(cube)
         at = [i for i, q in enumerate(chain) if (q in starts if starts is not None else q.level == 0)]
         if not at:
             continue
-        sums = np.cumsum([wmap.get(q, 0.0) for q in chain[at[0]:]])
-        if sums[-1] >= threshold and np.all(sums[:-1] < threshold):
+        sums = np.cumsum([wmap.get(q, 0.0) for q in chain[at[0] + (starts is not None):]])
+        if sums.size and sums[-1] >= threshold and np.all(sums[:-1] < threshold):
             out.append(cube)
     return sorted(out, key=lambda c: (c.level, c.cell))
 
@@ -261,7 +262,7 @@ def stopping_rule(wmap, starts, threshold):
 class TestGenerations:
     def test_records_match_brute_force_rule(self):
         """Rebuild the selected system's weight map ball by ball and check each
-        generation's cubes, and that each lies in a light cube of the one before."""
+        generation's cubes, and that each lies strictly inside a light cube of the one before."""
         records = multi_generation_runs = 0
         for d, depth in [(1, 10), (2, 7), (3, 5)]:
             systems = st.AdjacentSystems(d)
@@ -283,16 +284,19 @@ class TestGenerations:
                     cubes = sorted(record["heavy"] + record["light"], key=lambda c: (c.level, c.cell))
                     assert cubes == stopping_rule(wmap, starts, record["threshold"])
                     if starts is not None:
-                        assert all(set(ancestors(cube)) & starts for cube in cubes)
+                        assert all(set(ancestors(cube)[:-1]) & starts for cube in cubes)
                     starts = set(record["light"])
                 records += len(gens)
                 multi_generation_runs += len(gens) > 1
         assert records >= 20 and multi_generation_runs >= 5
 
     def test_generation_cubes_on_hand_built_weights(self):
-        """Start a reaches the threshold by itself, so its weighted descendants are
-        not returned; b's grandchild reaches it through b's unweighted child; c
-        lies under no start of the last two calls."""
+        """Generation 1: a reaches the threshold by itself, so its weighted
+        descendants are not returned; b's grandchild reaches it through b's
+        unweighted child. Below the starts a and b their own weights are left
+        out: a's grandchild is the first to reach 3 (1 + 4), b's descendants
+        reach at most 2, and neither start is returned again. c lies under no
+        start of the last two calls."""
         cube = lambda system, level, x: st.SystemCube(system, level, (x,))
         a, b, c = cube(0, 1, 0), cube(0, 1, 1), cube(1, 2, 0)
         wmap = {
@@ -303,8 +307,18 @@ class TestGenerations:
         systems = st.AdjacentSystems(1)
         assert cube(0, 2, 2) not in wmap
         assert st._generation_cubes(None, wmap, systems, 3.0) == [a, c, cube(0, 3, 4)]
-        assert st._generation_cubes({a, b}, wmap, systems, 3.0) == [a, cube(0, 3, 4)]
+        assert st._generation_cubes({a, b}, wmap, systems, 3.0) == [cube(0, 3, 0)]
         assert st._generation_cubes({b}, wmap, systems, 3.5) == []
+
+    @pytest.mark.parametrize("seed", [1000, 1001, 1002])
+    def test_recursion_descends_to_heavy_cubes(self, seed):
+        """Seeded d = 2 families whose first generation has only light cubes:
+        the later generations must descend below them to find heavy cubes."""
+        fam = st.random_family(2, np.random.default_rng(seed), profile="mixed", config=CONFIG, grid_depth=9)
+        result = st.heavy_cubes(fam, CONFIG, 9)
+        assert result.status == "heavy_found"
+        assert result.trace["generations"][0]["heavy"] == []
+        assert st.exhaustive_verify(fam, CONFIG, result)["ok"]
 
 
 class TestExhaustiveVerify:
