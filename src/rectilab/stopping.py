@@ -346,13 +346,11 @@ class HeavyCubesResult:
 def _generation_cubes(starts, weights, systems, threshold):
     """Weighted cubes where the chain sum from their start first reaches ``threshold``.
 
-    In generation 1 (``starts`` None) a cube's start is its level-0 ancestor,
-    and weights are summed coarse to fine from the start's own. Later, a
-    cube's start is its ancestor-or-self in ``starts`` (the previous
-    generation's light cubes), and the start's own weight is left out: it
-    already reached the previous, larger threshold. So every cube returned
-    lies strictly inside a start, and a cube under no start is never returned.
-    Sorted by (level, cell).
+    A cube's start is its level-0 ancestor in generation 1 (``starts`` None),
+    else its ancestor-or-self in ``starts`` (the previous generation's light
+    cubes), whose own weight is then left out: it already reached the previous,
+    larger threshold, so returned cubes lie strictly inside their starts. A
+    cube under no start is never returned. Sorted by (level, cell).
     """
     out = []
     for cube in weights:
@@ -582,29 +580,23 @@ def _pairwise_disjoint(cubes: list[SystemCube], systems: AdjacentSystems) -> boo
 def exhaustive_verify(family: BallFamily, config: StoppingConfig, result: HeavyCubesResult) -> dict:
     """Independent re-check of a stopping run against brute-force enumeration.
 
-    Recomputes each returned cube's sub-function norm by direct summation,
-    confirms the density and retention inequalities, pairwise disjointness,
-    and that every returned cube belongs to one of the 2^d systems; a cube of
-    no system is named as "identity" and left out of the other checks. Runs labeled
-    ``vacuous`` or ``exhausted`` return no cubes and pass unchecked.
+    Returned cubes: recomputes each norm by direct summation and confirms the
+    density and retention inequalities, pairwise disjointness, and that each
+    cube belongs to one of the 2^d systems (else "identity", and no other check).
+    ``exhausted`` runs return no cubes; each generation record k must have the
+    threshold floor(N / 2^d / 2^k) ("threshold"), heavy high-level mass below
+    2^-k theta, so no reason to stop there ("stop"), and heavy cubes whose balls
+    have mass above M |R| ("heavy"). ``vacuous`` runs pass unchecked.
     """
     out = {"status": result.status, "ok": True, "failures": []}
-    if result.status in ("vacuous", "exhausted"):
+    if result.status == "vacuous":
         return out
     systems = AdjacentSystems(family.d)
-    depth = result.grid_depth
     gvols = np.array(
-        [grid_ball_volume(family.centers[i], family.radii[i], depth, family.d) for i in range(len(family))]
+        [grid_ball_volume(c, r, result.grid_depth, family.d) for c, r in zip(family.centers, family.radii)]
     )
-    conclusion_floor = (
-        config.c * 2.0 ** (-2 * (config.gamma + 1)) * config.N**-config.gamma
-    )
-    total, genuine = 0.0, []
-    for cube in result.heavy:
-        if not 0 <= cube.system < len(systems):
-            out["failures"].append(("identity", cube))
-            continue
-        genuine.append(cube)
+
+    def norm_of(cube):
         lo, hi = systems.bounds(cube)
         norm = 0.0
         for i in range(len(family)):
@@ -612,15 +604,38 @@ def exhaustive_verify(family: BallFamily, config: StoppingConfig, result: HeavyC
                 family.centers[i] + family.radii[i] <= hi + 1e-15
             ):
                 norm += float(family.weights[i] * gvols[i])
-        if abs(norm - result.f_masses[cube]) > 1e-9 * max(1.0, norm):
-            out["failures"].append(("norm", cube, norm, result.f_masses[cube]))
-        if not norm > config.M * cube.volume(family.d):
-            out["failures"].append(("density", cube, norm))
-        total += norm
-    if total < conclusion_floor:
-        out["failures"].append(("retention", total, conclusion_floor))
-    if not _pairwise_disjoint(genuine, systems):
-        out["failures"].append(("disjoint",))
+        return norm
+
+    if result.status == "exhausted":
+        n_working = config.N / len(systems)
+        for record in result.trace["generations"]:
+            k = record["k"]
+            if record["threshold"] != math.floor(n_working / 2.0**k):
+                out["failures"].append(("threshold", k, record["threshold"]))
+            if not record["heavy_high_mass"] < 2.0**-k * result.trace["theta"]:
+                out["failures"].append(("stop", k, record["heavy_high_mass"]))
+            for cube in record["heavy"]:
+                norm = norm_of(cube)
+                if not norm > config.M * cube.volume(family.d):
+                    out["failures"].append(("heavy", k, cube, norm))
+    else:
+        conclusion_floor = config.c * 2.0 ** (-2 * (config.gamma + 1)) * config.N**-config.gamma
+        total, genuine = 0.0, []
+        for cube in result.heavy:
+            if not 0 <= cube.system < len(systems):
+                out["failures"].append(("identity", cube))
+                continue
+            genuine.append(cube)
+            norm = norm_of(cube)
+            if abs(norm - result.f_masses[cube]) > 1e-9 * max(1.0, norm):
+                out["failures"].append(("norm", cube, norm, result.f_masses[cube]))
+            if not norm > config.M * cube.volume(family.d):
+                out["failures"].append(("density", cube, norm))
+            total += norm
+        if total < conclusion_floor:
+            out["failures"].append(("retention", total, conclusion_floor))
+        if not _pairwise_disjoint(genuine, systems):
+            out["failures"].append(("disjoint",))
     out["ok"] = not out["failures"]
     return out
 

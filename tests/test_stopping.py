@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 from rectilab import stopping as st
 
@@ -384,6 +385,57 @@ class TestExhaustiveVerify:
         fam, result = found
         tampered = dataclasses.replace(result, heavy=result.heavy + [result.heavy[0]])
         assert self.names(st.exhaustive_verify(fam, CONFIG, tampered)) == ["disjoint"]
+
+    @pytest.fixture(scope="class")
+    def exhausted(self):
+        """A seeded ``exhausted`` run of two generations, which the oracle passes."""
+        fam = st.random_family(2, np.random.default_rng(30), profile="peaked", config=CONFIG, grid_depth=7)
+        result = st.heavy_cubes(fam, CONFIG, 7)
+        assert result.status == "exhausted" and [r["k"] for r in result.trace["generations"]] == [1, 2]
+        assert st.exhaustive_verify(fam, CONFIG, result) == {"status": "exhausted", "ok": True, "failures": []}
+        return fam, result
+
+    @staticmethod
+    def with_record(result, k, **changes):
+        """``result`` with the entries of its generation-k record replaced by ``changes``."""
+        gens = [dict(r, **changes) if r["k"] == k else r for r in result.trace["generations"]]
+        return dataclasses.replace(result, trace={**result.trace, "generations": gens})
+
+    def test_wrong_threshold(self, exhausted):
+        fam, result = exhausted
+        wrong = result.trace["generations"][1]["threshold"] + 1
+        verdict = st.exhaustive_verify(fam, CONFIG, self.with_record(result, 2, threshold=wrong))
+        assert self.names(verdict) == ["threshold"] and verdict["failures"][0] == ("threshold", 2, wrong)
+
+    def test_generation_that_reached_the_stop(self, exhausted):
+        fam, result = exhausted
+        mass = result.trace["theta"] / 2.0  # exactly 2^-1 theta stops generation 1
+        verdict = st.exhaustive_verify(fam, CONFIG, self.with_record(result, 1, heavy_high_mass=mass))
+        assert self.names(verdict) == ["stop"] and verdict["failures"][0] == ("stop", 1, mass)
+
+    def test_light_cube_labeled_heavy(self, exhausted):
+        fam, result = exhausted
+        cube = result.trace["generations"][0]["light"][0]
+        verdict = st.exhaustive_verify(fam, CONFIG, self.with_record(result, 1, heavy=[cube], light=[]))
+        assert self.names(verdict) == ["heavy"] and verdict["failures"][0][:3] == ("heavy", 1, cube)
+        assert verdict["failures"][0][3] <= CONFIG.M * cube.volume(2)
+
+
+class TestRandomPeakedFamilies:
+    @pytest.mark.parametrize("d,depth", [(1, 10), (2, 7), (3, 5)])
+    @given(seed=hs.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_generations_nest_and_oracle_passes(self, d, depth, seed):
+        """Each generation's cubes lie strictly inside the light cubes of the one
+        before, and the oracle passes every ``heavy_found`` and ``exhausted`` run."""
+        fam = st.random_family(d, np.random.default_rng(seed), profile="peaked", config=CONFIG, grid_depth=depth)
+        result = st.heavy_cubes(fam, CONFIG, depth)
+        gens = result.trace["generations"]
+        for before, record in zip(gens, gens[1:]):
+            starts = set(before["light"])
+            assert all(set(ancestors(cube)[:-1]) & starts for cube in record["heavy"] + record["light"])
+        if result.status in ("heavy_found", "exhausted"):
+            assert st.exhaustive_verify(fam, CONFIG, result)["ok"]
 
 
 class TestRandomFamily:
