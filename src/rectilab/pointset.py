@@ -254,13 +254,16 @@ def lipschitz_graph_cloud(f, v: Subspace, lipschitz_bound: float, resolution: fl
 
     ``f`` maps n-vectors of v-coordinates to (d-n)-vectors of coordinates in
     a fixed orthonormal basis of the complement. Grid cells of side about
-    ``resolution`` tile the cube; each sample carries the graph area element
-    of its cell, estimated from finite differences. The empirical Lipschitz
-    constant over the grid is checked against the declared bound.
+    ``resolution`` (at most 2/3, for two cells per axis; else ``ValueError``)
+    tile the cube; each sample carries the graph area element of its cell,
+    estimated from finite differences. The empirical Lipschitz constant over
+    the grid is checked against the declared bound.
     """
     n, d = v.n, v.d
     comp = v.complement()
-    cells = max(1, round(1.0 / resolution))
+    cells = round(1.0 / resolution) if resolution > 0 else 0
+    if cells < 2:
+        raise ValueError(f"resolution {resolution} leaves fewer than 2 grid cells per axis of [0, 1]")
     step = 1.0 / cells
     axis = (np.arange(cells) + 0.5) / cells
     mesh = np.meshgrid(*([axis] * n), indexing="ij")
@@ -272,12 +275,11 @@ def lipschitz_graph_cloud(f, v: Subspace, lipschitz_bound: float, resolution: fl
     worst = (0.0, None)
     for a in range(n):
         slopes = np.linalg.norm(np.diff(vals_grid, axis=a), axis=-1) / step
-        if slopes.size:
-            idx = np.unravel_index(np.argmax(slopes), slopes.shape)
-            if slopes[idx] > worst[0]:
-                hi_idx = list(idx)
-                hi_idx[a] += 1
-                worst = (float(slopes[idx]), (axis[list(idx)], axis[hi_idx]))
+        idx = np.unravel_index(np.argmax(slopes), slopes.shape)
+        if slopes[idx] > worst[0]:
+            hi_idx = list(idx)
+            hi_idx[a] += 1
+            worst = (float(slopes[idx]), (axis[list(idx)], axis[hi_idx]))
         grad = np.gradient(vals_grid, axis, axis=a)
         grad_sq += np.linalg.norm(np.atleast_1d(grad), axis=-1).reshape(-1) ** 2
     if worst[0] > lipschitz_bound * (1.0 + 1e-9):

@@ -107,6 +107,17 @@ class TestLipschitzGraph:
         assert err.value.observed > 1.0
         assert err.value.witness is not None
 
+    @pytest.mark.parametrize("resolution", [0.7, 1.0, 5.0, 0.0, -0.1, math.nan])
+    def test_fewer_than_two_cells_rejected_before_f(self, resolution):
+        calls = []
+        with pytest.raises(ValueError, match=f"resolution {resolution} leaves fewer than 2 grid cells"):
+            ps.lipschitz_graph_cloud(lambda t: calls.append(t) or 0.3, X_AXIS, 0.5, resolution)
+        assert calls == []
+
+    def test_two_cells_per_axis_suffice(self):
+        cloud = ps.lipschitz_graph_cloud(lambda t: [0.3], Subspace.axis(3, 0, 1), 0.5, 0.6)
+        assert len(cloud.points) == 4 and cloud.total_weight == pytest.approx(1.0)
+
 
 class TestEstimateRegularity:
     def test_segment_closed_form_bound(self):
