@@ -265,8 +265,8 @@ def lipschitz_graph_cloud(f, v: Subspace, lipschitz_bound: float, resolution: fl
     if cells < 2:
         raise ValueError(f"resolution {resolution} leaves fewer than 2 grid cells per axis of [0, 1]")
     step = 1.0 / cells
-    axis = (np.arange(cells) + 0.5) / cells
-    mesh = np.meshgrid(*([axis] * n), indexing="ij")
+    ticks = (np.arange(cells) + 0.5) / cells  # cell centres along every axis
+    mesh = np.meshgrid(*([ticks] * n), indexing="ij")
     coords = np.stack([m.ravel() for m in mesh], axis=-1)  # (N, n)
     values = np.array([np.atleast_1d(np.asarray(f(t), dtype=float)) for t in coords])
 
@@ -279,9 +279,8 @@ def lipschitz_graph_cloud(f, v: Subspace, lipschitz_bound: float, resolution: fl
         if slopes[idx] > worst[0]:
             hi_idx = list(idx)
             hi_idx[a] += 1
-            worst = (float(slopes[idx]), (axis[list(idx)], axis[hi_idx]))
-        grad = np.gradient(vals_grid, axis, axis=a)
-        grad_sq += np.linalg.norm(np.atleast_1d(grad), axis=-1).reshape(-1) ** 2
+            worst = (float(slopes[idx]), (ticks[list(idx)], ticks[hi_idx]))
+        grad_sq += np.linalg.norm(np.gradient(vals_grid, ticks, axis=a), axis=-1).reshape(-1) ** 2
     if worst[0] > lipschitz_bound * (1.0 + 1e-9):
         raise LipschitzViolationError(lipschitz_bound, worst[0], worst[1])
 
