@@ -196,7 +196,7 @@ def beta_inf(cloud: RegularCloud, ball: Ball, method: str = "pca_refined") -> Be
 def beta_lattice(
     lattice: CubeLattice, which: str = "beta1", method: str = "pca_refined"
 ) -> dict[CubeKey, BetaResult]:
-    """Coefficient of the ball B_Q for every cube of the lattice (cached map)."""
+    """Coefficient of the ball B_Q for every cube of the lattice, keyed by cube."""
     if which not in ("beta1", "beta_inf"):
         raise ValueError("which must be 'beta1' or 'beta_inf'")
     fn = beta1 if which == "beta1" else beta_inf

@@ -98,10 +98,6 @@ class Subspace:
     def zero(cls, d: int) -> "Subspace":
         return cls(np.zeros((d, 0)))
 
-    def coords(self, x: np.ndarray) -> np.ndarray:
-        """Coefficients of the projection of ``x`` in this basis."""
-        return np.asarray(x, dtype=float) @ self.basis
-
     def complement(self) -> "Subspace":
         return orthogonal_complement(self)
 

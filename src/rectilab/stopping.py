@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft
 
 from .grassmann import unit_ball_volume
 
@@ -85,12 +85,8 @@ class GridFunction:
         return self.values.ndim
 
     @property
-    def cell_size(self) -> float:
-        return 2.0**-self.depth
-
-    @property
     def cell_volume(self) -> float:
-        return self.cell_size**self.d
+        return 2.0 ** (-self.depth * self.d)
 
     def l1(self) -> float:
         return float(self.values.sum() * self.cell_volume)
@@ -278,10 +274,14 @@ def maximal_function(f: GridFunction) -> GridFunction:
     if np.any(f.values < 0):
         raise ValueError("the maximal function is defined for nonnegative grids")
     best = f.values.copy()  # radius 2^-(depth+1): the cell itself
+    n = f.values.shape[0]
     for k in range(0, f.depth + 1):
-        radius = 2.0**-k
-        kernel = _ball_kernel(f.d, f.depth, radius)
-        avg = fftconvolve(f.values, kernel, mode="same") / kernel.sum()
+        kernel = _ball_kernel(f.d, f.depth, 2.0**-k)
+        m = kernel.shape[0]
+        # the "same" part of the linear convolution, padded to a fast length
+        shape = [fft.next_fast_len(n + m - 1, real=True)] * f.d
+        full = fft.irfftn(fft.rfftn(f.values, shape) * fft.rfftn(kernel, shape), shape)
+        avg = full[(slice((m - 1) // 2, (m - 1) // 2 + n),) * f.d] / kernel.sum()
         np.maximum(best, avg, out=best)  # best >= 0, so negative FFT round-off never wins
     return GridFunction(best, f.depth)
 
@@ -500,10 +500,17 @@ def heavy_cubes(family: BallFamily, config: StoppingConfig, grid_depth: int) -> 
     function version of the hypothesis is evaluated and reported alongside.
     """
     d = family.d
+    n, m_target, gamma, c = config.N, config.M, config.gamma, config.c
+    if config.guarantee:
+        needed = recommended_A(d, gamma)
+        if config.A < needed:
+            raise ConfigurationError(
+                f"guarantee mode needs A >= {needed:.0f} in dimension {d} (got {config.A})"
+            )
+
     systems = AdjacentSystems(d)
     rendered = _render(family, grid_depth)
     f = GridFunction._summed(rendered, family.weights, d, grid_depth)
-    n, m_target, gamma, c = config.N, config.M, config.gamma, config.c
     conclusion_floor = c * 2.0 ** (-2 * (gamma + 1)) * n**-gamma
 
     cell_counts = np.array([0.0 if cells is None else float(cells[1].sum()) for cells in rendered])
@@ -530,13 +537,6 @@ def heavy_cubes(family: BallFamily, config: StoppingConfig, grid_depth: int) -> 
         checks["mass_retention_ok"] = masses[cube] >= conclusion_floor
         trace["early_exit"] = True
         return HeavyCubesResult("early_exit", [cube], masses, trace, checks, config, grid_depth)
-
-    if config.guarantee:
-        needed = recommended_A(d, gamma)
-        if config.A < needed:
-            raise ConfigurationError(
-                f"guarantee mode needs A >= {needed:.0f} in dimension {d} (got {config.A})"
-            )
 
     n_working = n / len(systems)
     istar, theta, fi, high, members = _select_system(family, systems, rendered, visible, n_working, grid_depth)

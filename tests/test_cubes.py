@@ -307,6 +307,6 @@ class TestAncestryCounts:
         cantor_lattice.export_jsonl(path)
         import json
 
-        lines = [json.loads(l) for l in open(path)]
+        lines = [json.loads(l) for l in path.read_text().splitlines()]
         assert len(lines) == len(cantor_lattice)
         assert all("level" in l and "weight" in l for l in lines)

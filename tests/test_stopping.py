@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,6 +123,16 @@ class TestMaximalFunction:
         values[3, 4] = -1e-9
         with pytest.raises(ValueError):
             st.maximal_function(st.GridFunction(values, 3))
+
+
+def test_import_leaves_out_scipy_signal_and_stats():
+    """``maximal_function`` calls scipy.fft itself, so importing the package
+    does not load scipy.signal or the scipy.stats it pulls in."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, rectilab; print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
+    # ``python -c`` puts its working directory first on sys.path
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestHeavyCubes:
@@ -430,12 +443,27 @@ class TestRandomPeakedFamilies:
         before, and the oracle passes every ``heavy_found`` and ``exhausted`` run."""
         fam = st.random_family(d, np.random.default_rng(seed), profile="peaked", config=CONFIG, grid_depth=depth)
         result = st.heavy_cubes(fam, CONFIG, depth)
-        gens = result.trace["generations"]
-        for before, record in zip(gens, gens[1:]):
-            starts = set(before["light"])
-            assert all(set(ancestors(cube)[:-1]) & starts for cube in record["heavy"] + record["light"])
+        assert_nested(result.trace["generations"])
         if result.status in ("heavy_found", "exhausted"):
             assert st.exhaustive_verify(fam, CONFIG, result)["ok"]
+
+    @pytest.mark.parametrize("seed", [26, 48, 53, 59, 83, 86, 99])
+    def test_second_generation_nests_in_d1(self, seed):
+        """Seeds whose d = 1 run reaches a second generation, so the nesting
+        check above has records to compare in d = 1 as well."""
+        config = st.StoppingConfig(N=12, M=1.5)
+        fam = st.random_family(1, np.random.default_rng(seed), profile="peaked", config=config, grid_depth=10)
+        result = st.heavy_cubes(fam, config, 10)
+        assert len(result.trace["generations"]) >= 2
+        assert_nested(result.trace["generations"])
+        assert st.exhaustive_verify(fam, config, result)["ok"]
+
+
+def assert_nested(gens):
+    """Each generation's cubes lie strictly inside a light cube of the one before."""
+    for before, record in zip(gens, gens[1:]):
+        starts = set(before["light"])
+        assert all(set(ancestors(cube)[:-1]) & starts for cube in record["heavy"] + record["light"])
 
 
 class TestRandomFamily:
@@ -468,8 +496,9 @@ class TestStoppingConfig:
         st.StoppingConfig(N=bound * (1 + 1e-9), M=M, gamma=gamma, c=c, A=A, guarantee=True)
         st.StoppingConfig(N=0.5 * bound, M=M, gamma=gamma, c=c, A=A)
 
-    def test_guarantee_run_needs_recommended_A(self):
-        fam = st.BallFamily(np.array([[0.5, 0.5]]), np.array([0.2]), np.array([1.0]))
+    @pytest.mark.parametrize("weight", [1.0, 1000.0])  # 1000 would take the early exit
+    def test_guarantee_run_needs_recommended_A(self, weight):
+        fam = st.BallFamily(np.array([[0.5, 0.5]]), np.array([0.2]), np.array([weight]))
         config = st.StoppingConfig(N=1e6, M=2, A=2.0, guarantee=True)
         assert config.A < st.recommended_A(2, config.gamma)
         with pytest.raises(st.ConfigurationError):
