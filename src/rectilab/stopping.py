@@ -5,9 +5,10 @@ depth, so integrals are finite sums and every claimed inequality is an exact
 finite assertion. The pieces: a family of 2^d one-third-shifted dyadic cube
 systems such that every ball has a containing cube of comparable volume, a
 weight profile transferring ball weights to cubes, the centred
-Hardy-Littlewood maximal function with dyadic radii, and the stopping
-recursion that extracts disjoint cubes carrying a definite fraction of the
-high-level mass at high density.
+Hardy-Littlewood maximal function with dyadic radii (``heavy_cubes`` reads
+only {Mf >= N}, from ``_maximal``, which skips radii that cannot reach N),
+and the stopping recursion that extracts disjoint cubes carrying a definite
+fraction of the high-level mass at high density.
 
 ``heavy_cubes`` renders each ball once, and that one rendering gives f, the
 balls' grid volumes and the per-system functions f_i; it locates each
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy import fft
@@ -254,7 +254,6 @@ def _cube_weights(family: BallFamily, located: list[SystemCube], systems: Adjace
 
 # -- maximal function --------------------------------------------------------
 
-@lru_cache(maxsize=64)
 def _ball_kernel(d: int, depth: int, radius: float):
     h = 2.0**-depth
     reach = int(math.floor(radius / h + 0.5))
@@ -269,14 +268,29 @@ def maximal_function(f: GridFunction) -> GridFunction:
     At each cell centre, the max over radii r in {2^-k : k = 0..depth+1} of
     the average of f over the grid cells within distance r (cells beyond the
     unit cube count as zeros). The smallest radius reproduces the cell value,
-    so the result dominates f pointwise.
+    so the result dominates f pointwise. This is ``_maximal(f, 0.0)``, where
+    the bound sum f / sum K on each average stops no radius.
+    """
+    return _maximal(f, 0.0)
+
+
+def _maximal(f: GridFunction, level: float) -> GridFunction:
+    """``maximal_function(f)`` where that reaches ``level``, and below ``level`` elsewhere.
+
+    With the 0/1 kernel K an average is at most sum f / sum K. The radii run
+    smallest first and stop at the first with sum f < level sum K (1 - 1e-9),
+    a margin far above FFT round-off; sum K grows with r, so no larger radius
+    can reach ``level`` and none of their kernels is built.
     """
     if np.any(f.values < 0):
         raise ValueError("the maximal function is defined for nonnegative grids")
     best = f.values.copy()  # radius 2^-(depth+1): the cell itself
     n = f.values.shape[0]
-    for k in range(0, f.depth + 1):
+    total = f.values.sum()
+    for k in range(f.depth, -1, -1):
         kernel = _ball_kernel(f.d, f.depth, 2.0**-k)
+        if total < level * kernel.sum() * (1 - 1e-9):
+            break
         m = kernel.shape[0]
         # the "same" part of the linear convolution, padded to a fast length
         shape = [fft.next_fast_len(n + m - 1, real=True)] * f.d
@@ -470,7 +484,7 @@ def _generations(systems, balls, located, ball_masses, fi, high, theta, n_workin
         prior_light_high = light_mass
         starts = set(light)
         if config.guarantee and generation >= config.gamma + 1:
-            raise AssertionError(
+            raise ConfigurationError(
                 "guarantee-mode run passed the promised generation bound; "
                 "this indicates an inadmissible family (balls below grid scale)"
             )
@@ -497,7 +511,7 @@ def heavy_cubes(family: BallFamily, config: StoppingConfig, grid_depth: int) -> 
     Outside guarantee mode a run whose hypotheses hold can still end
     ``exhausted``, with no cubes. The working high-level set is
     {f_i >= N / #systems} on the selected system's function; the maximal
-    function version of the hypothesis is evaluated and reported alongside.
+    function version reads only {Mf >= N} and is reported alongside.
     """
     d = family.d
     n, m_target, gamma, c = config.N, config.M, config.gamma, config.c
@@ -518,8 +532,7 @@ def heavy_cubes(family: BallFamily, config: StoppingConfig, grid_depth: int) -> 
     visible = grid_volumes > 0
     ball_masses = family.weights * grid_volumes
 
-    mf = maximal_function(f)
-    hyp_mf_mass = float(f.values[mf.values >= n].sum() * f.cell_volume)
+    hyp_mf_mass = float(f.values[_maximal(f, n).values >= n].sum() * f.cell_volume)
 
     checks: dict = {"hypothesis_mf_mass": hyp_mf_mass, "hypothesis_mf_ok": hyp_mf_mass >= c * n**-gamma}
     trace: dict = {

@@ -1,6 +1,7 @@
 """Grid rendering, adjacent systems, maximal function and the heavy-cube stopping run."""
 
 import dataclasses
+import itertools
 import math
 import subprocess
 import sys
@@ -123,6 +124,73 @@ class TestMaximalFunction:
         values[3, 4] = -1e-9
         with pytest.raises(ValueError):
             st.maximal_function(st.GridFunction(values, 3))
+
+
+def kernel_cells(d, depth, k):
+    """Number of grid offsets within distance 2^-k of a cell centre, counted directly."""
+    reach = int(math.floor(2.0 ** (depth - k) + 0.5))
+    offsets = itertools.product(range(-reach, reach + 1), repeat=d)
+    return sum(sum(x * x for x in cell) <= 4.0 ** (depth - k) for cell in offsets)
+
+
+@hs.composite
+def grids_and_levels(draw):
+    """Small grids in d = 1..3 with levels at the edges of the prune: a level
+    where sum f = level sum K exactly for one radius, max f, a constant grid,
+    and a level drawn between 0 and max f."""
+    d = draw(hs.integers(1, 3))
+    depth = draw(hs.integers(1, {1: 6, 2: 4, 3: 3}[d]))
+    shape = (2**depth,) * d
+    rng = np.random.default_rng(draw(hs.integers(0, 2**32 - 1)))
+    kind = draw(hs.sampled_from(["exact", "max", "constant", "between"]))
+    if kind == "constant":
+        f = np.full(shape, draw(hs.floats(0.0, 10.0)))
+        return st.GridFunction(f, depth), float(f.max())
+    # integer values make sum f and level sum K exact
+    f = (rng.integers(0, 6, shape) * (rng.random(shape) < draw(hs.floats(0.05, 1.0)))).astype(float)
+    if kind == "exact":
+        cells = kernel_cells(d, depth, draw(hs.integers(0, depth)))
+        level = max(1.0, math.ceil(f.sum() / cells))
+        f[tuple(rng.integers(0, 2**depth, d))] += level * cells - f.sum()
+        assert f.sum() == level * cells
+        return st.GridFunction(f, depth), level
+    if kind == "max":
+        return st.GridFunction(f, depth), float(f.max())
+    return st.GridFunction(f, depth), draw(hs.floats(0.0, 1.0)) * float(f.max())
+
+
+class TestPrunedMaximal:
+    @given(grid_level=grids_and_levels())
+    @settings(max_examples=200, deadline=None)
+    def test_level_set_equals_maximal_function(self, grid_level):
+        f, level = grid_level
+        assert np.array_equal(st._maximal(f, level).values >= level, st.maximal_function(f).values >= level)
+
+    @pytest.mark.parametrize("d,depth,level", [(1, 10, 0.0), (1, 10, 3.0), (2, 6, 0.0), (2, 6, 1.5), (3, 4, 20.0)])
+    def test_transforms_only_kept_radii(self, d, depth, level, monkeypatch):
+        """Two forward transforms per kept radius, smallest radius first, and
+        none at or past the first radius whose sum f / sum K is below the level."""
+        fam = sample_family(d, np.random.default_rng(40 + d), 4)
+        f = st.GridFunction.from_balls(fam, depth)
+        kept = []
+        for k in range(depth, -1, -1):
+            cells = kernel_cells(d, depth, k)
+            if f.values.sum() < level * cells * (1 - 1e-9):
+                break
+            kept.append(cells)
+        assert 0 < len(kept) < depth + 1 or level == 0.0
+        calls = []
+        rfftn = st.fft.rfftn
+
+        def counted(x, *args, **kwargs):
+            calls.append(x)
+            return rfftn(x, *args, **kwargs)
+
+        monkeypatch.setattr(st.fft, "rfftn", counted)
+        st._maximal(f, level)
+        assert len(calls) == 2 * len(kept)
+        assert all(x is f.values for x in calls[::2])
+        assert [int(x.sum()) for x in calls[1::2]] == kept
 
 
 def test_import_leaves_out_scipy_signal_and_stats():
@@ -333,6 +401,44 @@ class TestGenerations:
         assert result.status == "heavy_found"
         assert result.trace["generations"][0]["heavy"] == []
         assert st.exhaustive_verify(fam, CONFIG, result)["ok"]
+
+    @pytest.mark.parametrize("guarantee", [False, True])
+    def test_guarantee_mode_past_gamma_plus_one_generations(self, guarantee):
+        """Hand-built inputs that reach a second generation without heavy mass:
+        guarantee mode names the broken promise with ``ConfigurationError``."""
+        systems = st.AdjacentSystems(1)
+        balls = st.BallFamily(np.array([[0.5], [0.5]]), np.array([0.2, 0.01]), np.array([5.0, 3.0]))
+        located = [st.SystemCube(0, 0, (0,)), st.SystemCube(0, 3, (3,))]
+        fi = st.GridFunction(np.zeros(16), 4)
+        config = st.StoppingConfig(N=2.0, M=1.0, guarantee=guarantee)
+        args = (systems, balls, located, np.zeros(2), fi, fi.values > 0, 1.0, 8.0, config)
+        if guarantee:
+            with pytest.raises(st.ConfigurationError, match="promised generation bound"):
+                st._generations(*args)
+        else:
+            heavy, records, _ = st._generations(*args)
+            assert heavy is None and [r["threshold"] for r in records] == [4, 2]
+
+
+class TestGuaranteeMode:
+    @pytest.mark.parametrize("d,depth,c", [(1, 14, 1000.0), (2, 10, 1e4)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_hot_ball_is_found(self, d, depth, c, seed):
+        """One ball of weight just above N / 2^d and true mass 0.6 M, with
+        N = 1.05 times the guarantee bound: the run finds heavy cubes within
+        gamma + 1 generations and passes the oracle."""
+        gamma, m = 1, 1.0
+        a = st.recommended_A(d, gamma)
+        n = 1.05 * a ** ((gamma + 1) ** 2) * m ** (gamma + 2) / c
+        config = st.StoppingConfig(N=n, M=m, gamma=gamma, c=c, A=a, guarantee=True)
+        weight = 1.01 * n / 2**d
+        radius = (0.6 * m / (weight * st.unit_ball_volume(d))) ** (1.0 / d)
+        center = np.random.default_rng(seed).uniform(radius, 1.0 - radius, size=d)
+        fam = st.BallFamily(center[None, :], np.array([radius]), np.array([weight]))
+        result = st.heavy_cubes(fam, config, depth)
+        assert result.status == "heavy_found"
+        assert len(result.trace["generations"]) <= gamma + 1
+        assert st.exhaustive_verify(fam, config, result)["ok"]
 
 
 class TestExhaustiveVerify:
