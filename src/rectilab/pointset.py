@@ -383,7 +383,7 @@ def pbp_margin(
     n = cloud.n
     idx = cloud.ball_indices(ball)
     pts = cloud.points[idx]
-    if len(idx) <= n:
+    if len(idx) <= n or not cloud.weights[idx].any():
         candidates = [Subspace.axis(cloud.d, *range(n))]
     else:
         candidates = [Subspace(_pca_frame(pts, cloud.weights[idx], n)[0])]

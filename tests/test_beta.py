@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rectilab import beta as bt
 from rectilab import cubes as cb
@@ -20,6 +21,15 @@ def two_segments(h: float, res: float = 5e-3) -> ps.RegularCloud:
 def random_cloud(rng, count=40):
     pts = rng.uniform(0.0, 1.0, size=(count, 2))
     return ps.RegularCloud(pts, np.full(count, 0.02), 1, 0.02, density_constant=2.0, validate=False)
+
+
+def zero_weight_cloud() -> ps.RegularCloud:
+    """Four zero-weight points near (0.25, 0.12) and one weighted point far away."""
+    pts = np.array([[0.1, 0.1], [0.2, 0.15], [0.3, 0.1], [0.4, 0.2], [0.9, 0.9]])
+    return ps.RegularCloud(pts, np.array([0.0, 0.0, 0.0, 0.0, 0.1]), 1, 0.05)
+
+
+ZERO_WEIGHT_BALL = ps.Ball(np.array([0.25, 0.12]), 0.2)
 
 
 class TestBeta1:
@@ -50,6 +60,13 @@ class TestBeta1:
     def test_empty_ball_raises(self):
         with pytest.raises(ValueError):
             bt.beta1(ps.segment(1e-2), ps.Ball(np.array([9.0, 9.0]), 0.1))
+
+    @pytest.mark.parametrize("fn", [bt.beta1, bt.beta_inf])
+    @pytest.mark.parametrize("method", bt.METHODS)
+    def test_zero_weight_ball_raises_for_every_method(self, fn, method):
+        # zero-weight points lie outside the measure's support, like points outside the ball
+        with pytest.raises(ValueError, match="only zero-weight points"):
+            fn(zero_weight_cloud(), ZERO_WEIGHT_BALL, method)
 
     def test_degenerate_flag(self):
         cloud = ps.four_corners(2)
@@ -94,6 +111,12 @@ class TestBetaLattice:
         for key, res in betas.items():
             tol = 2.0 * lat.cloud.resolution / 2.0 ** -key[0]
             assert res.value <= tol
+
+    def test_zero_weight_cube_raises(self):
+        lat = cb.CubeLattice(zero_weight_cloud(), 0, 3)
+        for which in ("beta1", "beta_inf"):
+            with pytest.raises(ValueError, match="only zero-weight points"):
+                bt.beta_lattice(lat, which)
 
     def test_four_corners_flagged_levels(self):
         lat = cb.CubeLattice(ps.four_corners(4), 0, 4)
@@ -239,3 +262,98 @@ class TestMethodAndSymmetryInvariants:
         bt.export_betas(betas, out)
         lines = out.read_text().strip().splitlines()
         assert len(lines) == len(betas) + 1
+
+
+def _direct_planar_value(pts, w, r, sup, theta):
+    """One angle the unbatched way: a matmul projection, then a sorted weighted median."""
+    s = pts @ np.array([-math.sin(theta), math.cos(theta)])
+    if sup:
+        c = 0.5 * (s.min() + s.max())
+        return float(np.abs(s - c).max() / r), c
+    order = np.argsort(s)
+    cum = np.cumsum(w[order])
+    c = float(s[order[np.searchsorted(cum, 0.5 * cum[-1])]])
+    return float(np.sum(w * np.abs(s - c)) / r**2), c
+
+
+class TestPlanarValues:
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=3, max_value=200),
+        st.integers(min_value=1, max_value=70),
+        st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_batched_rows_are_one_objective(self, seed, m, k, sup):
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(-1.0, 1.0, (m, 2))
+        w = rng.uniform(0.0, 1.0, m) * (rng.uniform(size=m) < 0.8)  # about a fifth weigh 0
+        w[rng.integers(m)] = rng.uniform(0.1, 1.0)
+        r = float(rng.uniform(0.1, 2.0))
+        thetas = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, k)
+        vals, offsets = bt._planar_values(pts, w, r, sup, thetas)
+        assert vals.shape == offsets.shape == (k,)
+        scale = float(np.abs(pts).max())
+        for i, theta in enumerate(thetas):
+            one_val, one_offset = bt._planar_values(pts, w, r, sup, thetas[i : i + 1])
+            assert one_val.tobytes() == vals[i : i + 1].tobytes()
+            assert one_offset.tobytes() == offsets[i : i + 1].tobytes()
+            ref_val, ref_offset = _direct_planar_value(pts, w, r, sup, theta)
+            assert vals[i] == pytest.approx(ref_val, rel=1e-12)
+            assert abs(offsets[i] - ref_offset) <= 1e-12 * scale
+
+
+def _pinned_clouds():
+    curve = ps.lipschitz_graph_cloud(
+        lambda t: [0.25 * np.sin(2.0 * np.pi * t[0])], Subspace.axis(2, 0), 2.0, 2.0**-8
+    )
+    surface = ps.lipschitz_graph_cloud(
+        lambda t: [0.2 * np.sin(2.0 * np.pi * t[0]) * np.cos(2.0 * np.pi * t[1])],
+        Subspace.axis(3, 0, 1),
+        2.0,
+        2.0**-4,
+    )
+    space_curve = ps.lipschitz_graph_cloud(
+        lambda t: [0.2 * np.sin(4.0 * t[0]), 0.1 * np.cos(3.0 * t[0])], Subspace.axis(3, 0), 1.5, 2.0**-6
+    )
+    return {"curve": curve, "surface": surface, "space_curve": space_curve}
+
+
+# pca_refined (beta1, beta_inf) of each ball, as computed by scoring every start
+# angle and every Brent step with its own matmul projection (planar path) and by
+# projecting on freshly turned normals (coordinate descent)
+PINNED = {
+    "curve": [
+        ((0.1, 0.25 * math.sin(0.2 * math.pi)), 0.05, 0.017471815570772445, 0.015698819684802252),
+        ((0.3, 0.2), 0.1, 0.17427918514692922, 0.15992750606978912),
+        ((0.55, -0.05), 0.2, 0.023921197891005726, 0.03016825297519038),
+        ((0.8, -0.2), 0.4, 0.34744108480884495, 0.3300584375400499),
+    ],
+    "surface": [
+        ((0.25, 0.25, 0.0), 0.2, 0.12243863746957606, 0.08734156699988828),
+        ((0.5, 0.5, 0.0), 0.3, 0.32413830102487207, 0.21675698790852876),
+        ((0.7, 0.3, 0.05), 0.45, 0.4462432962657592, 0.423501208672418),
+    ],
+    "space_curve": [
+        ((0.2, 0.14, 0.08), 0.15, 0.06641794382404771, 0.058870922217910536),
+        ((0.5, 0.18, 0.0), 0.3, 0.1591547539310989, 0.14769445622292054),
+        ((0.8, 0.0, -0.07), 0.5, 0.04360811664306152, 0.06126698379369421),
+    ],
+}
+
+
+class TestPinnedRefinedValues:
+    @pytest.fixture(scope="class")
+    def clouds(self):
+        return _pinned_clouds()
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_within_stated_tolerance_and_below_pca(self, clouds, name):
+        cloud = clouds[name]
+        for center, radius, b1, binf in PINNED[name]:
+            ball = ps.Ball(np.array(center), radius)
+            for fn, pinned in ((bt.beta1, b1), (bt.beta_inf, binf)):
+                refined = fn(cloud, ball, "pca_refined")
+                assert not refined.degenerate
+                assert refined.value == pytest.approx(pinned, rel=1e-4)
+                assert refined.value <= fn(cloud, ball, "pca").value + 1e-12

@@ -257,7 +257,7 @@ def pbp_reference(cloud, ball, delta, n_directions, rng, n_candidates=8, g=None)
     g = cloud.resolution if g is None else g
     n = cloud.n
     idx = _brute_ball(cloud.points, ball)
-    if len(idx) <= n:
+    if len(idx) <= n or not cloud.weights[idx].any():
         v0 = Subspace.axis(cloud.d, *range(n))
     else:
         v0 = Subspace(ps._pca_frame(cloud.points[idx], cloud.weights[idx], n)[0])
@@ -288,6 +288,17 @@ class TestPBPMarginReference:
         ),
         # at most n points in the ball: the axis plane is the first candidate
         "tiny_ball": lambda: (ps.four_corners(3), ps.Ball(np.array([1.0 / 128, 1.0 / 128]), 1e-3), None),
+        # only zero-weight points in the ball: no PCA plane, so the axis plane again
+        "zero_weight": lambda: (
+            ps.RegularCloud(
+                np.array([[0.1, 0.1], [0.2, 0.15], [0.3, 0.1], [0.4, 0.2], [0.9, 0.9]]),
+                np.array([0.0, 0.0, 0.0, 0.0, 0.1]),
+                1,
+                0.05,
+            ),
+            ps.Ball(np.array([0.25, 0.12]), 0.2),
+            None,
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -304,6 +315,14 @@ class TestPBPMarginReference:
         assert len(cloud.ball_indices(ball)) <= cloud.n
         v0, _ = ps.pbp_margin(cloud, ball, 0.2, 16, np.random.default_rng(3))
         assert np.array_equal(v0.basis, Subspace.axis(2, 0).basis)
+
+    def test_zero_weight_ball_takes_axis_candidate(self):
+        cloud, ball, _ = self.CASES["zero_weight"]()
+        idx = cloud.ball_indices(ball)
+        assert len(idx) > cloud.n and not cloud.weights[idx].any()
+        v0, margin = ps.pbp_margin(cloud, ball, 0.2, 16, np.random.default_rng(3), n_candidates=1)
+        assert np.array_equal(v0.basis, Subspace.axis(2, 0).basis)
+        assert math.isfinite(margin)
 
     def test_selects_the_ball_once(self, monkeypatch):
         cloud, ball, _ = self.CASES["four_corners"]()
