@@ -2,12 +2,15 @@
 
 The L1 coefficient of a ball is the weighted mean distance to the best
 n-plane, normalized by r^{n+1}; the sup variant replaces the mean by a max.
-The infimum over planes is approximated by a declared plane family: a
-weighted PCA fit (``pca``), coordinate descent from the PCA fit
-(``pca_refined``), or an exhaustive angle/offset grid (``grid_oracle``,
-planar clouds only). Every result carries its method tag. ``pca_refined``
-scores its 65 start angles in one array pass and reuses each rotation's
-projections; its values stay within 1e-4 relative of one-at-a-time evaluation.
+Zero-weight points lie outside the measure's support and are left out. The
+infimum over planes is approximated by a declared plane family: a weighted
+PCA fit (``pca``), descent from the PCA fit (``pca_refined``), or an
+exhaustive angle/offset grid (``grid_oracle``, planar clouds only). Every
+result carries its method tag. ``pca_refined`` scores its 65 planar start
+angles in one array pass. For the L1 coefficient it minimises each turn
+exactly with one sort (``_sweep``: a line about a data point, a hyperplane
+about its anchor); Brent's bounded method serves only the sup coefficient and
+codimension >= 2, within 1e-4 relative of one-at-a-time evaluation.
 """
 
 from __future__ import annotations
@@ -87,13 +90,45 @@ def _planar_values(pts, w, r, sup, thetas):
     return s.sum(axis=1) / r**2, c
 
 
+def _sweep(a, b, w):
+    """Exact minimiser t in [0, pi] of sum_i w_i |a_i cos t - b_i sin t| along the last axis, and
+    the minimum. Between the zeros of its terms the sum is a nonnegative sinusoid, so concave, and
+    the minimum sits at a zero: score each with running sums of w·a and w·b in sorted order."""
+    zeros = np.arctan2(a, b)
+    sw = np.where(zeros < 0, -w, w)  # flip the terms whose zero atan2 puts in (-pi, 0)
+    zeros[zeros < 0] += np.pi
+    base = zeros.shape[-1] * np.arange(zeros.size // zeros.shape[-1]).reshape(zeros.shape[:-1])
+    order = zeros.argsort(axis=-1) + base[..., None]  # flat indices, one take per array
+    zeros, ca, cb = zeros.take(order), (sw * a).take(order).cumsum(-1), (sw * b).take(order).cumsum(-1)
+    vals = np.cos(zeros) * (ca[..., -1:] - 2.0 * ca) - np.sin(zeros) * (cb[..., -1:] - 2.0 * cb)
+    k = vals.argmin(axis=-1) + base
+    return zeros.take(k), np.maximum(vals.take(k), 0.0)  # the running sums can round below 0
+
+
+def _best_angle(pts, w, r, sup, thetas):
+    """The angle of ``thetas`` with the lowest planar objective: (angle, value, offset)."""
+    vals, c = _planar_values(pts, w, r, sup, thetas)
+    k = int(np.argmin(vals))
+    return float(thetas[k]), float(vals[k]), float(c[k])
+
+
 def _planar_refine(pts, w, r, sup, theta0):
-    """Best angle by a 65-angle grid, scored in one ``_planar_values`` call, then bounded
-    refinement one angle at a time; within 1e-4 relative of per-angle matmul scoring."""
+    """Best of 65 start angles around theta0, then for beta1 exact turns (``_sweep``) about the
+    weighted-median point and its two neighbours along the normal while the value strictly
+    falls (an optimal L1 line passes through a weighted median); for beta_inf, Brent steps."""
     thetas = np.r_[theta0, theta0 + np.linspace(-np.pi / 2, np.pi / 2, 64, endpoint=False)]
-    vals = _planar_values(pts, w, r, sup, thetas)[0]
-    best = int(np.argmin(vals))
-    theta, best_val = float(thetas[best]), float(vals[best])
+    theta, best_val, c = _best_angle(pts, w, r, sup, thetas)
+    if not sup:
+        for _ in range(REFINE_ITERATIONS):
+            order = np.argsort(pts @ np.array([-math.sin(theta), math.cos(theta)]))
+            cum = np.cumsum(w[order])
+            k = int((cum < 0.5 * cum[-1]).sum())
+            rel = pts - pts[order[max(k - 1, 0) : k + 2], None]
+            t, val, off = _best_angle(pts, w, r, sup, _sweep(rel[..., 1], rel[..., 0], w)[0])
+            if val >= best_val:
+                break
+            theta, best_val, c = t, val, off
+        return best_val, theta, c
     span = math.pi / 64
     for _ in range(REFINE_ITERATIONS):
         res = minimize_scalar(
@@ -119,8 +154,8 @@ def _turned_value(t, q, j, pm, pu, w, r, n, sup):
 
 def _general_refine(pts, w, r, n, sup, frame, normals, point):
     """Coordinate descent from the PCA fit (frame, normals, point) over frame
-    rotations and offsets, monotone steps. Each (i, j) rotation projects once and
-    rewrites only column j; values stay within 1e-4 relative of fresh projections."""
+    rotations and offsets, monotone steps. Each (i, j) rotation projects once; beta1 in
+    codimension 1 turns exactly (``_sweep``), otherwise Brent rewrites only column j."""
     d = pts.shape[1]
     best = _plane_value(pts, w, normals, point, r, n, sup)
     for _ in range(REFINE_ITERATIONS):
@@ -129,15 +164,19 @@ def _general_refine(pts, w, r, n, sup, frame, normals, point):
         for i in range(n):
             for j in range(d - n):
                 u, m = frame[:, i], normals[:, j]
-                q = rel @ normals
-                args = (q, j, q[:, j].copy(), rel @ u, w, r, n, sup)
-                res = minimize_scalar(_turned_value, bounds=(-0.6, 0.6), args=args, method="bounded")
-                if res.fun < best - 1e-12:
-                    t = float(res.x)
+                q, pu = rel @ normals, rel @ u
+                if sup or d - n > 1:
+                    args = (q, j, q[:, j].copy(), pu, w, r, n, sup)
+                    res = minimize_scalar(_turned_value, bounds=(-0.6, 0.6), args=args, method="bounded")
+                    t, val = float(res.x), float(res.fun)
+                else:
+                    t, val = map(float, _sweep(q[:, 0], pu, w))
+                    val /= r ** (n + 1)
+                if val < best - 1e-12:
                     frame, normals = frame.copy(), normals.copy()
                     frame[:, i] = math.cos(t) * u + math.sin(t) * m
                     normals[:, j] = -math.sin(t) * u + math.cos(t) * m
-                    best = float(res.fun)
+                    best = val
         proj = rel @ normals
         shift = np.array([_best_offset(proj[:, j], w, sup) for j in range(d - n)])
         candidate = point + normals @ shift
@@ -170,11 +209,12 @@ def _compute(cloud: RegularCloud, ball: Ball, method: str, sup: bool) -> BetaRes
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     idx = cloud.ball_indices(ball)
-    pts, w = cloud.points[idx], cloud.weights[idx]
-    if len(pts) == 0:
+    if len(idx) == 0:
         raise ValueError("the ball does not meet the cloud")
-    if not w.any():
+    idx = idx[cloud.weights[idx] > 0]
+    if len(idx) == 0:
         raise ValueError("the ball holds only zero-weight points, outside the measure's support")
+    pts, w = cloud.points[idx], cloud.weights[idx]
     n, r = cloud.n, ball.radius
     if len(pts) < n + 2:
         frame = Subspace.axis(cloud.d, *range(n))
