@@ -10,7 +10,9 @@ result carries its method tag. ``pca_refined`` scores its 65 planar start
 angles in one array pass. For the L1 coefficient it minimises each turn
 exactly with one sort (``_sweep``: a line about a data point, a hyperplane
 about its anchor); Brent's bounded method serves only the sup coefficient and
-codimension >= 2, within 1e-4 relative of one-at-a-time evaluation.
+codimension >= 2, within 1e-4 relative of one-at-a-time evaluation. Fields
+are computed one lattice level at a time: its balls are selected in batches,
+each batch is fitted by one batched PCA, and pca values are segment sums.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from scipy.optimize import minimize_scalar
 
 from .cubes import CubeKey, CubeLattice, _as_key
 from .grassmann import AffinePlane, Subspace
-from .pointset import Ball, RegularCloud, _pca_frame
+from .pointset import Ball, RegularCloud, _ball_batches, _pca_frames
 
 METHODS = ("pca", "pca_refined", "grid_oracle")
 REFINE_ITERATIONS = 50
@@ -205,59 +207,76 @@ def _grid_oracle(pts, w, ball: Ball, sup: bool) -> BetaResult:
     return BetaResult(best[0], _plane_from_angle(best[1], best[2]), "grid_oracle")
 
 
-def _compute(cloud: RegularCloud, ball: Ball, method: str, sup: bool) -> BetaResult:
+def _fit(
+    cloud: RegularCloud, centers: np.ndarray, radii: np.ndarray, method: str, sup: bool
+) -> list[BetaResult]:
+    """Coefficients of the balls B(centers[b], radii[b]), selected in batches; a batch's pca fits
+    come from one ``_pca_frames`` call and its pca values from segment sums (sup: maxima)."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    idx = cloud.ball_indices(ball)
-    if len(idx) == 0:
-        raise ValueError("the ball does not meet the cloud")
-    idx = idx[cloud.weights[idx] > 0]
-    if len(idx) == 0:
-        raise ValueError("the ball holds only zero-weight points, outside the measure's support")
-    pts, w = cloud.points[idx], cloud.weights[idx]
-    n, r = cloud.n, ball.radius
-    if len(pts) < n + 2:
-        frame = Subspace.axis(cloud.d, *range(n))
-        return BetaResult(0.0, AffinePlane(frame, pts[0]), method, degenerate=True)
-
-    if method == "grid_oracle":
-        if cloud.d != 2 or n != 1:
-            raise ValueError("grid_oracle is only available for planar clouds with n=1")
-        return _grid_oracle(pts, w, ball, sup)
-
-    frame, normals, mean = _pca_frame(pts, w, n)
-    if method == "pca":
-        value = _plane_value(pts, w, normals, mean, r, n, sup)
-        return BetaResult(value, AffinePlane(Subspace(frame), mean), "pca")
-
-    if cloud.d == 2 and n == 1:
-        theta0 = math.atan2(frame[1, 0], frame[0, 0])
-        val, theta, c = _planar_refine(pts, w, r, sup, theta0)
-        return BetaResult(val, _plane_from_angle(theta, c), "pca_refined")
-    val, fr, pt = _general_refine(pts, w, r, n, sup, frame, normals, mean)
-    return BetaResult(val, AffinePlane(Subspace(fr), pt), "pca_refined")
+    n, d = cloud.n, cloud.d
+    out = []
+    for lo, indptr, idx in _ball_batches(cloud, centers, radii):
+        r, live = radii[lo : lo + len(indptr) - 1], cloud.weights[idx] > 0
+        seg, idx = np.repeat(np.arange(len(r)), np.diff(indptr))[live], idx[live]
+        counts = np.bincount(seg, minlength=len(r))
+        if not counts.all():
+            b = int(np.argmin(counts))  # the first ball left without live points
+            if indptr[b] == indptr[b + 1]:
+                raise ValueError("the ball does not meet the cloud")
+            raise ValueError("the ball holds only zero-weight points, outside the measure's support")
+        full = counts >= n + 2
+        if method != "grid_oracle" and full.any():
+            fit, fptr = idx[full[seg]], np.r_[0, np.cumsum(counts[full])]
+            pts, w = cloud.points.take(fit, axis=0), cloud.weights.take(fit)
+            frames, normals, means, dist = _pca_frames(pts, w, fptr, n)
+            if sup:
+                values = np.maximum.reduceat(dist, fptr[:-1]) / r[full]
+            else:
+                values = np.add.reduceat(w * dist, fptr[:-1]) / r[full] ** (n + 1)
+        balls = zip(np.cumsum(full) - 1, np.split(idx, np.cumsum(counts)[:-1]))
+        for b, (k, sel) in enumerate(balls):
+            if method == "pca" and full[b]:
+                out.append(BetaResult(float(values[k]), AffinePlane(Subspace(frames[k]), means[k]), "pca"))
+                continue
+            pts, w = cloud.points[sel], cloud.weights[sel]
+            if not full[b]:
+                plane = AffinePlane(Subspace.axis(d, *range(n)), pts[0])
+                out.append(BetaResult(0.0, plane, method, degenerate=True))
+            elif method == "grid_oracle":
+                if d != 2 or n != 1:
+                    raise ValueError("grid_oracle is only available for planar clouds with n=1")
+                out.append(_grid_oracle(pts, w, Ball(centers[lo + b], r[b]), sup))
+            elif d == 2 and n == 1:
+                theta0 = math.atan2(frames[k][1, 0], frames[k][0, 0])
+                val, theta, c = _planar_refine(pts, w, r[b], sup, theta0)
+                out.append(BetaResult(val, _plane_from_angle(theta, c), "pca_refined"))
+            else:
+                val, fr, pt = _general_refine(pts, w, r[b], n, sup, frames[k], normals[k], means[k])
+                out.append(BetaResult(val, AffinePlane(Subspace(fr), pt), "pca_refined"))
+    return out
 
 
 def beta1(cloud: RegularCloud, ball: Ball, method: str = "pca_refined") -> BetaResult:
     """Mean-distance plane coefficient of the cloud inside the ball."""
-    return _compute(cloud, ball, method, sup=False)
+    return _fit(cloud, ball.center[None], np.array([ball.radius]), method, sup=False)[0]
 
 
 def beta_inf(cloud: RegularCloud, ball: Ball, method: str = "pca_refined") -> BetaResult:
     """Sup-distance plane coefficient of the cloud inside the ball."""
-    return _compute(cloud, ball, method, sup=True)
+    return _fit(cloud, ball.center[None], np.array([ball.radius]), method, sup=True)[0]
 
 
 def beta_lattice(
     lattice: CubeLattice, which: str = "beta1", method: str = "pca_refined"
 ) -> dict[CubeKey, BetaResult]:
-    """Coefficient of the ball B_Q for every cube of the lattice, keyed by cube."""
+    """Coefficient of the ball B_Q for every cube of the lattice, keyed by cube; one level at a time."""
     if which not in ("beta1", "beta_inf"):
         raise ValueError("which must be 'beta1' or 'beta_inf'")
-    fn = beta1 if which == "beta1" else beta_inf
     out: dict[CubeKey, BetaResult] = {}
-    for cube in lattice.all_cubes():
-        out[cube.key] = fn(lattice.cloud, lattice.ball(cube), method)
+    for j in range(lattice.j_min, lattice.j_max + 1):
+        fits = _fit(lattice.cloud, *lattice.level_balls(j), method, which == "beta_inf")
+        out.update(((j, cell), res) for cell, res in zip(lattice.cubes[j], fits))
     return out
 
 

@@ -5,7 +5,9 @@ cube centres snap to cloud points and every cube carries the ball
 B_Q = B(c_Q, C * side) with C = 3 * sqrt(d), which makes the balls nested
 along parent links. Cubes are identified by (level, cell index) keys, and
 flags are mappings from those keys to bools. Functions that take a root
-cube accept a ``Cube`` or its key.
+cube accept a ``Cube`` or its key. The David scan reads each cube's nearest
+non-member from its level's batched selection of the balls B_Q, and looks
+further by k-nearest neighbours only for a cube whose B_Q holds none.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .pointset import Ball, RegularCloud
+from .pointset import Ball, RegularCloud, _ball_batches, _row_norms
 
 CubeKey = tuple[int, tuple[int, ...]]
 Flags = Mapping[CubeKey, bool]
@@ -123,6 +125,11 @@ class CubeLattice:
     def ball(self, cube: Cube, factor: float = 1.0) -> Ball:
         return Ball(cube.center, factor * self.ball_constant * cube.side)
 
+    def level_balls(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """Centres and radii of the balls B_Q of level j, in ``cubes[j]`` order."""
+        level = self.cubes[j].values()
+        return np.array([cube.center for cube in level]), np.full(len(level), self.ball_constant * 2.0**-j)
+
     def descendants(self, key: CubeKey) -> list[CubeKey]:
         """Keys of all cubes contained in ``key`` (including itself), BFS order."""
         out = [key]
@@ -175,26 +182,33 @@ def diagnose_david_properties(lattice: CubeLattice) -> DavidReport:
     Reports the largest c such that B(c_Q, c * side) ∩ cloud ⊂ Q for every
     cube, the range of weight / side^n over cubes, and the cubes whose
     density sits outside a factor 100 of the median (diagnostic only, never
-    an error).
+    an error). Zero-weight points lie outside the measure's support and are
+    left out, as in ``beta``.
     """
     cloud = lattice.cloud
+    live = cloud.weights > 0
     inner = math.inf
     cubes = list(lattice.all_cubes())
     densities = np.array([cube.weight / cube.side**cloud.n for cube in cubes])
-    member = np.zeros(len(cloud.points), dtype=bool)
-    for cube in cubes:
-        if len(cube.members) == len(cloud.points):
-            continue
-        # the len(members)+1 nearest points hold a non-member; the ball through
-        # the first one found holds every non-member as near, up to rounding
-        member[cube.members] = True
-        dist, idx = cloud.tree.query(cube.center, k=len(cube.members) + 1)
-        first = dist[~member[idx]][0]
-        near = cloud.ball_indices(Ball(cube.center, first * (1.0 + 1e-12)))
-        outside = near[~member[near]]
-        member[cube.members] = False
-        nearest = np.linalg.norm(cloud.points[outside] - cube.center, axis=1).min()
-        inner = min(inner, float(nearest) / cube.side)
+    label = np.empty(len(cloud.points), dtype=np.intp)
+    for j in range(lattice.j_min, lattice.j_max + 1):
+        for b, cube in enumerate(lattice.cubes[j].values()):
+            label[cube.members] = b
+        centers, radii = lattice.level_balls(j)
+        for lo, indptr, idx in _ball_batches(cloud, centers, radii):
+            seg = lo + np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+            dist = _row_norms(cloud.points.take(idx, axis=0) - centers.take(seg, axis=0))
+            dist[~live[idx] | (label[idx] == seg)] = math.inf  # members and zero-weight points
+            nearest = np.minimum.reduceat(dist, indptr[:-1])
+            for b in np.flatnonzero(nearest == math.inf) + lo:
+                # B_Q holds no live non-member: the skip.sum()+1 nearest points hold one if any
+                # exists, and the ball through the first found holds all as near, up to rounding
+                skip = ~live | (label == b)
+                if not skip.all():
+                    knn, near = cloud.tree.query(centers[b], k=int(skip.sum()) + 1)
+                    near = cloud.ball_indices(Ball(centers[b], knn[~skip[near]][0] * (1.0 + 1e-12)))
+                    nearest[b - lo] = _row_norms(cloud.points[near[~skip[near]]] - centers[b]).min()
+            inner = min(inner, float((nearest / 2.0**-j).min()))
     med = float(np.median(densities))
     flagged = [
         cube.key

@@ -6,17 +6,22 @@ deterministic; every measure-like query (projection measure, ball mass,
 regularity constant) is a grid or ball count at a declared scale, so all
 statements about clouds are scale-indexed and reproducible.
 
-Ball queries go through ``RegularCloud.ball_indices`` and one lazily built
-k-d tree per cloud, so a cloud must not be mutated in place; ``dilated``,
-``rotated`` and ``dataclasses.replace`` make new clouds with fresh trees.
-Per-ball routines select a ball's points once per call: ``pbp_margin``
-selects once, fits its PCA candidate once and counts every sampled
-direction's shadow on that selection, with ``projection_measure`` as the
-per-call reference for one shadow.
+Ball queries go through ``RegularCloud.balls_indices`` (many balls, one
+query of one lazily built k-d tree per cloud, then the exact ``Ball.contains``
+test; ``ball_indices`` is its one-ball call), so a cloud must not be mutated
+in place; ``dilated``, ``rotated`` and ``dataclasses.replace`` make new clouds
+with fresh trees. Scans over many balls select them in runs of about
+BALL_CHUNK (ball, point) pairs, and ``_pca_frames`` fits every ball of a run
+at once. Per-ball routines select a ball's points once per call:
+``pbp_margin`` selects once, fits its PCA candidate once and counts every
+sampled direction's shadow on that selection, with ``projection_measure``
+as the per-call reference for one shadow.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -27,6 +32,9 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .grassmann import GrassmannBall, Subspace, sample_haar, sample_in_ball
+
+# (ball, point) pairs that ``_ball_batches`` selects at once; bounds the memory of a batched scan
+BALL_CHUNK = 4096
 
 
 class LipschitzViolationError(ValueError):
@@ -54,7 +62,7 @@ class Ball:
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.linalg.norm(pts - self.center, axis=1) <= self.radius
+        return _row_norms(pts - self.center) <= self.radius
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,18 +120,25 @@ class RegularCloud:
 
     @cached_property
     def tree(self) -> cKDTree:
-        """The cloud's k-d tree; ask it for balls only through ``ball_indices``."""
+        """The cloud's k-d tree; ask it for balls only through ``balls_indices``."""
         return cKDTree(self.points)
 
-    def ball_indices(self, ball: Ball) -> np.ndarray:
-        """Ascending indices of the points that ``Ball.contains`` accepts.
+    def balls_indices(self, centers: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """CSR pair list (indptr, idx) of the balls B(centers[b], radii[b]): ball b holds the
+        ascending indices idx[indptr[b]:indptr[b + 1]] that ``Ball.contains`` accepts. One tree
+        query asks for radii padded by a relative 1e-12; the exact test then filters its answer."""
+        centers, radii = np.atleast_2d(centers), np.asarray(radii, dtype=float)
+        near = self.tree.query_ball_point(centers, radii * (1.0 + 1e-12), return_sorted=False)
+        counts = np.fromiter(map(len, near), np.intp, len(near))
+        seg = np.repeat(np.arange(len(near)), counts)
+        offset = seg * len(self.points)  # sorted ball-major keys hold each ball's indices ascending
+        idx = np.sort(np.fromiter(itertools.chain.from_iterable(near), np.intp, len(seg)) + offset) - offset
+        keep = _row_norms(self.points.take(idx, axis=0) - centers.take(seg, axis=0)) <= radii.take(seg)
+        return np.r_[0, np.cumsum(np.bincount(seg[keep], minlength=len(near)))], idx[keep]
 
-        The tree is asked for a radius padded by a relative 1e-12; the exact
-        test then filters its answer.
-        """
-        near = self.tree.query_ball_point(ball.center, ball.radius * (1.0 + 1e-12), return_sorted=True)
-        near = np.asarray(near, dtype=np.intp)
-        return near[ball.contains(self.points[near])]
+    def ball_indices(self, ball: Ball) -> np.ndarray:
+        """Ascending indices of the points that ``Ball.contains`` accepts."""
+        return self.balls_indices(ball.center, [ball.radius])[1]
 
     @property
     def d(self) -> int:
@@ -293,6 +308,21 @@ def lipschitz_graph_cloud(f, v: Subspace, lipschitz_bound: float, resolution: fl
     )
 
 
+def _row_norms(diff: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows, their squares summed column by column (np.linalg.norm sums
+    rows of under 8 entries in the same order, so it agrees there bit for bit, and is slower)."""
+    return np.sqrt(functools.reduce(np.add, (diff * diff).T))
+
+
+def _ball_batches(cloud: RegularCloud, centers: np.ndarray, radii: np.ndarray):
+    """``balls_indices`` over runs of consecutive balls of about BALL_CHUNK pairs each, planned
+    by a count-only tree query; yields (first ball of the run, indptr, idx)."""
+    cum = np.cumsum(cloud.tree.query_ball_point(centers, radii * (1.0 + 1e-12), return_length=True))
+    cuts = np.searchsorted(cum, np.arange(BALL_CHUNK, cum[-1], BALL_CHUNK)) + 1
+    for lo, hi in itertools.pairwise(np.unique(np.r_[0, cuts, len(cum)])):
+        yield lo, *cloud.balls_indices(centers[lo:hi], radii[lo:hi])
+
+
 def estimate_regularity(cloud: RegularCloud, trials: int, rng: np.random.Generator) -> RegularityReport:
     """Randomised scan for the n-regularity constant of a cloud.
 
@@ -308,15 +338,15 @@ def estimate_regularity(cloud: RegularCloud, trials: int, rng: np.random.Generat
     prob = cloud.weights / cloud.total_weight
     idx = rng.choice(len(cloud.points), size=trials, p=prob)
     radii = np.exp(rng.uniform(math.log(r_lo), math.log(r_hi), size=trials))
-    worst, worst_ball = 1.0, Ball(cloud.points[idx[0]], radii[0])
-    for i, r in zip(idx, radii):
-        center = cloud.points[i]
-        # radii are random, so no point lies on a sphere and the tree's test suffices
-        mass = float(cloud.weights[cloud.tree.query_ball_point(center, r)].sum())
-        ratio = max(mass / r**cloud.n, r**cloud.n / mass)
-        if ratio > worst:
-            worst, worst_ball = ratio, Ball(center, float(r))
-    return RegularityReport(C0_estimate=worst, worst_ball=worst_ball, samples=trials)
+    centers = cloud.points[idx]
+    # one sum per ball, not np.add.reduceat: a ball's mass rounds as ball_mass rounds it
+    w, batches = cloud.weights, _ball_batches(cloud, centers, radii)
+    masses = np.array([part.sum() for _, ptr, sel in batches for part in np.split(w[sel], ptr[1:-1])])
+    rn = radii**cloud.n
+    ratios = np.maximum(masses / rn, rn / masses)
+    k = int(np.argmax(ratios))  # the first of equal ratios, and the first ball when none exceeds 1
+    worst, k = (float(ratios[k]), k) if ratios[k] > 1.0 else (1.0, 0)
+    return RegularityReport(C0_estimate=worst, worst_ball=Ball(centers[k], float(radii[k])), samples=trials)
 
 
 def projection_measure(
@@ -343,16 +373,24 @@ def _shadow(pts: np.ndarray, v: Subspace, g: float) -> float:
     return float(occupied) * g**v.n
 
 
+def _pca_frames(pts: np.ndarray, w: np.ndarray, indptr: np.ndarray, n: int):
+    """Weighted PCA of every non-empty CSR segment pts[indptr[b]:indptr[b + 1]]: the top-n and
+    remaining axes, (B, d, n) and (B, d, d - n), the means (B, d) and every point's distance to
+    its segment's plane, from segment sums of the centred points and one stacked ``eigh``."""
+    seg = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    starts, cols = indptr[:-1], pts.T  # coordinate-major sums run along contiguous rows
+    mean = np.add.reduceat(cols * w, starts, axis=1) / np.add.reduceat(w, starts)
+    centered = cols - mean.take(seg, axis=1)
+    cov = np.add.reduceat((centered * w)[:, None] * centered, starts, axis=2)
+    vecs = np.linalg.eigh(cov.transpose(2, 0, 1))[1][:, :, ::-1]  # eigh sorts ascending
+    dist = _row_norms(np.einsum("dm,mdk->mk", centered, vecs[:, :, n:].take(seg, axis=0)))
+    return vecs[:, :, :n], vecs[:, :, n:], mean.T, dist
+
+
 def _pca_frame(pts: np.ndarray, w: np.ndarray, n: int):
-    """Weighted PCA: the top-n and remaining principal axes, and the weighted mean."""
-    mean = np.average(pts, axis=0, weights=w)
-    centered = pts - mean
-    cov = (w[:, None] * centered).T @ centered
-    vals, vecs = np.linalg.eigh(cov)
-    order = np.argsort(vals)[::-1]
-    frame = vecs[:, order[:n]]
-    normals = vecs[:, order[n:]]
-    return frame, normals, mean
+    """``_pca_frames`` of one segment: the top-n and remaining principal axes, and the mean."""
+    frame, normals, mean, _ = _pca_frames(pts, w, np.array([0, len(pts)]), n)
+    return frame[0], normals[0], mean[0]
 
 
 def pbp_margin(

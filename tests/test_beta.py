@@ -151,6 +151,74 @@ class TestBetaLattice:
         assert np.mean(b1) == pytest.approx(np.mean(b0), rel=0.5)
 
 
+def _svd_oracle(pts, w, n, r):
+    """(beta1, beta_inf, kappa) of the weighted PCA n-plane by an SVD, with
+    kappa = lambda_n / (lambda_n - lambda_(n+1)) of the weighted covariance."""
+    centered = pts - (w @ pts) / w.sum()
+    _, sv, vt = np.linalg.svd(np.sqrt(w)[:, None] * centered)
+    dist = np.linalg.norm(centered @ vt[n:].T, axis=1)
+    lam = np.r_[sv**2, np.zeros(pts.shape[1])]
+    kappa = lam[n - 1] / (lam[n - 1] - lam[n]) if lam[n - 1] > lam[n] else math.inf
+    return w @ dist / r ** (n + 1), dist.max() / r, kappa
+
+
+class TestBatchedPcaField:
+    """beta_lattice(pca) selects and fits each level at once; it must agree with an SVD
+    per ball, and its degenerate flags and zero-weight errors with per-ball calls."""
+
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([(2, 1), (3, 1), (3, 2)]),
+        st.integers(min_value=3, max_value=60),
+        st.integers(min_value=1, max_value=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_svd_and_per_ball_calls(self, seed, dims, size, j_max):
+        d, n = dims
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(0.0, 1.0, (size, d))
+        weights = rng.uniform(0.5, 1.0, size) * (rng.random(size) > 0.25)  # about a quarter zero
+        weights[0] = 1.0
+        cloud = ps.RegularCloud(pts, weights, n, 1e-3, validate=False)
+        lat = cb.CubeLattice(cloud, 0, j_max)
+        eps = np.finfo(float).eps
+        for which, sup, per_ball in (("beta1", False, bt.beta1), ("beta_inf", True, bt.beta_inf)):
+            try:
+                field = bt.beta_lattice(lat, which, "pca")
+            except ValueError as exc:
+                assert "only zero-weight points" in str(exc)
+                messages = []
+                for cube in lat.all_cubes():
+                    try:
+                        per_ball(cloud, lat.ball(cube), "pca")
+                    except ValueError as per_exc:
+                        messages.append(str(per_exc))
+                assert messages and messages[0] == str(exc)
+                continue
+            for cube in lat.all_cubes():
+                ball = lat.ball(cube)
+                res, ref = field[cube.key], per_ball(cloud, ball, "pca")
+                assert res.degenerate == ref.degenerate
+                inside = (np.linalg.norm(pts - ball.center, axis=1) <= ball.radius) & (weights > 0)
+                assert res.degenerate == (inside.sum() < n + 2)
+                if res.degenerate:
+                    assert res.value == 0.0
+                    continue
+                b1, binf, kappa = _svd_oracle(pts[inside], weights[inside], n, ball.radius)
+                expected = binf if sup else b1
+                assert res.value == pytest.approx(expected, rel=1e-9 + 1e3 * eps * kappa, abs=1e-15)
+
+    def test_some_balls_are_degenerate_and_some_raise(self):
+        # the strategy above reaches both branches: a sparse cloud has balls with fewer
+        # than n + 2 live points, and a zero-weight-only cube makes the field raise
+        pts = np.array([[0.1, 0.1], [0.9, 0.9], [0.85, 0.1]])
+        sparse = ps.RegularCloud(pts, np.ones(3), 1, 1e-3, validate=False)
+        flags = [r.degenerate for r in bt.beta_lattice(cb.CubeLattice(sparse, 0, 3), method="pca").values()]
+        assert any(flags) and not all(flags)
+        with pytest.raises(ValueError, match="only zero-weight points"):
+            bt.beta_lattice(cb.CubeLattice(zero_weight_cloud(), 0, 3), method="pca")
+
+
 class TestWglSum:
     def test_segment_zero(self):
         lat = cb.CubeLattice(ps.segment(1e-3), 0, 4)

@@ -109,12 +109,12 @@ def test_lattice_matches_loop_reference(cloud):
 
 
 def _david_oracle(lat):
-    """All-pairs inner-ball constant and density range."""
+    """All-pairs inner-ball constant and density range; zero-weight points are outside the support."""
     pts = lat.cloud.points
     inner = np.inf
     densities = []
     for cube in lat.all_cubes():
-        outside = np.setdiff1d(np.arange(len(pts)), cube.members)
+        outside = np.setdiff1d(np.flatnonzero(lat.cloud.weights > 0), cube.members)
         if outside.size:
             inner = min(inner, np.linalg.norm(pts[outside] - cube.center, axis=1).min() / cube.side)
         densities.append(cube.weight / cube.side**lat.cloud.n)
@@ -133,6 +133,45 @@ class TestDavidDiagnostics:
         inner, (lo, hi) = _david_oracle(lat)
         assert report.inner_ball_constant == inner
         assert report.density_ratio_range == (lo, hi)
+
+    def test_zero_weight_points_are_not_non_members(self):
+        # the zero-weight point at x = 0.52 would bring cube (1, (0, 0))'s constant down to 0.44
+        xs = np.array([0.1, 0.3, 0.45, 0.52, 0.7, 0.9])
+        weights = np.where(xs == 0.52, 0.0, 0.2)
+        cloud = ps.RegularCloud(np.c_[xs, np.full(6, 0.1)], weights, 1, 0.1)
+        lat = cb.CubeLattice(cloud, 0, 1)
+        report = cb.diagnose_david_properties(lat)
+        assert report.inner_ball_constant == pytest.approx(0.5)
+        assert report.inner_ball_constant == _david_oracle(lat)[0]
+
+    @pytest.mark.parametrize("spread", [0.5, 0.0], ids=["far_cluster", "isolated_points"])
+    def test_far_points_take_the_nearest_neighbour_fallback(self, spread):
+        # the level-0 cube of each cluster holds its cluster, and its B_Q (radius 3 sqrt 2)
+        # reaches no point of the other one, so those cubes need the k-NN search; with
+        # spread 0 each cluster is one point, every cube falls back and sets the constant
+        near = np.array([[0.1, 0.1], [0.3, 0.15], [0.15, 0.35], [0.6, 0.2], [0.7, 0.8]])
+        near = near[:1] + spread * (near - near[:1]) if spread else near[:1]
+        pts = np.vstack([near, near + [20.0, 0.5]])
+        cloud = ps.RegularCloud(pts, np.full(len(pts), 0.05), 1, 0.05, validate=False)
+
+        class CountingTree:
+            def __init__(self, tree):
+                self.tree, self.knn_calls = tree, 0
+
+            def query(self, *args, **kwargs):
+                self.knn_calls += 1
+                return self.tree.query(*args, **kwargs)
+
+            def __getattr__(self, name):
+                return getattr(self.tree, name)
+
+        spy = cloud.__dict__["tree"] = CountingTree(cloud.tree)
+        lat = cb.CubeLattice(cloud, 0, 2)
+        report = cb.diagnose_david_properties(lat)
+        assert spy.knn_calls >= 1
+        assert report.inner_ball_constant == _david_oracle(lat)[0]
+        if not spread:
+            assert report.inner_ball_constant > 20.0
 
     def test_single_point_cloud(self):
         cloud = ps.RegularCloud(np.array([[0.3, 0.3]]), np.array([0.25]), 1, 0.25)

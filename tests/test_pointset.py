@@ -424,6 +424,30 @@ class TestBallIndices:
         assert np.array_equal(got, _brute_ball(cloud.points, ball))
         assert cloud.ball_mass(ball) == float(cloud.weights[_brute_ball(cloud.points, ball)].sum())
 
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=2, max_value=3),
+        st.integers(min_value=1, max_value=200),
+        st.integers(min_value=1, max_value=40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batched_selection_equals_per_ball_selection(self, seed, d, size, count):
+        rng = np.random.default_rng(seed)
+        centers = rng.uniform(-1.0, 1.0, (count, d))
+        radii = rng.uniform(0.0, 1.0, count)
+        # one point exactly on the first sphere: dyadic offsets whose squares sum exactly
+        centers[0], radii[0] = np.round(centers[0] * 64.0) / 64.0, 0.625 if d == 2 else 0.375
+        offset = np.array([0.375, 0.5]) if d == 2 else np.array([0.125, 0.25, 0.25])
+        pts = np.vstack([rng.uniform(-2.0, 2.0, (size, d)), centers[0] + offset, centers[1:]])
+        cloud = ps.RegularCloud(pts, np.ones(len(pts)), 1, 1e-3, validate=False)
+        indptr, idx = cloud.balls_indices(centers, radii)
+        assert len(indptr) == count + 1 and indptr[0] == 0 and indptr[-1] == len(idx)
+        for b in range(count):
+            ball = ps.Ball(centers[b], radii[b])
+            assert np.array_equal(idx[indptr[b] : indptr[b + 1]], cloud.ball_indices(ball))
+            assert np.array_equal(idx[indptr[b] : indptr[b + 1]], _brute_ball(cloud.points, ball))
+        assert size in idx[: indptr[1]]  # the point on the sphere
+
     def test_new_cloud_gets_its_own_tree(self):
         cloud = ps.four_corners(3)
         assert cloud.dilated(2.0).tree is not cloud.tree
