@@ -458,11 +458,12 @@ def save_cloud(cloud: RegularCloud, path: str | Path, seed: int | None = None):
     """CSV with header x1..xd,weight plus a JSON sidecar of the metadata."""
     path = Path(path)
     header = ",".join([f"x{i + 1}" for i in range(cloud.d)] + ["weight"])
-    # "%s" writes each float64 as its shortest round-trip repr, so loading is exact
-    np.savetxt(
-        path, np.column_stack([cloud.points, cloud.weights]), fmt="%s", delimiter=",",
-        header=header, comments="", newline="\r\n",
-    )
+    # one row at a time, so no list of the whole cloud is held; repr is the
+    # shortest round-trip form of each float, so loading is exact
+    rows = map(np.ndarray.tolist, np.column_stack([cloud.points, cloud.weights]))
+    with open(path, "w") as fh:
+        fh.write(header + "\r\n")
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
     sidecar = {
         "n": cloud.n,
         "resolution": cloud.resolution,

@@ -6,7 +6,8 @@ finite assertion. The pieces: a family of 2^d one-third-shifted dyadic cube
 systems such that every ball has a containing cube of comparable volume, a
 weight profile transferring ball weights to cubes, the centred
 Hardy-Littlewood maximal function with dyadic radii (``heavy_cubes`` reads
-only {Mf >= N}, from ``_maximal``, which skips radii that cannot reach N),
+only {Mf >= N}, from ``_maximal``, which makes no transform when max f < N,
+skips radii that cannot reach N and transforms f once per padded FFT shape),
 and the stopping recursion that extracts disjoint cubes carrying a definite
 fraction of the high-level mass at high density.
 
@@ -23,6 +24,7 @@ cells of a cube, located by ``_cell_window``).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -118,10 +120,10 @@ def _cells_in_ball(center, radius, depth, d):
         if lo > hi:
             return None
         window.append(slice(lo, hi + 1))
-    axes = [(np.arange(sl.start, sl.stop) + 0.5) * h for sl in window]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    dist2 = sum((m - center[j]) ** 2 for j, m in enumerate(mesh))
-    inside = dist2 <= radius**2
+    # the outer sum adds the per-axis squared offsets in axis order, so it
+    # rounds as sum_j (x_j - c_j)^2 does
+    sq = [((np.arange(sl.start, sl.stop) + 0.5) * h - center[j]) ** 2 for j, sl in enumerate(window)]
+    inside = functools.reduce(np.add.outer, sq) <= radius**2
     if not inside.any():
         return None
     return tuple(window), inside
@@ -257,9 +259,8 @@ def _cube_weights(family: BallFamily, located: list[SystemCube], systems: Adjace
 def _ball_kernel(d: int, depth: int, radius: float):
     h = 2.0**-depth
     reach = int(math.floor(radius / h + 0.5))
-    offsets = np.arange(-reach, reach + 1) * h
-    mesh = np.meshgrid(*([offsets] * d), indexing="ij")
-    return (sum(m**2 for m in mesh) <= radius**2).astype(float)
+    sq = (np.arange(-reach, reach + 1) * h) ** 2
+    return (functools.reduce(np.add.outer, [sq] * d) <= radius**2).astype(float)
 
 
 def maximal_function(f: GridFunction) -> GridFunction:
@@ -269,7 +270,7 @@ def maximal_function(f: GridFunction) -> GridFunction:
     the average of f over the grid cells within distance r (cells beyond the
     unit cube count as zeros). The smallest radius reproduces the cell value,
     so the result dominates f pointwise. This is ``_maximal(f, 0.0)``, where
-    the bound sum f / sum K on each average stops no radius.
+    neither the max f skip nor the bound sum f / sum K stops any radius.
     """
     return _maximal(f, 0.0)
 
@@ -277,26 +278,42 @@ def maximal_function(f: GridFunction) -> GridFunction:
 def _maximal(f: GridFunction, level: float) -> GridFunction:
     """``maximal_function(f)`` where that reaches ``level``, and below ``level`` elsewhere.
 
-    With the 0/1 kernel K an average is at most sum f / sum K. The radii run
-    smallest first and stop at the first with sum f < level sum K (1 - 1e-9),
-    a margin far above FFT round-off; sum K grows with r, so no larger radius
-    can reach ``level`` and none of their kernels is built.
+    An average of f never exceeds max f, so when max f < level (1 - 1e-9)
+    the result is f itself, with no kernel and no transform. With the 0/1
+    kernel K an average is at most sum f / sum K. The radii run smallest
+    first and stop at the first with sum f < level sum K (1 - 1e-9), a margin
+    far above FFT round-off; sum K grows with r, so no larger radius can
+    reach ``level`` and none of their kernels is built. Radii whose linear
+    convolution pads to the same fast length share one transform of f; it is
+    kept only within this call.
     """
     if np.any(f.values < 0):
         raise ValueError("the maximal function is defined for nonnegative grids")
     best = f.values.copy()  # radius 2^-(depth+1): the cell itself
+    if f.values.max() < level * (1 - 1e-9):
+        return GridFunction(best, f.depth)
     n = f.values.shape[0]
     total = f.values.sum()
+    shape = fspec = None
     for k in range(f.depth, -1, -1):
         kernel = _ball_kernel(f.d, f.depth, 2.0**-k)
         if total < level * kernel.sum() * (1 - 1e-9):
             break
         m = kernel.shape[0]
         # the "same" part of the linear convolution, padded to a fast length
-        shape = [fft.next_fast_len(n + m - 1, real=True)] * f.d
-        full = fft.irfftn(fft.rfftn(f.values, shape) * fft.rfftn(kernel, shape), shape)
+        padded = (fft.next_fast_len(n + m - 1, real=True),) * f.d
+        if padded != shape:
+            fspec = None  # free the old spectrum before making the new one
+            shape = padded
+            fspec = fft.rfftn(f.values, shape)
+        spec = fft.rfftn(kernel, shape)
+        # numpy's complex product can round differently into a fresh array;
+        # written into an rfftn output, it equals the product of two rfftn
+        # temporaries bit for bit
+        full = fft.irfftn(np.multiply(fspec, spec, out=spec), shape)
         avg = full[(slice((m - 1) // 2, (m - 1) // 2 + n),) * f.d] / kernel.sum()
         np.maximum(best, avg, out=best)  # best >= 0, so negative FFT round-off never wins
+        del spec, full, avg  # free this radius' arrays before the next kernel
     return GridFunction(best, f.depth)
 
 

@@ -507,14 +507,24 @@ class TestIO:
         assert back.n == cloud.n and back.resolution == cloud.resolution
 
     def test_save_writes_header_then_crlf_rows_of_reprs(self, tmp_path):
-        points = np.array([[1e-05, -0.0], [0.1 + 0.2, 1e16], [-2.5e-300, 123456789.123]])
-        cloud = ps.RegularCloud(points, np.array([5e-324, 0.0001234, 2.0**-11]), 1, 0.1, validate=False)
+        big = np.finfo(float).max
+        points = np.array(
+            [[1e-05, -0.0], [0.1 + 0.2, 1e16], [-2.5e-300, 123456789.123], [0.0, big], [-big, 1e15]]
+        )
+        weights = np.array([5e-324, 0.0001234, 2.0**-11, 1e-5, 1e16])
+        cloud = ps.RegularCloud(points, weights, 1, 0.1, validate=False)
         path = tmp_path / "cloud.csv"
         ps.save_cloud(cloud, path)
         rows = ["x1,x2,weight"] + [
             ",".join(repr(float(x)) for x in [*p, w]) for p, w in zip(points, cloud.weights)
         ]
         assert path.read_bytes() == "".join(row + "\r\n" for row in rows).encode()
+        # the same bytes as numpy's text writer with "%s"
+        np.savetxt(
+            tmp_path / "numpy.csv", np.column_stack([points, weights]), fmt="%s", delimiter=",",
+            header="x1,x2,weight", comments="", newline="\r\n",
+        )
+        assert path.read_bytes() == (tmp_path / "numpy.csv").read_bytes()
 
     @pytest.mark.parametrize("case", ["lf", "one-point", "graph-3d"])
     def test_load_is_bitwise(self, tmp_path, case):

@@ -66,6 +66,35 @@ class TestGridRendering:
     def test_ball_without_cell_centre_has_no_volume(self):
         assert st.grid_ball_volume(np.array([0.25, 0.25]), 1e-3, 5, 2) == 0.0
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_cells_in_ball_match_meshgrid(self, d):
+        """Window and mask equal a meshgrid sum of squared offsets, on random
+        balls and on balls centred at cell centres with radii of whole cells,
+        whose spheres pass through cell centres."""
+        rng = np.random.default_rng(50 + d)
+        balls = []
+        for _ in range(100):
+            depth = int(rng.integers(1, {1: 9, 2: 6, 3: 4}[d]))
+            balls.append((rng.random(d), float(rng.uniform(0.0, 0.6)), depth))
+            cell = (rng.integers(0, 2**depth, d) + 0.5) * 2.0**-depth
+            balls.append((cell, float(rng.integers(1, 6)) * 2.0**-depth, depth))
+        on_sphere = 0
+        for center, radius, depth in balls:
+            h = 2.0**-depth
+            lo = np.clip(np.ceil((center - radius) / h - 0.5), 0, 2**depth - 1).astype(int)
+            hi = np.clip(np.floor((center + radius) / h - 0.5), 0, 2**depth - 1).astype(int)
+            mesh = np.meshgrid(*[(np.arange(a, b + 1) + 0.5) * h for a, b in zip(lo, hi)], indexing="ij")
+            dist2 = sum((m - center[j]) ** 2 for j, m in enumerate(mesh))
+            on_sphere += int(np.count_nonzero(dist2 == radius**2))
+            cells = st._cells_in_ball(center, radius, depth, d)
+            if cells is None:
+                assert not (np.all(lo <= hi) and np.any(dist2 <= radius**2))
+                continue
+            window, inside = cells
+            assert window == tuple(slice(a, b + 1) for a, b in zip(lo, hi))
+            assert np.array_equal(inside, dist2 <= radius**2)
+        assert on_sphere > 0
+
 
 class TestBallFamily:
     @pytest.mark.parametrize("field", ["centers", "radii", "weights"])
@@ -137,12 +166,12 @@ def kernel_cells(d, depth, k):
 def grids_and_levels(draw):
     """Small grids in d = 1..3 with levels at the edges of the prune: a level
     where sum f = level sum K exactly for one radius, max f, a constant grid,
-    and a level drawn between 0 and max f."""
+    a level drawn between 0 and max f, and one in (max f, 2 max f]."""
     d = draw(hs.integers(1, 3))
     depth = draw(hs.integers(1, {1: 6, 2: 4, 3: 3}[d]))
     shape = (2**depth,) * d
     rng = np.random.default_rng(draw(hs.integers(0, 2**32 - 1)))
-    kind = draw(hs.sampled_from(["exact", "max", "constant", "between"]))
+    kind = draw(hs.sampled_from(["exact", "max", "constant", "between", "above"]))
     if kind == "constant":
         f = np.full(shape, draw(hs.floats(0.0, 10.0)))
         return st.GridFunction(f, depth), float(f.max())
@@ -156,7 +185,26 @@ def grids_and_levels(draw):
         return st.GridFunction(f, depth), level
     if kind == "max":
         return st.GridFunction(f, depth), float(f.max())
+    if kind == "above":
+        return st.GridFunction(f, depth), (1.0 + draw(hs.floats(0.0, 1.0, exclude_min=True))) * float(f.max())
     return st.GridFunction(f, depth), draw(hs.floats(0.0, 1.0)) * float(f.max())
+
+
+def convolution_maximal(f):
+    """The maximal function from each radius' full linear convolution,
+    irfftn(rfftn(f) rfftn(K)) at length n + m - 1 with numpy's FFT, with the
+    kernel K counted in integer offsets."""
+    n, depth = f.values.shape[0], f.depth
+    best = f.values.copy()
+    for k in range(depth, -1, -1):
+        reach = int(math.floor(2.0 ** (depth - k) + 0.5))
+        offsets = np.indices((2 * reach + 1,) * f.d) - reach
+        kernel = ((offsets**2).sum(axis=0) <= 4 ** (depth - k)).astype(float)
+        length, axes = (n + 2 * reach,) * f.d, range(f.d)
+        spectrum = np.fft.rfftn(f.values, length, axes) * np.fft.rfftn(kernel, length, axes)
+        full = np.fft.irfftn(spectrum, length, axes)
+        best = np.maximum(best, full[(slice(reach, reach + n),) * f.d] / kernel.sum())
+    return best
 
 
 class TestPrunedMaximal:
@@ -166,31 +214,61 @@ class TestPrunedMaximal:
         f, level = grid_level
         assert np.array_equal(st._maximal(f, level).values >= level, st.maximal_function(f).values >= level)
 
-    @pytest.mark.parametrize("d,depth,level", [(1, 10, 0.0), (1, 10, 3.0), (2, 6, 0.0), (2, 6, 1.5), (3, 4, 20.0)])
+    @given(grid_level=grids_and_levels())
+    @settings(max_examples=100, deadline=None)
+    def test_maximal_function_matches_convolution_oracle(self, grid_level):
+        f, _ = grid_level
+        expected = convolution_maximal(f)
+        assert np.all(np.abs(st.maximal_function(f).values - expected) <= 1e-12 * f.values.max())
+
+    @staticmethod
+    def counted_transforms(f, level, monkeypatch):
+        """The forward transforms ``_maximal(f, level)`` makes, in order: ("f",
+        shape) for a transform of f, (sum K, shape) for one of a kernel."""
+        calls = []
+        rfftn = st.fft.rfftn
+
+        def counted(x, shape, *args, **kwargs):
+            calls.append(("f" if x is f.values else int(x.sum()), tuple(shape)))
+            return rfftn(x, shape, *args, **kwargs)
+
+        monkeypatch.setattr(st.fft, "rfftn", counted)
+        st._maximal(f, level)
+        return calls
+
+    @pytest.mark.parametrize("d,depth,level", [(1, 10, 0.0), (1, 10, 3.0), (2, 6, 0.0), (2, 6, 1.5), (3, 4, 2.0)])
     def test_transforms_only_kept_radii(self, d, depth, level, monkeypatch):
-        """Two forward transforms per kept radius, smallest radius first, and
+        """One transform of f per padded shape, made before the kernels of that
+        shape; one kernel transform per kept radius, smallest radius first; and
         none at or past the first radius whose sum f / sum K is below the level."""
         fam = sample_family(d, np.random.default_rng(40 + d), 4)
         f = st.GridFunction.from_balls(fam, depth)
-        kept = []
+        assert level <= f.values.max()  # so the sum f bound, not the max f skip, stops the radii
+        n = 2**depth
+        expected = []
         for k in range(depth, -1, -1):
             cells = kernel_cells(d, depth, k)
             if f.values.sum() < level * cells * (1 - 1e-9):
                 break
-            kept.append(cells)
-        assert 0 < len(kept) < depth + 1 or level == 0.0
-        calls = []
-        rfftn = st.fft.rfftn
+            width = 2 * int(math.floor(2.0 ** (depth - k) + 0.5)) + 1
+            shape = (st.fft.next_fast_len(n + width - 1, real=True),) * d
+            if not expected or expected[-1][1] != shape:
+                expected.append(("f", shape))
+            expected.append((cells, shape))
+        kernels = sum(key != "f" for key, _ in expected)
+        assert 0 < kernels < depth + 1 or level == 0.0
+        # with every radius kept, some radii share a padded shape
+        assert level > 0.0 or sum(key == "f" for key, _ in expected) < kernels
+        assert self.counted_transforms(f, level, monkeypatch) == expected
 
-        def counted(x, *args, **kwargs):
-            calls.append(x)
-            return rfftn(x, *args, **kwargs)
-
-        monkeypatch.setattr(st.fft, "rfftn", counted)
-        st._maximal(f, level)
-        assert len(calls) == 2 * len(kept)
-        assert all(x is f.values for x in calls[::2])
-        assert [int(x.sum()) for x in calls[1::2]] == kept
+    @pytest.mark.parametrize("d,depth", [(1, 10), (2, 6), (3, 4)])
+    def test_no_transform_above_max_f(self, d, depth, monkeypatch):
+        """A level above max f makes no transform, though sum f alone would keep radii."""
+        f = st.GridFunction.from_balls(sample_family(d, np.random.default_rng(40 + d), 4), depth)
+        level = 1.01 * f.values.max()
+        assert f.values.sum() >= level * kernel_cells(d, depth, depth)
+        assert self.counted_transforms(f, level, monkeypatch) == []
+        assert np.array_equal(st._maximal(f, level).values, f.values)
 
 
 def test_import_leaves_out_scipy_signal_and_stats():
