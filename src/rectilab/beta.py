@@ -297,23 +297,29 @@ def beta_comparison(lattice: CubeLattice):
 
     For every cube, compares beta_inf(B_Q) against
     beta1(2 B_Q)^(1/(n+1)), skipping cubes whose mean coefficient sits below
-    the discretization floor (FLOOR_FACTOR * resolution / radius). Returns
-    (worst constant, count of contributing cubes); the constant is None when
-    nothing clears the floor.
+    the discretization floor (FLOOR_FACTOR * resolution / radius). Each level
+    takes two ``_fit`` calls: beta1 on all its doubled balls, then beta_inf on
+    the balls of the cubes that clear the floor. Returns (worst constant,
+    count of contributing cubes); the constant is None when nothing clears
+    the floor.
     """
     cloud = lattice.cloud
     worst, used = None, 0
     power = 1.0 / (cloud.n + 1)
-    for cube in lattice.all_cubes():
-        small, big = lattice.ball(cube), lattice.ball(cube, 2.0)
-        b1 = beta1(cloud, big)
-        if b1.degenerate or b1.value < FLOOR_FACTOR * cloud.resolution / big.radius:
+    for j in range(lattice.j_min, lattice.j_max + 1):
+        centers, radii = lattice.level_balls(j)
+        big = _fit(cloud, centers, 2.0 * radii, "pca_refined", sup=False)
+        keep = [
+            b for b, b1 in enumerate(big)
+            if not b1.degenerate and b1.value >= FLOOR_FACTOR * cloud.resolution / (2.0 * radii[b])
+        ]
+        if not keep:
             continue
-        binf = beta_inf(cloud, small)
-        ratio = binf.value / b1.value**power
-        used += 1
-        if worst is None or ratio > worst:
-            worst = ratio
+        for b, binf in zip(keep, _fit(cloud, centers[keep], radii[keep], "pca_refined", sup=True)):
+            ratio = binf.value / big[b].value**power
+            used += 1
+            if worst is None or ratio > worst:
+                worst = ratio
     return worst, used
 
 

@@ -5,11 +5,16 @@ depth, so integrals are finite sums and every claimed inequality is an exact
 finite assertion. The pieces: a family of 2^d one-third-shifted dyadic cube
 systems such that every ball has a containing cube of comparable volume, a
 weight profile transferring ball weights to cubes, the centred
-Hardy-Littlewood maximal function with dyadic radii (``heavy_cubes`` reads
-only {Mf >= N}, from ``_maximal``, which makes no transform when max f < N,
-skips radii that cannot reach N and transforms f once per padded FFT shape),
-and the stopping recursion that extracts disjoint cubes carrying a definite
-fraction of the high-level mass at high density.
+Hardy-Littlewood maximal function with dyadic radii, and the stopping
+recursion that extracts disjoint cubes carrying a definite fraction of the
+high-level mass at high density.
+
+``maximal_function`` takes one FFT convolution per radius and is the
+reference. ``heavy_cubes`` reads Mf only through {Mf >= N}, from
+``_level_set``: it bounds each radius' disk sums by dyadic block sums, sums
+exactly from row prefix sums at the few cells the bound leaves undecided,
+and takes that radius' FFT average only when a cell lies within the
+rounding band of N or the direct sums would cost more than the transform.
 
 ``heavy_cubes`` renders each ball once, and that one rendering gives f, the
 balls' grid volumes and the per-system functions f_i; it locates each
@@ -263,58 +268,156 @@ def _ball_kernel(d: int, depth: int, radius: float):
     return (functools.reduce(np.add.outer, [sq] * d) <= radius**2).astype(float)
 
 
+def _padded(n: int, m: int, d: int) -> tuple[int, ...]:
+    """Shape of the transforms for the linear convolution of an n^d grid and an m^d kernel."""
+    return (fft.next_fast_len(n + m - 1, real=True),) * d
+
+
+def _average(f: GridFunction, kernel: np.ndarray, held: dict) -> np.ndarray:
+    """Average of f over the kernel's cells around every cell centre, cells
+    beyond the unit cube counting as zeros: the "same" part of the linear
+    convolution, padded to a fast length. ``held`` maps one padded shape to
+    f's transform at that shape, so radii that pad alike share it."""
+    n, m = f.values.shape[0], kernel.shape[0]
+    shape = _padded(n, m, f.d)
+    if shape not in held:
+        held.clear()  # free the old spectrum before making the new one
+        held[shape] = fft.rfftn(f.values, shape)
+    spec = fft.rfftn(kernel, shape)
+    # numpy's complex product can round differently into a fresh array;
+    # written into an rfftn output, it equals the product of two rfftn
+    # temporaries bit for bit
+    full = fft.irfftn(np.multiply(held[shape], spec, out=spec), shape)
+    return full[(slice((m - 1) // 2, (m - 1) // 2 + n),) * f.d] / kernel.sum()
+
+
+def _check_nonnegative(f: GridFunction):
+    if np.any(f.values < 0):
+        raise ValueError("the maximal function is defined for nonnegative grids")
+
+
 def maximal_function(f: GridFunction) -> GridFunction:
     """Centred Hardy-Littlewood maximal function with dyadic radii.
 
     At each cell centre, the max over radii r in {2^-k : k = 0..depth+1} of
     the average of f over the grid cells within distance r (cells beyond the
     unit cube count as zeros). The smallest radius reproduces the cell value,
-    so the result dominates f pointwise. This is ``_maximal(f, 0.0)``, where
-    neither the max f skip nor the bound sum f / sum K stops any radius.
+    so the result dominates f pointwise. Every other radius is one FFT
+    convolution (``_average``); this is the reference that ``_level_set``
+    equals.
     """
-    return _maximal(f, 0.0)
+    _check_nonnegative(f)
+    best = f.values.copy()  # radius 2^-(depth+1): the cell itself
+    held: dict = {}
+    for k in range(f.depth, -1, -1):
+        # best >= 0, so negative FFT round-off never wins
+        np.maximum(best, _average(f, _ball_kernel(f.d, f.depth, 2.0**-k), held), out=best)
+    return GridFunction(best, f.depth)
 
 
-def _maximal(f: GridFunction, level: float) -> GridFunction:
-    """``maximal_function(f)`` where that reaches ``level``, and below ``level`` elsewhere.
+def _halve(a: np.ndarray) -> np.ndarray:
+    """Sums of ``a`` over its blocks of 2^d entries."""
+    for axis in range(a.ndim):
+        even, odd = ((slice(None),) * axis + (slice(start, None, 2),) for start in (0, 1))
+        a = a[even] + a[odd]
+    return a
+
+
+def _box3(a: np.ndarray) -> np.ndarray:
+    """Sum of ``a`` over the 3^d entries around each entry, with zeros beyond its edges."""
+    for axis in range(a.ndim):
+        head, tail = ((slice(None),) * axis + (cut,) for cut in (slice(1, None), slice(None, -1)))
+        s = a.copy()
+        s[head] += a[tail]
+        s[tail] += a[head]
+        a = s
+    return a
+
+
+def _disk_sums(prefix: np.ndarray, cells: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Sums of f over the kernel's cells around the given flat cell indices.
+
+    ``prefix`` holds the prefix sums of f along the last axis, one row of
+    n + 1 entries per grid row; each nonempty kernel row adds one run's
+    difference of two prefix sums, and rows beyond the grid add nothing.
+    """
+    n, d, m = prefix.shape[1] - 1, kernel.ndim, kernel.shape[0]
+    reach = (m - 1) // 2
+    widths = kernel.reshape(-1, m).sum(axis=1)
+    rows = np.flatnonzero(widths)
+    row, col = np.divmod(cells, n)
+    target = np.zeros((cells.size, rows.size), dtype=np.int64)  # grid row of each run
+    valid = np.ones(target.shape, dtype=bool)
+    for axis in range(d - 1):
+        t = (row // n ** (d - 2 - axis) % n)[:, None] + (rows // m ** (d - 2 - axis) % m - reach)
+        valid &= (t >= 0) & (t < n)
+        target = target * n + t
+    half = (widths[rows].astype(np.int64) - 1) // 2
+    base = np.where(valid, target, 0) * (n + 1)
+    flat = prefix.ravel()
+    runs = flat[base + np.clip(col[:, None] + half + 1, 0, n)] - flat[base + np.clip(col[:, None] - half, 0, n)]
+    return np.where(valid, runs, 0.0).sum(axis=1)
+
+
+def _level_set(f: GridFunction, level: float) -> np.ndarray:
+    """The cells where ``maximal_function(f) >= level``, deciding most radii without a transform.
 
     An average of f never exceeds max f, so when max f < level (1 - 1e-9)
-    the result is f itself, with no kernel and no transform. With the 0/1
-    kernel K an average is at most sum f / sum K. The radii run smallest
-    first and stop at the first with sum f < level sum K (1 - 1e-9), a margin
-    far above FFT round-off; sum K grows with r, so no larger radius can
-    reach ``level`` and none of their kernels is built. Radii whose linear
-    convolution pads to the same fast length share one transform of f; it is
-    kept only within this call.
+    the set is empty; and no radius from the first with sum f < level sum K
+    (1 - 1e-9) on reaches ``level``, for sum K grows with r. The radii run
+    smallest first. At reach R = 2^(depth - k) cells, the sums of f over
+    dyadic blocks of side R bound each cell's disk sum by the sum over the
+    3^d blocks around its block. Cells outside the set whose bound reaches
+    (level - band) sum K are undecided; a radius without any makes no
+    transform. Otherwise ``_disk_sums`` gives their exact disk sums from
+    prefix sums along the last axis, one run per kernel row, and a cell joins
+    the set when its average clears ``level`` by more than the band. If an
+    average lies within the band, or the runs outnumber the cells of the
+    radius' padded transform, the radius takes ``maximal_function``'s FFT
+    average instead, so the set equals ``maximal_function(f).values >=
+    level`` bit for bit.
+
+    The band is 1e-12 max f + eps P, with eps the double epsilon and P the
+    largest row sum of f. The first term covers the transform's error (about
+    1e-15 max f, measured against exact sums on grids of up to 2^18 cells;
+    the convolution oracle test allows 1e-12 max f) and the rounding of the
+    block sums. The second covers the prefix sums: a run's difference keeps
+    the rounding of each addition inside the run, at most eps/2 P each, so a
+    disk sum is off by at most eps/2 P sum K and its average by eps/2 P.
     """
-    if np.any(f.values < 0):
-        raise ValueError("the maximal function is defined for nonnegative grids")
-    best = f.values.copy()  # radius 2^-(depth+1): the cell itself
-    if f.values.max() < level * (1 - 1e-9):
-        return GridFunction(best, f.depth)
-    n = f.values.shape[0]
+    _check_nonnegative(f)
+    out = f.values >= level  # radius 2^-(depth+1): the cell itself
+    top = f.values.max()
+    if top < level * (1 - 1e-9):
+        return out
+    n, d = f.values.shape[0], f.d
     total = f.values.sum()
-    shape = fspec = None
+    prefix = np.zeros((n ** (d - 1), n + 1))
+    np.cumsum(f.values.reshape(-1, n), axis=1, out=prefix[:, 1:])
+    band = 1e-12 * top + np.finfo(float).eps * prefix[:, -1].max()
+    blocks = f.values
+    held: dict = {}
     for k in range(f.depth, -1, -1):
-        kernel = _ball_kernel(f.d, f.depth, 2.0**-k)
-        if total < level * kernel.sum() * (1 - 1e-9):
+        kernel = _ball_kernel(d, f.depth, 2.0**-k)
+        ksum = kernel.sum()
+        if total < level * ksum * (1 - 1e-9):
             break
-        m = kernel.shape[0]
-        # the "same" part of the linear convolution, padded to a fast length
-        padded = (fft.next_fast_len(n + m - 1, real=True),) * f.d
-        if padded != shape:
-            fspec = None  # free the old spectrum before making the new one
-            shape = padded
-            fspec = fft.rfftn(f.values, shape)
-        spec = fft.rfftn(kernel, shape)
-        # numpy's complex product can round differently into a fresh array;
-        # written into an rfftn output, it equals the product of two rfftn
-        # temporaries bit for bit
-        full = fft.irfftn(np.multiply(fspec, spec, out=spec), shape)
-        avg = full[(slice((m - 1) // 2, (m - 1) // 2 + n),) * f.d] / kernel.sum()
-        np.maximum(best, avg, out=best)  # best >= 0, so negative FFT round-off never wins
-        del spec, full, avg  # free this radius' arrays before the next kernel
-    return GridFunction(best, f.depth)
+        reach = 2 ** (f.depth - k)
+        blocks = _halve(blocks) if reach > 1 else blocks
+        nb = n // reach
+        # a cell's disk lies in the 3^d blocks of side reach around its own
+        near = _box3(blocks) >= (level - band) * ksum
+        undecided = np.flatnonzero(near.reshape((nb, 1) * d) & ~out.reshape((nb, reach) * d))
+        if not undecided.size:
+            continue
+        runs = undecided.size * int(kernel[..., reach].sum())  # one per nonempty kernel row
+        if runs <= math.prod(_padded(n, kernel.shape[0], d)):
+            avg = _disk_sums(prefix, undecided, kernel) / ksum
+            if not np.any(np.abs(avg - level) <= band):
+                out.flat[undecided[avg > level]] = True
+                continue
+        out |= _average(f, kernel, held) >= level
+    return out
 
 
 # -- the stopping algorithm ---------------------------------------------------
@@ -363,8 +466,23 @@ def recommended_A(d: int, gamma: int) -> float:
     return float(math.ceil(3.0 * (2.0 * s * aw) ** (1.0 / (gamma + 1))))
 
 
+# the keys of ``HeavyCubesResult.checks`` on every status, in report order: the
+# hypotheses, the generation loop's checks and the returned cubes' checks
+CHECK_KEYS = (
+    "hypothesis_mf_mass", "hypothesis_mf_ok", "hypothesis_working_ok",
+    "mass_law_violations", "coverage_ok", "empirical_mass_constant", "generations_run",
+    "mass_retention", "mass_retention_ok", "density_ok", "disjoint_ok",
+)
+
+
 @dataclass
 class HeavyCubesResult:
+    """Outcome of ``heavy_cubes``. ``checks`` has the keys ``CHECK_KEYS`` whatever
+    the status; a key whose check the run did not reach holds None: the
+    generation loop's keys and ``hypothesis_working_ok`` on ``early_exit``
+    runs, the loop's keys on ``vacuous`` runs, and the returned cubes' keys on
+    ``vacuous`` and ``exhausted`` runs."""
+
     status: str                         # early_exit | heavy_found | vacuous | exhausted
     heavy: list[SystemCube]
     f_masses: dict[SystemCube, float]   # L1 norms of the full sub-functions
@@ -528,7 +646,9 @@ def heavy_cubes(family: BallFamily, config: StoppingConfig, grid_depth: int) -> 
     Outside guarantee mode a run whose hypotheses hold can still end
     ``exhausted``, with no cubes. The working high-level set is
     {f_i >= N / #systems} on the selected system's function; the maximal
-    function version reads only {Mf >= N} and is reported alongside.
+    function version reads only {Mf >= N}, from ``_level_set``, and is
+    reported alongside as ``hypothesis_mf_mass``. ``checks`` carries the keys
+    ``CHECK_KEYS`` on every status.
     """
     d = family.d
     n, m_target, gamma, c = config.N, config.M, config.gamma, config.c
@@ -549,9 +669,10 @@ def heavy_cubes(family: BallFamily, config: StoppingConfig, grid_depth: int) -> 
     visible = grid_volumes > 0
     ball_masses = family.weights * grid_volumes
 
-    hyp_mf_mass = float(f.values[_maximal(f, n).values >= n].sum() * f.cell_volume)
+    hyp_mf_mass = float(f.values[_level_set(f, n)].sum() * f.cell_volume)
 
-    checks: dict = {"hypothesis_mf_mass": hyp_mf_mass, "hypothesis_mf_ok": hyp_mf_mass >= c * n**-gamma}
+    checks = dict.fromkeys(CHECK_KEYS)
+    checks.update(hypothesis_mf_mass=hyp_mf_mass, hypothesis_mf_ok=hyp_mf_mass >= c * n**-gamma)
     trace: dict = {
         "systems": len(systems),
         "grid_depth": grid_depth,
@@ -564,6 +685,7 @@ def heavy_cubes(family: BallFamily, config: StoppingConfig, grid_depth: int) -> 
         cube = SystemCube(0, 0, (0,) * d)
         masses = {cube: f.l1()}
         checks["density_ok"] = masses[cube] > m_target * cube.volume(d)
+        checks["mass_retention"] = masses[cube]
         checks["mass_retention_ok"] = masses[cube] >= conclusion_floor
         trace["early_exit"] = True
         return HeavyCubesResult("early_exit", [cube], masses, trace, checks, config, grid_depth)

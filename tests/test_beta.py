@@ -235,7 +235,33 @@ class TestWglSum:
         assert ratios[6] >= 1.5 * ratios[4]
 
 
+def per_cube_comparison(lat):
+    """beta_comparison with one beta1 and one beta_inf call per cube."""
+    cloud = lat.cloud
+    worst, used = None, 0
+    for cube in lat.all_cubes():
+        small, big = lat.ball(cube), lat.ball(cube, 2.0)
+        b1 = bt.beta1(cloud, big)
+        if b1.degenerate or b1.value < bt.FLOOR_FACTOR * cloud.resolution / big.radius:
+            continue
+        ratio = bt.beta_inf(cloud, small).value / b1.value ** (1.0 / (cloud.n + 1))
+        used += 1
+        worst = ratio if worst is None else max(worst, ratio)
+    return worst, used
+
+
 class TestBetaComparison:
+    @pytest.mark.parametrize(
+        "make,j_max", [(lambda: ps.four_corners(3), 6), (lambda: two_segments(0.05, res=1e-2), 4)]
+    )
+    def test_equals_per_cube_calls(self, make, j_max):
+        """Two ``_fit`` calls per level give the worst ratio and the count of
+        one call per cube; some cubes fall below the floor and some clear it."""
+        lat = cb.CubeLattice(make(), 0, j_max)
+        worst, used = bt.beta_comparison(lat)
+        assert 0 < used < len(lat)
+        assert (worst, used) == per_cube_comparison(lat)
+
     def test_segment_returns_none(self):
         lat = cb.CubeLattice(ps.segment(1e-3), 0, 3)
         worst, used = bt.beta_comparison(lat)
