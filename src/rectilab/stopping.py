@@ -17,9 +17,10 @@ and takes that radius' FFT average only when a cell lies within the
 rounding band of N or the direct sums would cost more than the transform.
 
 ``heavy_cubes`` renders each ball once, and that one rendering gives f, the
-balls' grid volumes and the per-system functions f_i; it locates each
-visible ball once. It drives the recursion through two stage functions:
-``_select_system`` (assignment of balls to systems and pigeonholing) and
+balls' grid volumes and the per-system functions f_i on {f >= N_w}, the only
+cells where they can reach N_w. It drives the recursion through two stage
+functions: ``_select_system`` (one batched ``locate_all`` pass over the
+visible balls, their assignment to systems and pigeonholing) and
 ``_generations`` (the threshold loop; ``_generation_cubes`` reads each
 generation's cubes from the weight map, walking every weighted cube up to
 its start). Both measure cubes with the helpers ``_contained_mass`` (mass of
@@ -184,9 +185,9 @@ class AdjacentSystems:
     """
 
     def __init__(self, d: int):
-        if d > 4:
-            raise ValueError("supported ambient dimensions are 1..4")
-        self.d = d
+        if not isinstance(d, (int, np.integer)) or not 1 <= d <= 4:
+            raise ValueError(f"d must be an integer in 1..4, the supported ambient dimensions; got {d!r}")
+        self.d = int(d)
         self.shifts = [
             np.array([(1.0 / 3.0) * ((i >> j) & 1) for j in range(d)]) for i in range(2**d)
         ]
@@ -201,11 +202,6 @@ class AdjacentSystems:
         lo = shift + np.array(cube.cell, dtype=float) * cube.side
         return lo, lo + cube.side
 
-    def cube_of(self, system: int, point, level: int) -> SystemCube:
-        shift = self.shifts[system]
-        cell = tuple(int(c) for c in np.floor((np.asarray(point) - shift) * 2.0**level))
-        return SystemCube(system, level, cell)
-
     def parent(self, cube: SystemCube) -> SystemCube:
         return SystemCube(cube.system, cube.level - 1, tuple(c >> 1 for c in cube.cell))
 
@@ -215,20 +211,42 @@ class AdjacentSystems:
         The returned cube R satisfies B ⊂ R and |R| <= covering_constant *
         |B|; the second return value is the achieved |R| / |B|.
         """
-        center = np.asarray(center, dtype=float)
-        if np.any(center - radius < -1e-12) or np.any(center + radius > 1.0 + 1e-12):
-            raise ValueError("ball is not inside the unit cube")
-        k_max = max(0, int(math.floor(-math.log2(2.0 * radius))))
-        ball_volume = unit_ball_volume(self.d) * radius**self.d
-        for level in range(k_max, -1, -1):
-            for system in range(len(self.shifts)):
-                cube = self.cube_of(system, center, level)
-                lo, hi = self.bounds(cube)
-                if np.all(center - radius >= lo - 1e-15) and np.all(center + radius <= hi + 1e-15):
-                    ratio = cube.volume(self.d) / ball_volume
-                    if ratio <= self.covering_constant + 1e-9:
-                        return cube, ratio
-        raise AssertionError("one-third-shift covering failed; unreachable for admissible balls")
+        levels, owners, cells, ratios = self.locate_all(np.atleast_2d(center), [radius])
+        return _system_cubes(levels, owners, cells)[0], float(ratios[0])
+
+    def locate_all(self, centers, radii):
+        """``locate`` of B balls at once: integer arrays of the levels, systems and
+        (B, d) cells of their cubes, and the ratios. Levels run from the largest
+        k_max down to 0 with all 2^d systems side by side, so each ball keeps its
+        first fitting (level, system). Radii below 2^-60 would overflow the cells."""
+        centers, radii = np.asarray(centers, dtype=float), np.asarray(radii, dtype=float)
+        if centers.ndim != 2 or centers.shape[1] != self.d or radii.shape != centers.shape[:1]:
+            raise ValueError(f"need centers (B, {self.d}) and radii (B,), got shapes {centers.shape}, {radii.shape}")
+        if not np.all(radii >= 2.0**-60):  # NaN fails too
+            raise ValueError(f"every radius must be at least 2^-60, got {radii[~(radii >= 2.0**-60)][0]}")
+        low, high = centers - radii[:, None], centers + radii[:, None]
+        if not np.all((low >= -1e-12) & (high <= 1.0 + 1e-12)):  # NaN fails too
+            raise ValueError("every ball must lie inside the unit cube, with a finite center")
+        # per ball, as scalars: numpy's array power rounds unlike the scalar one
+        k_max = np.array([max(0, math.floor(-math.log2(2.0 * r))) for r in radii], dtype=int)
+        ball_volume = np.array([unit_ball_volume(self.d) * r**self.d for r in radii])
+        shifts, levels = np.array(self.shifts), np.full(len(radii), -1)
+        owners, cells, ratios = np.zeros(len(radii), int), np.zeros(centers.shape, int), np.zeros(len(radii))
+        for level in range(k_max.max(initial=0), -1, -1):
+            rows = np.flatnonzero((levels < 0) & (k_max >= level))
+            side = 2.0**-level
+            ratio = side**self.d / ball_volume[rows]
+            floors = np.floor((centers[rows, None] - shifts) * 2.0**level)  # (rows, systems, d)
+            lo = shifts + floors * side
+            fits = np.all((low[rows, None] >= lo - 1e-15) & (high[rows, None] <= lo + side + 1e-15), axis=2)
+            fits &= (ratio <= self.covering_constant + 1e-9)[:, None]
+            hit = np.flatnonzero(fits.any(axis=1))
+            system = fits[hit].argmax(axis=1)  # the first system that fits
+            levels[rows[hit]], owners[rows[hit]] = level, system
+            cells[rows[hit]], ratios[rows[hit]] = floors[hit, system], ratio[hit]
+        if np.any(levels < 0):
+            raise AssertionError("one-third-shift covering failed; unreachable for admissible balls")
+        return levels, owners, cells, ratios
 
     def related_cubes(self, radius, located: SystemCube) -> list[SystemCube]:
         """All cubes of the located system containing B with comparable volume:
@@ -244,11 +262,15 @@ class AdjacentSystems:
         return out
 
 
+def _system_cubes(levels, owners, cells) -> list[SystemCube]:
+    """The ``SystemCube``s of ``locate_all``'s arrays."""
+    return [SystemCube(*cube) for cube in zip(owners.tolist(), levels.tolist(), map(tuple, cells.tolist()))]
+
+
 def weight_profile(family: BallFamily, systems: AdjacentSystems) -> dict[SystemCube, float]:
     """Cube weights: each ball contributes to the comparable-volume cubes of
-    its assigned system (one assignment per ball, via ``locate``)."""
-    located = [systems.locate(c, r)[0] for c, r in zip(family.centers, family.radii)]
-    return _cube_weights(family, located, systems)
+    its assigned system (one assignment per ball, from one ``locate_all``)."""
+    return _cube_weights(family, _system_cubes(*systems.locate_all(family.centers, family.radii)[:3]), systems)
 
 
 def _cube_weights(family: BallFamily, located: list[SystemCube], systems: AdjacentSystems):
@@ -532,23 +554,28 @@ def _high_mass(fi: GridFunction, high: np.ndarray, lo, hi) -> float:
     return float(fi.values[window][high[window]].sum() * fi.cell_volume)
 
 
-def _select_system(family: BallFamily, systems: AdjacentSystems, rendered, visible, n_working, depth):
-    """Locate each visible ball once, assign it to the system of its cube and
-    pick the system i whose f_i has the most mass theta on {f_i >= n_working}.
-    Returns (i, theta, f_i, the high set, i's balls as index -> located cube)."""
-    assigned: list[dict[int, SystemCube]] = [{} for _ in range(len(systems))]
-    for i in np.flatnonzero(visible):
-        cube, _ = systems.locate(family.centers[i], family.radii[i])
-        assigned[cube.system][int(i)] = cube
-    best = None
-    for i, members in enumerate(assigned):
-        idx = list(members)
-        fi = GridFunction._summed([rendered[j] for j in idx], family.weights[idx], family.d, depth)
-        high = fi.values >= n_working
-        theta = float(fi.values[high].sum() * fi.cell_volume)
-        if best is None or theta > best[1]:
-            best = (i, theta, fi, high, members)
-    return best
+def _select_system(family: BallFamily, systems: AdjacentSystems, rendered, visible, f, n_working):
+    """Locate the visible balls in one pass and take theta_i, the mass of f_i on
+    {f_i >= n_working}, for each system i. Adding nonnegative weights is monotone
+    in every rounding, so f_i <= f: f_i is summed in ball order on {f >= n_working}
+    alone. Returns the first i of largest theta_i, all theta_i, the flat cells of
+    {f_i >= n_working} with f_i there, and i's ball indices and located cubes."""
+    balls = np.flatnonzero(visible)
+    levels, owners, cells, _ = systems.locate_all(family.centers[balls], family.radii[balls])
+    high = np.flatnonzero(f.values >= n_working)
+    sums = np.zeros((len(systems), high.size))
+    if high.size:
+        slot = np.full(f.values.shape, -1)  # each high cell's place in ``high``
+        slot.flat[high] = np.arange(high.size)
+        for j, system in zip(balls, owners):
+            at = slot[rendered[j][0]][rendered[j][1]]
+            sums[system, at[at >= 0]] += family.weights[j]
+    kept = sums >= n_working
+    thetas = [float(row[keep].sum() * f.cell_volume) for row, keep in zip(sums, kept)]
+    i = int(np.argmax(thetas))
+    mine = owners == i
+    located = _system_cubes(levels[mine], owners[mine], cells[mine])
+    return i, thetas, high[kept[i]], sums[i, kept[i]], balls[mine], located
 
 
 def _generations(systems, balls, located, ball_masses, fi, high, theta, n_working, config):
@@ -633,9 +660,10 @@ def heavy_cubes(family: BallFamily, config: StoppingConfig, grid_depth: int) -> 
     """Extract disjoint dyadic cubes carrying dense, substantial mass.
 
     Grid rendering of the stopping-time argument: if the total mass exceeds
-    M the unit cube alone is the answer; otherwise ``_select_system`` assigns
-    the balls to shifted dyadic systems and selects the system carrying the
-    largest high-level mass, and ``_generations`` peels off generations of
+    M the unit cube alone is the answer; otherwise ``_select_system`` locates
+    the visible balls in one batched pass, assigns them to shifted dyadic
+    systems and selects the one of largest high-level mass theta, read on the
+    cells of {f >= N_w} alone, and ``_generations`` peels off generations of
     maximal cubes at thresholds N_k = floor(N_w / 2^k) until the heavy cubes
     of some generation carry a 2^-k fraction of the high-level mass. A
     ``heavy_found`` run returns a family that satisfies, exactly as grid sums,
@@ -691,17 +719,19 @@ def heavy_cubes(family: BallFamily, config: StoppingConfig, grid_depth: int) -> 
         return HeavyCubesResult("early_exit", [cube], masses, trace, checks, config, grid_depth)
 
     n_working = n / len(systems)
-    istar, theta, fi, high, members = _select_system(family, systems, rendered, visible, n_working, grid_depth)
+    istar, thetas, cells, vals, idx, located = _select_system(family, systems, rendered, visible, f, n_working)
     trace["selected_system"] = istar
-    trace["theta"] = theta
+    trace["theta"] = theta = thetas[istar]
     checks["hypothesis_working_ok"] = theta >= c * n**-gamma
     if not checks["hypothesis_working_ok"]:
         return HeavyCubesResult("vacuous", [], {}, trace, checks, config, grid_depth)
 
-    ball_idx = list(members)
-    balls = BallFamily(family.centers[ball_idx], family.radii[ball_idx], family.weights[ball_idx])
+    fi = GridFunction(np.zeros_like(f.values), grid_depth)  # f_i on {f_i >= N_w}, zero elsewhere
+    fi.values.flat[cells] = vals
+    high = fi.values >= n_working
+    balls = BallFamily(family.centers[idx], family.radii[idx], family.weights[idx])
     heavy, trace["generations"], loop_checks = _generations(
-        systems, balls, list(members.values()), ball_masses[ball_idx], fi, high, theta, n_working, config
+        systems, balls, located, ball_masses[idx], fi, high, theta, n_working, config
     )
     checks.update(loop_checks)
     if heavy is None:

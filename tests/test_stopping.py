@@ -45,6 +45,46 @@ def cube_bounds(cube, d):
     return lo, lo + 2.0**-cube.level
 
 
+def brute_locate(center, radius):
+    """The first cube, levels from floor(-log2 2r) down to 0 and systems in
+    order, that contains the ball with |R| / |B| within 24^d / |unit ball|,
+    tried one candidate at a time."""
+    d = len(center)
+    unit = math.pi ** (d / 2) / math.gamma(d / 2 + 1)
+    ball_volume = unit * radius**d
+    for level in range(max(0, math.floor(-math.log2(2.0 * radius))), -1, -1):
+        for system in range(2**d):
+            shift = np.array([((system >> j) & 1) / 3.0 for j in range(d)])
+            cube = st.SystemCube(system, level, tuple(int(x) for x in np.floor((center - shift) * 2.0**level)))
+            lo, hi = cube_bounds(cube, d)
+            ratio = 2.0 ** (-level * d) / ball_volume
+            inside = np.all(center - radius >= lo - 1e-15) and np.all(center + radius <= hi + 1e-15)
+            if inside and ratio <= 24.0**d / unit + 1e-9:
+                return cube, ratio
+    raise AssertionError("no system cube holds the ball")
+
+
+def oracle_balls(d, rng, count):
+    """Seeded balls in the unit cube; a quarter with radii at exact powers of two,
+    a fifth of the coordinates tangent to a face (c - r = 0 or c + r = 1), a
+    tenth of the centres on the dyadic grid of side 2^-12, and a tenth of the
+    balls filling a cube of the all-shifted system, c - r = 1/3 + m 2^-k and
+    r = 2^-(k+1), where the rounding of c - r and c + r can fall past its faces."""
+    radii = np.exp(rng.uniform(math.log(1e-4), math.log(0.5), size=count))
+    radii[: count // 4] = 2.0 ** -rng.integers(1, 15, size=count // 4).astype(float)
+    centers = rng.uniform(radii[:, None], 1.0 - radii[:, None], size=(count, d))
+    dyadic = rng.random(count) < 0.1
+    centers[dyadic] = np.clip(np.round(centers[dyadic] * 4096) / 4096, radii[dyadic, None], 1 - radii[dyadic, None])
+    face = rng.integers(0, 2, size=(count, d)).astype(bool)
+    tangent = np.where(face, 1.0 - radii[:, None], radii[:, None])
+    centers = np.where(rng.random((count, d)) < 0.2, tangent, centers)
+    filling = rng.random(count) < 0.1
+    side = 2.0 ** -rng.integers(1, 12, size=count).astype(float)[filling, None]
+    lines = 1.0 / 3.0 + np.floor(rng.random((filling.sum(), d)) * ((2.0 / 3.0) / side - 1.0)) * side
+    radii[filling], centers[filling] = side[:, 0] / 2, lines + side / 2
+    return centers, radii
+
+
 def families(d, depth, count, profile, config=CONFIG):
     return [
         st.random_family(d, np.random.default_rng(seed), profile=profile, config=config, grid_depth=depth)
@@ -129,6 +169,53 @@ class TestAdjacentSystems:
     def test_locate_rejects_ball_outside_unit_cube(self):
         with pytest.raises(ValueError):
             st.AdjacentSystems(2).locate(np.array([0.05, 0.5]), 0.1)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_batched_locate_matches_brute_force(self, d):
+        """2,600 balls per dimension, 10,400 in all: every batched cube and ratio equals the oracle's."""
+        systems = st.AdjacentSystems(d)
+        centers, radii = oracle_balls(d, np.random.default_rng(50 + d), 2600)
+        assert np.any(centers - radii[:, None] == 0.0) and np.any(centers + radii[:, None] == 1.0)
+        levels, owners, cells, ratios = systems.locate_all(centers, radii)
+        for b in range(len(radii)):
+            cube, ratio = brute_locate(centers[b], radii[b])
+            assert (owners[b], levels[b], tuple(cells[b])) == (cube.system, cube.level, cube.cell)
+            assert ratios[b] == ratio
+        assert set(owners.tolist()) == set(range(2**d))
+        for b in range(0, len(radii), 97):
+            assert systems.locate(centers[b], radii[b]) == brute_locate(centers[b], radii[b])
+
+    def test_locate_all_of_no_balls(self):
+        levels, owners, cells, ratios = st.AdjacentSystems(2).locate_all(np.zeros((0, 2)), np.zeros(0))
+        assert levels.size == owners.size == ratios.size == 0 and cells.shape == (0, 2)
+
+    @pytest.mark.parametrize("d", [0, -1, 5, 2.0, "2", None])
+    def test_rejects_bad_dimension(self, d):
+        with pytest.raises(ValueError, match="d must be an integer in 1..4"):
+            st.AdjacentSystems(d)
+
+    @pytest.mark.parametrize(
+        "center,radius,match",
+        [
+            ([0.5], 0.1, "centers"),
+            ([0.5, 0.5, 0.5], 0.1, "centers"),
+            ([[0.5, 0.5], [0.5, 0.5]], 0.1, "radii"),
+            ([0.5, 0.5], 0.0, "radius"),
+            ([0.5, 0.5], -0.1, "radius"),
+            ([0.5, 0.5], float("nan"), "radius"),
+            ([0.5, 0.5], 2.0**-61, "radius"),
+            ([float("nan"), 0.5], 0.1, "center"),
+            ([0.5, float("inf")], 0.1, "center"),
+        ],
+    )
+    def test_locate_names_bad_ball(self, center, radius, match):
+        with pytest.raises(ValueError, match=match):
+            st.AdjacentSystems(2).locate(np.array(center), radius)
+
+    def test_weight_profile_rejects_family_of_other_dimension(self):
+        fam = st.BallFamily(np.full((2, 3), 0.5), np.array([0.1, 0.2]), np.ones(2))
+        with pytest.raises(ValueError, match=r"centers \(B, 2\)"):
+            st.weight_profile(fam, st.AdjacentSystems(2))
 
 
 class TestMaximalFunction:
@@ -435,53 +522,95 @@ class TestHeavyCubes:
         ids=["d1", "d2", "d3"],
     )
     def test_selected_system_matches_brute_force(self, d, depth, config, max_balls, seeds):
-        """Group the balls by located system, build each f_i cell by cell and
-        pick the system with the most mass on {f_i >= N / 2^d}."""
+        """Group the balls by located system, build each whole grid f_i cell by
+        cell and pick the system with the most mass on {f_i >= N / 2^d}. Every
+        system's theta_i, read on {f >= N / 2^d} alone, equals its whole-grid
+        mass bit for bit, and so do the selected f_i's high cells and values."""
         systems = st.AdjacentSystems(d)
-        compared = 0
+        n_working = config.N / len(systems)
+        compared = several = 0
         for seed in seeds:
             rng = np.random.default_rng(seed)
             fam = st.random_family(d, rng, max_balls, profile="peaked", config=config, grid_depth=depth)
+            grids = np.zeros((len(systems),) + (2**depth,) * d)
+            for i in range(len(fam)):
+                cube, _ = brute_locate(fam.centers[i], fam.radii[i])
+                grids[cube.system][brute_cells(fam.centers[i], fam.radii[i], depth)] += fam.weights[i]
+            thetas = [float(g[g >= n_working].sum() * 2.0 ** (-depth * d)) for g in grids]
+            selected, restricted, cells, values, *_ = self.selection(fam, config, depth)
+            assert restricted == thetas and selected == thetas.index(max(thetas))
+            assert np.array_equal(cells, np.flatnonzero(grids[selected] >= n_working))
+            assert np.array_equal(values, grids[selected].ravel()[cells])
+            several += sum(theta > 0 for theta in thetas) >= 2
             result = st.heavy_cubes(fam, config, depth)
             if result.status == "early_exit":
                 continue
-            grids = np.zeros((len(systems),) + (2**depth,) * d)
-            for i in range(len(fam)):
-                cube, _ = systems.locate(fam.centers[i], fam.radii[i])
-                grids[cube.system][brute_cells(fam.centers[i], fam.radii[i], depth)] += fam.weights[i]
-            thetas = [float(g[g >= config.N / len(systems)].sum() * 2.0 ** (-depth * d)) for g in grids]
             assert result.trace["selected_system"] == int(np.argmax(thetas))
             assert result.trace["theta"] == max(thetas)
             compared += 1
-        assert compared >= 2
+        assert compared >= 2 and several >= 1
 
     @pytest.mark.parametrize("d,depth", [(1, 10), (2, 7)])
     def test_renders_each_ball_once_and_locates_no_ball_twice(self, d, depth, monkeypatch):
+        """Every ball is rendered once; the visible ones, and only they, reach
+        ``locate_all``, each once, in one call."""
         fam = st.random_family(d, np.random.default_rng(1), profile="peaked", config=CONFIG, grid_depth=depth)
+        # and a ball around a cell corner that holds no cell centre
+        corner, h = np.full((1, d), 0.5), 2.0**-depth
+        fam = st.BallFamily(np.vstack([fam.centers, corner]), np.append(fam.radii, h / 4), np.append(fam.weights, 1.0))
         balls = [(tuple(c), float(r)) for c, r in zip(fam.centers, fam.radii)]
         visible = [b for b in balls if st.grid_ball_volume(np.array(b[0]), b[1], depth, d) > 0]
-        rendered, located = [], []
-        cells_in_ball, locate = st._cells_in_ball, st.AdjacentSystems.locate
+        assert len(visible) < len(balls)
+        rendered, located, calls = [], [], []
+        cells_in_ball, locate_all = st._cells_in_ball, st.AdjacentSystems.locate_all
 
         def counted_cells(center, radius, *args):
             rendered.append((tuple(center), float(radius)))
             return cells_in_ball(center, radius, *args)
 
-        def counted_locate(self, center, radius):
-            located.append((tuple(center), float(radius)))
-            return locate(self, center, radius)
+        def counted_locate_all(self, centers, radii):
+            calls.append(len(radii))
+            located.extend((tuple(c), float(r)) for c, r in zip(centers, radii))
+            return locate_all(self, centers, radii)
 
         monkeypatch.setattr(st, "_cells_in_ball", counted_cells)
-        monkeypatch.setattr(st.AdjacentSystems, "locate", counted_locate)
+        monkeypatch.setattr(st.AdjacentSystems, "locate_all", counted_locate_all)
         result = st.heavy_cubes(fam, CONFIG, depth)
         assert result.status in ("heavy_found", "exhausted")
         assert sorted(rendered) == sorted(balls)
-        assert sorted(located) == sorted(visible)
+        assert sorted(located) == sorted(visible) and calls == [len(visible)]
+
+    @staticmethod
+    def selection(fam, config, depth):
+        """``_select_system`` on the family as ``heavy_cubes`` calls it."""
+        systems = st.AdjacentSystems(fam.d)
+        rendered = st._render(fam, depth)
+        f = st.GridFunction._summed(rendered, fam.weights, fam.d, depth)
+        visible = np.array([cells is not None for cells in rendered])
+        return st._select_system(fam, systems, rendered, visible, f, config.N / len(systems))
+
+    def test_tie_goes_to_the_first_system(self):
+        """Two equal disjoint balls located in systems 1 and 0, the system-1 ball first in
+        index order: both systems carry the same theta and system 0 is selected."""
+        h, depth = 2.0**-10, 10
+        by_system = {}
+        for j in range(4, 2**depth - 4):  # centre on a cell edge: 8 cells of weight 30 >= N_w = 20
+            by_system.setdefault(brute_locate(np.array([j * h]), 4 * h)[0].system, j)
+        assert abs(by_system[0] - by_system[1]) > 8
+        fam = st.BallFamily(np.array([[by_system[1] * h], [by_system[0] * h]]), np.full(2, 4 * h), np.full(2, 30.0))
+        i, thetas, *_ = self.selection(fam, CONFIG, depth)
+        assert thetas[0] == thetas[1] == 30.0 * 8 * h and i == 0
+        result = st.heavy_cubes(fam, CONFIG, depth)
+        assert result.trace["selected_system"] == 0 and result.trace["theta"] == thetas[0]
 
     def test_vacuous_without_high_mass(self):
         fam = st.BallFamily(np.array([[0.5, 0.5]]), np.array([0.2]), np.array([1.0]))
         result = st.heavy_cubes(fam, CONFIG, 6)
         assert result.status == "vacuous" and result.heavy == [] and result.trace["theta"] == 0.0
+        assert result.trace["selected_system"] == 0
+        i, thetas, cells, values, balls, located = self.selection(fam, CONFIG, 6)
+        assert (i, thetas, cells.size, values.size) == (0, [0.0] * 4, 0, 0)
+        assert balls.tolist() == [0] and located == [st.AdjacentSystems(2).locate(fam.centers[0], 0.2)[0]]
 
 
 def ancestors(cube):
@@ -524,7 +653,7 @@ class TestGenerations:
                 for c, r, w in zip(fam.centers, fam.radii, fam.weights):
                     if st.grid_ball_volume(c, r, depth, d) == 0.0:
                         continue
-                    cube, _ = systems.locate(c, r)
+                    cube, _ = brute_locate(c, r)
                     if cube.system == result.trace["selected_system"]:
                         for rel in systems.related_cubes(r, cube):
                             wmap[rel] = wmap.get(rel, 0.0) + float(w)
