@@ -7,7 +7,8 @@ infimum over planes is approximated by a declared plane family: a weighted
 PCA fit (``pca``), descent from the PCA fit (``pca_refined``), or an
 exhaustive angle/offset grid (``grid_oracle``, planar clouds only). Every
 result carries its method tag. ``pca_refined`` scores its 65 planar start
-angles in one array pass. For the L1 coefficient it minimises each turn
+angles in one array pass, for the L1 coefficient only those that closed-form
+bounds (``_start_bounds``) leave as candidates. It minimises each turn
 exactly with one sort (``_sweep``: a line about a data point, a hyperplane
 about its anchor); Brent's bounded method serves only the sup coefficient and
 codimension >= 2, within 1e-4 relative of one-at-a-time evaluation. Fields
@@ -27,7 +28,7 @@ from scipy.optimize import minimize_scalar
 
 from .cubes import CubeKey, CubeLattice, _as_key
 from .grassmann import AffinePlane, Subspace
-from .pointset import Ball, RegularCloud, _ball_batches, _pca_frames
+from .pointset import Ball, RegularCloud, _ball_batches, _pca_frames, _row_norms
 
 METHODS = ("pca", "pca_refined", "grid_oracle")
 REFINE_ITERATIONS = 50
@@ -107,6 +108,20 @@ def _sweep(a, b, w):
     return zeros.take(k), np.maximum(vals.take(k), 0.0)  # the running sums can round below 0
 
 
+def _start_bounds(pts, w, r, thetas):
+    """(lower, upper): row k of the planar beta1 ``_planar_values`` is at least lower[k] and the
+    least row at most upper. With s the projections on the normal at t and V = sum w (s - mean)^2
+    (a quadratic form of the 2x2 covariance), V = sum w (s - mean)(s - c) <= R sum w |s - c| for
+    any c (R: largest distance to the mean); at the least V, sum w |s - median| <= sqrt(W V) by
+    Cauchy-Schwarz. Slacks 1e-13 m trace (on V) and 1e-13 m W max|coordinate| cover rounding."""
+    rel = pts - w @ pts / w.sum()
+    cov, nrm = (w * rel.T) @ rel, np.c_[-np.sin(thetas), np.cos(thetas)]
+    var = ((nrm @ cov) * nrm).sum(axis=1)
+    dv, tau = 1e-13 * len(pts) * np.array([cov.trace(), w.sum() * np.abs(pts).max()])
+    lower = ((var - dv) / max(_row_norms(rel).max(), np.finfo(float).tiny) - tau) / r**2
+    return lower, (math.sqrt(w.sum() * (max(var.min(), 0.0) + dv)) + tau) / r**2
+
+
 def _best_angle(pts, w, r, sup, thetas):
     """The angle of ``thetas`` with the lowest planar objective: (angle, value, offset)."""
     vals, c = _planar_values(pts, w, r, sup, thetas)
@@ -117,8 +132,13 @@ def _best_angle(pts, w, r, sup, thetas):
 def _planar_refine(pts, w, r, sup, theta0):
     """Best of 65 start angles around theta0, then for beta1 exact turns (``_sweep``) about the
     weighted-median point and its two neighbours along the normal while the value strictly
-    falls (an optimal L1 line passes through a weighted median); for beta_inf, Brent steps."""
+    falls (an optimal L1 line passes through a weighted median); for beta_inf, Brent steps.
+    For beta1 a start angle whose ``_start_bounds`` lower bound exceeds the upper bound scores
+    above the least, so it is not scored; rows reduce alone, so kept angles score bit for bit."""
     thetas = np.r_[theta0, theta0 + np.linspace(-np.pi / 2, np.pi / 2, 64, endpoint=False)]
+    if not sup:
+        lower, upper = _start_bounds(pts, w, r, thetas)
+        thetas = thetas[lower <= upper]
     theta, best_val, c = _best_angle(pts, w, r, sup, thetas)
     if not sup:
         for _ in range(REFINE_ITERATIONS):

@@ -314,6 +314,12 @@ def _row_norms(diff: np.ndarray) -> np.ndarray:
     return np.sqrt(functools.reduce(np.add, (diff * diff).T))
 
 
+def _check_count(name: str, value, least: int):
+    """ValueError unless ``value`` is an integer, not a bool, of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def _ball_batches(cloud: RegularCloud, centers: np.ndarray, radii: np.ndarray):
     """``balls_indices`` over runs of consecutive balls of about BALL_CHUNK pairs each, planned
     by a count-only tree query; yields (first ball of the run, indptr, idx)."""
@@ -328,24 +334,28 @@ def estimate_regularity(cloud: RegularCloud, trials: int, rng: np.random.Generat
 
     Samples centres from the cloud (weighted) and radii log-uniformly in
     [4 * resolution, diam]; the estimate is the worst ratio between ball
-    mass and r^n in either direction. Each centre has positive weight and
-    lies in its own ball, so every ball mass is positive.
+    mass and r^n in either direction, the first of equal ratios. Each centre
+    has positive weight and lies in its own ball, so every mass is positive.
+    Count-only queries at radii (1 -+ 1e-12) bound each mass by max(centre
+    weight, inner count * least weight) and outer count * largest weight; a
+    ball whose upper ratio bound is below the largest lower one (less 1e-9
+    relative, for rounding) is beaten strictly, so it is never summed.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_count("trials", trials, 1)
     r_lo = 4.0 * cloud.resolution
     r_hi = max(cloud.diameter, r_lo * (1.0 + 1e-9))
-    prob = cloud.weights / cloud.total_weight
-    idx = rng.choice(len(cloud.points), size=trials, p=prob)
+    idx = rng.choice(len(cloud.points), size=trials, p=cloud.weights / cloud.total_weight)
     radii = np.exp(rng.uniform(math.log(r_lo), math.log(r_hi), size=trials))
-    centers = cloud.points[idx]
+    centers, w, rn = cloud.points[idx], cloud.weights, radii**cloud.n
+    near = [cloud.tree.query_ball_point(centers, radii * f, return_length=True) for f in (1 - 1e-12, 1 + 1e-12)]
+    lo, hi = np.maximum(w[idx], near[0] * w.min()), near[1] * w.max()
+    keep = np.flatnonzero(np.maximum(hi / rn, rn / lo) >= np.maximum(lo / rn, rn / hi).max() * (1 - 1e-9))
     # one sum per ball, not np.add.reduceat: a ball's mass rounds as ball_mass rounds it
-    w, batches = cloud.weights, _ball_batches(cloud, centers, radii)
+    batches = _ball_batches(cloud, centers[keep], radii[keep])
     masses = np.array([part.sum() for _, ptr, sel in batches for part in np.split(w[sel], ptr[1:-1])])
-    rn = radii**cloud.n
-    ratios = np.maximum(masses / rn, rn / masses)
+    ratios = np.maximum(masses / rn[keep], rn[keep] / masses)
     k = int(np.argmax(ratios))  # the first of equal ratios, and the first ball when none exceeds 1
-    worst, k = (float(ratios[k]), k) if ratios[k] > 1.0 else (1.0, 0)
+    worst, k = (float(ratios[k]), keep[k]) if ratios[k] > 1.0 else (1.0, 0)
     return RegularityReport(C0_estimate=worst, worst_ball=Ball(centers[k], float(radii[k])), samples=trials)
 
 
@@ -413,8 +423,8 @@ def pbp_margin(
     candidate did. The ball's points are selected once per call; each
     shadow equals ``projection_measure(cloud, V, ball, grid_resolution)``.
     """
-    if n_directions < 16:
-        raise ValueError("n_directions must be >= 16")
+    _check_count("n_directions", n_directions, 16)
+    _check_count("n_candidates", n_candidates, 1)
     g = grid_resolution if grid_resolution is not None else cloud.resolution
     if g < cloud.resolution:
         raise ValueError("grid_resolution must be at least the cloud resolution")

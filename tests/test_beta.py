@@ -439,6 +439,110 @@ class TestSweep:
             assert one_t == t[row] and one_v == v[row]
 
 
+def _unpruned_planar_refine(pts, w, r, theta0):
+    """The beta1 path of ``_planar_refine`` with every one of the 65 start angles scored."""
+    thetas = np.r_[theta0, theta0 + np.linspace(-np.pi / 2, np.pi / 2, 64, endpoint=False)]
+    theta, best_val, c = bt._best_angle(pts, w, r, False, thetas)
+    for _ in range(bt.REFINE_ITERATIONS):
+        order = np.argsort(pts @ np.array([-math.sin(theta), math.cos(theta)]))
+        cum = np.cumsum(w[order])
+        k = int((cum < 0.5 * cum[-1]).sum())
+        rel = pts - pts[order[max(k - 1, 0) : k + 2], None]
+        t, val, off = bt._best_angle(pts, w, r, False, bt._sweep(rel[..., 1], rel[..., 0], w)[0])
+        if val >= best_val:
+            break
+        theta, best_val, c = t, val, off
+    return best_val, theta, c
+
+
+def _start_grid_cloud(rng, kind, m):
+    """Points and weights of one kind: uniform, collinear (on an axis or a slanted line),
+    near-collinear, coincident, two sites (where the lower bound is attained), or a cluster
+    with one heavy far outlier; about a fifth weigh 0."""
+    t = rng.uniform(-1.0, 1.0, m)
+    if kind == "uniform":
+        pts = rng.uniform(-1.0, 1.0, (m, 2))
+    elif kind == "axis":
+        pts = np.c_[t, np.full(m, 0.3)]
+    elif kind in ("slanted", "near_collinear"):
+        pts = np.c_[t, 0.7 * t + 0.1]
+        if kind == "near_collinear":
+            pts[:, 1] += rng.normal(0.0, 1e-9, m)
+    elif kind == "coincident":
+        pts = np.tile(rng.uniform(-1.0, 1.0, 2), (m, 1))
+    elif kind == "two_sites":
+        pts = rng.uniform(-1.0, 1.0, (2, 2))[rng.integers(2, size=m)]
+    else:
+        pts = rng.normal(0.0, 0.05, (m, 2))
+        pts[0] = rng.uniform(-1.0, 1.0, 2) * 40.0
+    w = rng.uniform(0.0, 1.0, m) * (rng.uniform(size=m) < 0.8)
+    w[rng.integers(m)] = rng.uniform(0.1, 1.0)
+    if kind == "outlier":
+        w[0] = 1e3 * w.max() + 1.0
+    return pts, w
+
+
+class TestStartBounds:
+    KINDS = ("uniform", "axis", "slanted", "near_collinear", "coincident", "two_sites", "outlier")
+
+    def _check(self, pts, w, r, theta0):
+        thetas = np.r_[theta0, theta0 + np.linspace(-np.pi / 2, np.pi / 2, 64, endpoint=False)]
+        lower, upper = bt._start_bounds(pts, w, r, thetas)
+        vals = bt._planar_values(pts, w, r, False, thetas)[0]
+        assert (lower <= vals).all()
+        assert vals.min() <= upper
+        got = bt._planar_refine(pts, w, r, False, theta0)
+        want = _unpruned_planar_refine(pts, w, r, theta0)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        return int((lower > upper).sum())
+
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from(KINDS),
+        st.integers(min_value=3, max_value=150),
+        st.floats(min_value=-1e3, max_value=1e3),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bounds_hold_and_pruning_keeps_the_result(self, seed, kind, m, shift, pca_start):
+        rng = np.random.default_rng(seed)
+        pts, w = _start_grid_cloud(rng, kind, m)
+        pts += shift  # large coordinates: the projections round at the scale of max|coordinate|
+        r = float(np.abs(pts - pts.mean(axis=0)).max()) * rng.uniform(1.5, 3.0) + 1e-3
+        live = w > 0
+        theta0 = rng.uniform(-math.pi, math.pi)
+        if pca_start and live.sum() >= 2:
+            frame = ps._pca_frame(pts[live], w[live], 1)[0]
+            theta0 = math.atan2(frame[1, 0], frame[0, 0])
+        self._check(pts[live], w[live], r, theta0)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("m", [3, 4, 40, 400])
+    def test_seeded_kinds(self, kind, m):
+        for seed in range(5):
+            rng = np.random.default_rng([seed, m])
+            pts, w = _start_grid_cloud(rng, kind, m)
+            live = w > 0
+            self._check(pts[live], w[live], 3.0 if kind != "outlier" else 120.0, rng.uniform(-math.pi, math.pi))
+
+    def test_curve_balls_prune_and_match(self):
+        curve = ps.lipschitz_graph_cloud(
+            lambda t: [0.25 * np.sin(2.0 * np.pi * t[0])], Subspace.axis(2, 0), 2.0, 2.0**-8
+        )
+        lat = cb.CubeLattice(curve, 0, 5)
+        pruned = rows = 0
+        for cube in lat.all_cubes():
+            ball = lat.ball(cube)
+            idx = curve.ball_indices(ball)
+            if len(idx) < 3:
+                continue
+            pts, w = curve.points[idx], curve.weights[idx]
+            frame = ps._pca_frame(pts, w, 1)[0]
+            pruned += self._check(pts, w, ball.radius, math.atan2(frame[1, 0], frame[0, 0]))
+            rows += 65
+        assert rows > 0 and pruned > rows // 2  # the bounds drop 63 % of the start angles here
+
+
 def _pair_line_oracle(pts, w, r):
     """Least weighted distance sum over the lines through two distinct data points, over r^2.
     Exact for planar beta1: an optimal L1 line passes through two data points. O(m^3)."""

@@ -162,6 +162,137 @@ class TestEstimateRegularity:
         assert mass / r**2 == pytest.approx(math.pi, rel=0.05)
 
 
+def _regularity_scan(cloud, trials, rng):
+    """``estimate_regularity`` without bounds: every drawn ball summed over the points that
+    ``Ball.contains`` accepts, then the first ball of the largest ratio. Returns
+    (C0, centre, radius) and every ball's ratio, mass and centre index."""
+    r_lo = 4.0 * cloud.resolution
+    r_hi = max(cloud.diameter, r_lo * (1.0 + 1e-9))
+    idx = rng.choice(len(cloud.points), size=trials, p=cloud.weights / cloud.total_weight)
+    radii = np.exp(rng.uniform(math.log(r_lo), math.log(r_hi), size=trials))
+    balls = [ps.Ball(cloud.points[i], r) for i, r in zip(idx, radii)]
+    masses = np.array([cloud.weights[ball.contains(cloud.points)].sum() for ball in balls])
+    rn = radii**cloud.n
+    ratios = np.maximum(masses / rn, rn / masses)
+    k = int(np.argmax(ratios))
+    worst, k = (float(ratios[k]), k) if ratios[k] > 1.0 else (1.0, 0)
+    return (worst, cloud.points[idx[k]], float(radii[k])), ratios, masses, idx
+
+
+class _OneRadius:
+    """A generator stand-in that draws centres as ``np.random.Generator`` does and gives every
+    ball one radius, so balls at equally placed centres tie exactly."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def choice(self, *args, **kwargs):
+        return self.rng.choice(*args, **kwargs)
+
+    def uniform(self, low, high, size):
+        return np.full(size, self.rng.uniform(low, high))
+
+
+def _zero_weight_segment():
+    seg = ps.segment(1e-2)
+    w = seg.weights.copy()
+    w[::3] = 0.0
+    return ps.RegularCloud(seg.points, w, 1, seg.resolution, generator="segment-with-gaps")
+
+
+REGULARITY_CLOUDS = {
+    "segment": lambda: ps.segment(1e-2),
+    "whole_cloud": lambda: ps.four_corners(2),  # r_lo = 0.25, diameter 1.33: about 6 % of the balls hold all 16
+    "zero_weight": _zero_weight_segment,
+    "curve": lambda: ps.lipschitz_graph_cloud(lambda t: [0.25 * np.sin(2.0 * np.pi * t[0])], X_AXIS, 1.6, 2.0**-7),
+    "surface": lambda: ps.lipschitz_graph_cloud(
+        lambda t: [0.2 * np.sin(2.0 * np.pi * t[0]) * np.cos(2.0 * np.pi * t[1])],
+        Subspace.axis(3, 0, 1),
+        1.8,
+        2.0**-4,
+    ),
+}
+
+
+class TestRegularityBounds:
+    """The bounded scan reports what summing every ball reports, bit for bit."""
+
+    @staticmethod
+    def _same(cloud, trials, make_rng):
+        rep = ps.estimate_regularity(cloud, trials, make_rng())
+        (worst, center, radius), *scan = _regularity_scan(cloud, trials, make_rng())
+        assert rep.C0_estimate == worst and rep.worst_ball.radius == radius
+        assert rep.worst_ball.center.tobytes() == center.tobytes()
+        assert rep.samples == trials
+        return scan
+
+    @pytest.mark.parametrize("name", sorted(REGULARITY_CLOUDS))
+    @pytest.mark.parametrize("trials", [1, 7, 2000])
+    def test_equals_the_full_scan(self, name, trials, monkeypatch):
+        cloud = REGULARITY_CLOUDS[name]()
+        summed, batches = [], ps._ball_batches
+
+        def counted(c, centers, radii):
+            summed.append(len(radii))
+            return batches(c, centers, radii)
+
+        monkeypatch.setattr(ps, "_ball_batches", counted)
+        whole = 0
+        for seed in range(3):
+            _, masses, _ = self._same(cloud, trials, lambda: np.random.default_rng([seed, trials]))
+            whole += int((masses == cloud.total_weight).sum())
+        if trials == 2000 and name in ("segment", "curve", "surface"):
+            assert sum(summed) < 3 * trials  # the bounds leave balls unsummed
+        if trials == 2000 and name == "whole_cloud":
+            assert whole > 300
+
+    @pytest.mark.parametrize("trials", [7, 2000])
+    def test_first_of_equal_ratios(self, trials):
+        cloud = ps.segment(1e-2)
+        ties = 0
+        for seed in range(5):
+            ratios, _, idx = self._same(cloud, trials, lambda: _OneRadius(seed))
+            ties += len(np.unique(idx[ratios == ratios.max()])) > 1
+        assert ties >= 3  # several centres share the worst ratio, and the first is reported
+
+    def test_zero_weight_points_stay_out(self):
+        cloud = _zero_weight_segment()
+        assert cloud.weights.min() == 0.0
+        rep = ps.estimate_regularity(cloud, 2000, np.random.default_rng(4))
+        i = np.flatnonzero((cloud.points == rep.worst_ball.center).all(axis=1))
+        assert cloud.weights[i[0]] > 0.0
+
+
+class TestCountArguments:
+    @pytest.mark.parametrize("trials", [2.5, True, 0, -3, "7", None])
+    def test_estimate_regularity_trials(self, trials):
+        with pytest.raises(ValueError, match="trials must be an integer >= 1"):
+            ps.estimate_regularity(ps.segment(1e-2), trials, np.random.default_rng(0))
+
+    def test_estimate_regularity_numpy_integer(self):
+        rep = ps.estimate_regularity(ps.segment(1e-2), np.int64(5), np.random.default_rng(0))
+        assert rep.samples == 5
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"n_candidates": 0}, "n_candidates"),
+            ({"n_candidates": -1}, "n_candidates"),
+            ({"n_candidates": 2.0}, "n_candidates"),
+            ({"n_candidates": True}, "n_candidates"),
+            ({"n_directions": 16.5}, "n_directions"),
+            ({"n_directions": 15}, "n_directions"),
+            ({"n_directions": True}, "n_directions"),
+        ],
+    )
+    def test_pbp_margin_counts(self, kwargs, name):
+        args = {"n_directions": 16, **kwargs}
+        n_dir = args.pop("n_directions")
+        cloud = ps.segment(1e-2)
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= "):
+            ps.pbp_margin(cloud, ps.Ball(np.array([0.5, 0.0]), 0.3), 0.1, n_dir, np.random.default_rng(0), **args)
+
+
 class TestProjectionMeasure:
     def test_segment_shadow_on_its_axis(self):
         cloud = ps.segment(1e-3)
