@@ -133,6 +133,8 @@ def _planar_refine(pts, w, r, sup, theta0):
     """Best of 65 start angles around theta0, then for beta1 exact turns (``_sweep``) about the
     weighted-median point and its two neighbours along the normal while the value strictly
     falls (an optimal L1 line passes through a weighted median); for beta_inf, Brent steps.
+    A pivot's turn depends on the pivot alone and scored no lower than the current value when
+    it was first swept, so only new pivots are turned, and the descent stops when none is new.
     For beta1 a start angle whose ``_start_bounds`` lower bound exceeds the upper bound scores
     above the least, so it is not scored; rows reduce alone, so kept angles score bit for bit."""
     thetas = np.r_[theta0, theta0 + np.linspace(-np.pi / 2, np.pi / 2, 64, endpoint=False)]
@@ -141,11 +143,16 @@ def _planar_refine(pts, w, r, sup, theta0):
         thetas = thetas[lower <= upper]
     theta, best_val, c = _best_angle(pts, w, r, sup, thetas)
     if not sup:
+        swept = set()
         for _ in range(REFINE_ITERATIONS):
             order = np.argsort(pts @ np.array([-math.sin(theta), math.cos(theta)]))
             cum = np.cumsum(w[order])
             k = int((cum < 0.5 * cum[-1]).sum())
-            rel = pts - pts[order[max(k - 1, 0) : k + 2], None]
+            pivots = [p for p in order[max(k - 1, 0) : k + 2].tolist() if p not in swept]
+            if not pivots:
+                break
+            swept.update(pivots)
+            rel = pts - pts[pivots, None]
             t, val, off = _best_angle(pts, w, r, sup, _sweep(rel[..., 1], rel[..., 0], w)[0])
             if val >= best_val:
                 break
@@ -349,13 +356,6 @@ def export_betas(betas: dict[CubeKey, BetaResult], path: str | Path, which: str 
         writer = csv.writer(fh)
         writer.writerow(["level", "cell_index", which, "method", "plane_direction", "plane_anchor"])
         for (level, cell), res in sorted(betas.items()):
-            writer.writerow(
-                [
-                    level,
-                    " ".join(map(str, cell)),
-                    repr(res.value),
-                    res.method,
-                    " ".join(repr(float(x)) for x in res.plane.direction.basis.ravel()),
-                    " ".join(repr(float(x)) for x in res.plane.anchor),
-                ]
-            )
+            direction = " ".join(repr(float(x)) for x in res.plane.direction.basis.ravel())
+            anchor = " ".join(repr(float(x)) for x in res.plane.anchor)
+            writer.writerow([level, " ".join(map(str, cell)), repr(res.value), res.method, direction, anchor])

@@ -5,9 +5,9 @@ cube centres snap to cloud points and every cube carries the ball
 B_Q = B(c_Q, C * side) with C = 3 * sqrt(d), which makes the balls nested
 along parent links. Cubes are identified by (level, cell index) keys, and
 flags are mappings from those keys to bools. Functions that take a root
-cube accept a ``Cube`` or its key. The David scan reads each cube's nearest
-non-member from its level's batched selection of the balls B_Q, and looks
-further by k-nearest neighbours only for a cube whose B_Q holds none.
+cube accept a ``Cube`` or its key. The David scan finds each cube's nearest
+non-member by k-nearest neighbours and settles each level's least distance
+with one small ball query.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .pointset import Ball, RegularCloud, _ball_batches, _row_norms
+from .pointset import BALL_CHUNK, Ball, RegularCloud, _row_norms
 
 CubeKey = tuple[int, tuple[int, ...]]
 Flags = Mapping[CubeKey, bool]
@@ -47,9 +47,12 @@ class Cube:
 class CubeLattice:
     """Nested dyadic decomposition of a cloud between two levels.
 
-    ``cubes[j]`` maps cell indices to Cube objects at side length 2^-j;
-    parents and children are index-arithmetic on keys. The ball constant C
-    guarantees B_Q inside B_parent.
+    ``cubes[j]`` maps the occupied cells of side 2^-j to Cube objects in order
+    of each cell's first point, members ascending: one stable lexsort of the
+    level's integer cells, a key per coordinate (one flattened key could
+    overflow on wide clouds), groups the points. Parents and children are
+    index-arithmetic on keys, each cube's children sorted once. The ball
+    constant C guarantees B_Q inside B_parent.
     """
 
     def __init__(self, cloud: RegularCloud, j_min: int, j_max: int):
@@ -68,14 +71,14 @@ class CubeLattice:
         for j in range(j_min, j_max + 1):
             side = 2.0**-j
             cells = np.floor(pts / side).astype(np.int64)
-            # cubes in order of their first point, members ascending
-            uniq, first, inverse = np.unique(cells, axis=0, return_index=True, return_inverse=True)
-            inverse = inverse.ravel()
-            groups = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
+            order = np.lexsort(cells.T)
+            sorted_cells = cells[order]
+            starts = np.flatnonzero(np.r_[True, (sorted_cells[1:] != sorted_cells[:-1]).any(axis=1)])
+            groups = np.split(order, starts[1:])
             dist = np.linalg.norm(pts - (cells + 0.5) * side, axis=1)
             built = {}
-            for u in np.argsort(first):
-                cell, members = tuple(uniq[u]), groups[u]
+            for g in np.argsort(order[starts]):
+                cell, members = tuple(sorted_cells[starts[g]]), groups[g]
                 built[cell] = Cube(
                     level=j,
                     index=cell,
@@ -117,10 +120,10 @@ class CubeLattice:
             for cell in self.cubes[j]:
                 pk = (j - 1, tuple(c >> 1 for c in cell))
                 cm.setdefault(pk, []).append((j, cell))
-        return cm
+        return {key: sorted(kids) for key, kids in cm.items()}
 
     def child_keys(self, key: CubeKey) -> list[CubeKey]:
-        return sorted(self._child_map.get(key, []))
+        return list(self._child_map.get(key, ()))
 
     def ball(self, cube: Cube, factor: float = 1.0) -> Ball:
         return Ball(cube.center, factor * self.ball_constant * cube.side)
@@ -133,13 +136,8 @@ class CubeLattice:
     def descendants(self, key: CubeKey) -> list[CubeKey]:
         """Keys of all cubes contained in ``key`` (including itself), BFS order."""
         out = [key]
-        frontier = [key]
-        while frontier:
-            nxt = []
-            for k in frontier:
-                nxt.extend(self.child_keys(k))
-            out.extend(nxt)
-            frontier = nxt
+        for k in out:  # the list is the BFS queue: it grows while it is walked
+            out.extend(self._child_map.get(k, ()))
         return out
 
     def key_of_point(self, point_index: int, level: int) -> CubeKey:
@@ -155,18 +153,10 @@ class CubeLattice:
         with open(path, "w") as fh:
             for cube in self.all_cubes():
                 pk = self.parent_key(cube.key)
-                fh.write(
-                    json.dumps(
-                        {
-                            "level": cube.level,
-                            "cell_index": [int(c) for c in cube.index],
-                            "center": [float(c) for c in cube.center],
-                            "weight": cube.weight,
-                            "parent": None if pk is None else [pk[0], [int(c) for c in pk[1]]],
-                        }
-                    )
-                    + "\n"
-                )
+                record = {"level": cube.level, "cell_index": [int(c) for c in cube.index],
+                          "center": [float(c) for c in cube.center], "weight": cube.weight,
+                          "parent": None if pk is None else [pk[0], [int(c) for c in pk[1]]]}
+                fh.write(json.dumps(record) + "\n")
 
 
 @dataclass
@@ -184,31 +174,49 @@ def diagnose_david_properties(lattice: CubeLattice) -> DavidReport:
     density sits outside a factor 100 of the median (diagnostic only, never
     an error). Zero-weight points lie outside the measure's support and are
     left out, as in ``beta``.
+
+    Per level, the constant is the least distance from a cube's centre to a
+    live point outside it, over the side. Bound, then settle: the k nearest
+    points of a centre, k its member count plus the zero-weight count plus 1,
+    hold a live non-member if one exists, and the first is the cube's nearest
+    (a row of every point without one: the cube has none); rows run in
+    power-of-two classes of k, about BALL_CHUNK neighbours at a time. The least
+    of these, tau, is no less than the level's minimum, so one ``balls_indices``
+    call of radius tau (1 + 1e-9), the slack for the tree's rounding, about the
+    cubes whose nearest is within it holds every pair that can attain it; the
+    least ``_row_norms`` of its live non-members is the all-pairs minimum.
     """
     cloud = lattice.cloud
-    live = cloud.weights > 0
+    pts, live = cloud.points, cloud.weights > 0
+    n_dead = len(pts) - int(live.sum())
     inner = math.inf
     cubes = list(lattice.all_cubes())
     densities = np.array([cube.weight / cube.side**cloud.n for cube in cubes])
-    label = np.empty(len(cloud.points), dtype=np.intp)
+    label = np.empty(len(pts), dtype=np.intp)
     for j in range(lattice.j_min, lattice.j_max + 1):
-        for b, cube in enumerate(lattice.cubes[j].values()):
+        level = list(lattice.cubes[j].values())
+        for b, cube in enumerate(level):
             label[cube.members] = b
-        centers, radii = lattice.level_balls(j)
-        for lo, indptr, idx in _ball_batches(cloud, centers, radii):
-            seg = lo + np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
-            dist = _row_norms(cloud.points.take(idx, axis=0) - centers.take(seg, axis=0))
-            dist[~live[idx] | (label[idx] == seg)] = math.inf  # members and zero-weight points
-            nearest = np.minimum.reduceat(dist, indptr[:-1])
-            for b in np.flatnonzero(nearest == math.inf) + lo:
-                # B_Q holds no live non-member: the skip.sum()+1 nearest points hold one if any
-                # exists, and the ball through the first found holds all as near, up to rounding
-                skip = ~live | (label == b)
-                if not skip.all():
-                    knn, near = cloud.tree.query(centers[b], k=int(skip.sum()) + 1)
-                    near = cloud.ball_indices(Ball(centers[b], knn[~skip[near]][0] * (1.0 + 1e-12)))
-                    nearest[b - lo] = _row_norms(cloud.points[near[~skip[near]]] - centers[b]).min()
-            inner = min(inner, float((nearest / 2.0**-j).min()))
+        centers = lattice.level_balls(j)[0]
+        counts = np.array([len(cube.members) for cube in level])
+        ks = np.minimum(counts + n_dead + 1, len(pts))
+        nearest = np.full(len(level), math.inf)
+        classes = np.where(counts < len(pts), np.frexp(ks)[1], 0)  # a cube of every point has none
+        for c in np.unique(classes[classes > 0]):
+            rows = np.flatnonzero(classes == c)
+            k = int(ks[rows].max())
+            for run in np.array_split(rows, min(len(rows), math.ceil(len(rows) * k / BALL_CHUNK))):
+                dist, near = (a.reshape(len(run), k) for a in cloud.tree.query(centers[run], k=k))
+                hit = live[near] & (label[near] != run[:, None])
+                found = hit.any(axis=1)
+                nearest[run[found]] = dist[found, hit[found].argmax(axis=1)]
+        tau = nearest.min() * (1.0 + 1e-9)
+        if tau < math.inf:
+            close = np.flatnonzero(nearest <= tau)
+            indptr, idx = cloud.balls_indices(centers[close], np.full(len(close), tau))
+            seg = np.repeat(close, np.diff(indptr))
+            keep = live[idx] & (label[idx] != seg)
+            inner = min(inner, float(_row_norms(pts[idx[keep]] - centers[seg[keep]]).min() / 2.0**-j))
     med = float(np.median(densities))
     flagged = [
         cube.key

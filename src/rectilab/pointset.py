@@ -166,12 +166,8 @@ class RegularCloud:
         return Ball(center, factor * max(self.diameter / 2.0, self.resolution))
 
     def dilated(self, factor: float) -> "RegularCloud":
-        return replace(
-            self,
-            points=self.points * factor,
-            weights=self.weights * factor**self.n,
-            resolution=self.resolution * factor,
-        )
+        return replace(self, points=self.points * factor, weights=self.weights * factor**self.n,
+                       resolution=self.resolution * factor)
 
     def rotated(self, g: np.ndarray) -> "RegularCloud":
         return replace(self, points=self.points @ np.asarray(g, dtype=float).T)
@@ -204,9 +200,7 @@ def four_corners(k: int) -> RegularCloud:
     side = 4.0**-k
     centers = offsets + side / 2.0
     weights = np.full(len(centers), 4.0**-k)
-    return RegularCloud(
-        centers, weights, n=1, resolution=side, generator="four-corners", params={"k": k}
-    )
+    return RegularCloud(centers, weights, n=1, resolution=side, generator="four-corners", params={"k": k})
 
 
 def hrycak(m: int) -> RegularCloud:
@@ -228,11 +222,8 @@ def hrycak(m: int) -> RegularCloud:
     for _ in range(m):
         piece = length / m
         direction = np.column_stack([np.cos(angles), np.sin(angles)])
-        new_starts = (
-            starts[:, None, :] + direction[:, None, :] * (np.arange(m) * piece)[None, :, None]
-        ).reshape(-1, 2)
-        new_angles = np.repeat(angles + angle_step, m)
-        starts, angles, length = new_starts, new_angles, piece
+        starts = (starts[:, None, :] + direction[:, None, :] * (np.arange(m) * piece)[None, :, None]).reshape(-1, 2)
+        angles, length = np.repeat(angles + angle_step, m), piece
     mids = starts + 0.5 * length * np.column_stack([np.cos(angles), np.sin(angles)])
     return RegularCloud(
         mids, np.full(len(mids), length), n=1, resolution=length,
@@ -246,10 +237,7 @@ def segment(resolution: float = 1e-3) -> RegularCloud:
     h = 1.0 / cells
     xs = (np.arange(cells) + 0.5) * h
     pts = np.column_stack([xs, np.zeros(cells)])
-    return RegularCloud(
-        pts, np.full(cells, h), n=1, resolution=h,
-        generator="segment", params={"length": 1.0},
-    )
+    return RegularCloud(pts, np.full(cells, h), n=1, resolution=h, generator="segment", params={"length": 1.0})
 
 
 def circle(resolution: float = 2e-3) -> RegularCloud:
@@ -258,10 +246,7 @@ def circle(resolution: float = 2e-3) -> RegularCloud:
     theta = 2.0 * math.pi * np.arange(count) / count
     pts = np.column_stack([np.cos(theta), np.sin(theta)])
     h = 2.0 * math.pi / count
-    return RegularCloud(
-        pts, np.full(count, h), n=1, resolution=h,
-        generator="circle", params={"radius": 1.0},
-    )
+    return RegularCloud(pts, np.full(count, h), n=1, resolution=h, generator="circle", params={"radius": 1.0})
 
 
 def lipschitz_graph_cloud(f, v: Subspace, lipschitz_bound: float, resolution: float) -> RegularCloud:
@@ -320,10 +305,13 @@ def _check_count(name: str, value, least: int):
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-def _ball_batches(cloud: RegularCloud, centers: np.ndarray, radii: np.ndarray):
+def _ball_batches(cloud: RegularCloud, centers: np.ndarray, radii: np.ndarray, counts=None):
     """``balls_indices`` over runs of consecutive balls of about BALL_CHUNK pairs each, planned
-    by a count-only tree query; yields (first ball of the run, indptr, idx)."""
-    cum = np.cumsum(cloud.tree.query_ball_point(centers, radii * (1.0 + 1e-12), return_length=True))
+    by the point counts at radii (1 + 1e-12), from a count-only tree query unless ``counts``
+    holds them; yields (first ball of the run, indptr, idx)."""
+    if counts is None:
+        counts = cloud.tree.query_ball_point(centers, radii * (1.0 + 1e-12), return_length=True)
+    cum = np.cumsum(counts)
     cuts = np.searchsorted(cum, np.arange(BALL_CHUNK, cum[-1], BALL_CHUNK)) + 1
     for lo, hi in itertools.pairwise(np.unique(np.r_[0, cuts, len(cum)])):
         yield lo, *cloud.balls_indices(centers[lo:hi], radii[lo:hi])
@@ -339,7 +327,8 @@ def estimate_regularity(cloud: RegularCloud, trials: int, rng: np.random.Generat
     Count-only queries at radii (1 -+ 1e-12) bound each mass by max(centre
     weight, inner count * least weight) and outer count * largest weight; a
     ball whose upper ratio bound is below the largest lower one (less 1e-9
-    relative, for rounding) is beaten strictly, so it is never summed.
+    relative, for rounding) is beaten strictly, so it is never summed. The
+    outer counts also plan the runs in which the other balls are summed.
     """
     _check_count("trials", trials, 1)
     r_lo = 4.0 * cloud.resolution
@@ -351,7 +340,7 @@ def estimate_regularity(cloud: RegularCloud, trials: int, rng: np.random.Generat
     lo, hi = np.maximum(w[idx], near[0] * w.min()), near[1] * w.max()
     keep = np.flatnonzero(np.maximum(hi / rn, rn / lo) >= np.maximum(lo / rn, rn / hi).max() * (1 - 1e-9))
     # one sum per ball, not np.add.reduceat: a ball's mass rounds as ball_mass rounds it
-    batches = _ball_batches(cloud, centers[keep], radii[keep])
+    batches = _ball_batches(cloud, centers[keep], radii[keep], near[1][keep])
     masses = np.array([part.sum() for _, ptr, sel in batches for part in np.split(w[sel], ptr[1:-1])])
     ratios = np.maximum(masses / rn[keep], rn[keep] / masses)
     k = int(np.argmax(ratios))  # the first of equal ratios, and the first ball when none exceeds 1

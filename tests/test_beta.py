@@ -439,14 +439,17 @@ class TestSweep:
             assert one_t == t[row] and one_v == v[row]
 
 
-def _unpruned_planar_refine(pts, w, r, theta0):
-    """The beta1 path of ``_planar_refine`` with every one of the 65 start angles scored."""
+def _unpruned_planar_refine(pts, w, r, theta0, pivots=None):
+    """The beta1 path of ``_planar_refine`` with every one of the 65 start angles scored and
+    every pivot swept again on each turn; ``pivots`` collects each turn's pivot indices."""
     thetas = np.r_[theta0, theta0 + np.linspace(-np.pi / 2, np.pi / 2, 64, endpoint=False)]
     theta, best_val, c = bt._best_angle(pts, w, r, False, thetas)
     for _ in range(bt.REFINE_ITERATIONS):
         order = np.argsort(pts @ np.array([-math.sin(theta), math.cos(theta)]))
         cum = np.cumsum(w[order])
         k = int((cum < 0.5 * cum[-1]).sum())
+        if pivots is not None:
+            pivots.append(order[max(k - 1, 0) : k + 2].tolist())
         rel = pts - pts[order[max(k - 1, 0) : k + 2], None]
         t, val, off = bt._best_angle(pts, w, r, False, bt._sweep(rel[..., 1], rel[..., 0], w)[0])
         if val >= best_val:
@@ -541,6 +544,32 @@ class TestStartBounds:
             pruned += self._check(pts, w, ball.radius, math.atan2(frame[1, 0], frame[0, 0]))
             rows += 65
         assert rows > 0 and pruned > rows // 2  # the bounds drop 63 % of the start angles here
+
+
+class TestPivotMemo:
+    def test_curve_lattice_equals_the_unmemoised_descent(self, monkeypatch):
+        # the descent sweeps a pivot once per ball; every ball of the lattice must score as
+        # the copy above that sweeps every pivot on every turn, and some turns repeat pivots
+        curve = ps.lipschitz_graph_cloud(
+            lambda t: [0.25 * np.sin(2.0 * np.pi * t[0])], Subspace.axis(2, 0), 1.6, 2.0**-11
+        )
+        lat = cb.CubeLattice(curve, 0, 7)
+        real, balls, repeats = bt._planar_refine, [], [0]
+
+        def both(pts, w, r, sup, theta0):
+            got, turns = real(pts, w, r, sup, theta0), []
+            want = _unpruned_planar_refine(pts, w, r, theta0, turns)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+            swept = set()
+            for turn in turns:
+                repeats[0] += sum(p in swept for p in turn)
+                swept.update(turn)
+            balls.append(len(pts))
+            return got
+
+        monkeypatch.setattr(bt, "_planar_refine", both)
+        bt.beta_lattice(lat)
+        assert len(balls) == len(lat) > 400 and repeats[0] > 1000
 
 
 def _pair_line_oracle(pts, w, r):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 from rectilab import cubes as cb
 from rectilab import pointset as ps
@@ -108,6 +110,64 @@ def test_lattice_matches_loop_reference(cloud):
             assert cube.weight == weight
 
 
+def _wide_cloud(d):
+    """Points on both sides of the origin and in copies about 2^40 apart, which a flattened
+    cell key would overflow at levels 0..4."""
+    rng = np.random.default_rng(d)
+    base = rng.uniform(-2.0, 2.0, (200, d))
+    far = np.zeros(d)
+    far[0] = 2.0**40
+    pts = np.vstack([base, base[:60] + far, base[60:120] - far, base[120:] - far[::-1] + 0.5])
+    return ps.RegularCloud(pts, np.full(len(pts), 1e-2), 1, 1e-2, validate=False)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_lattice_matches_loop_reference_on_wide_clouds(d):
+    cloud = _wide_cloud(d)
+    lat = cb.CubeLattice(cloud, 0, 4)
+    ref = _loop_lattice(cloud, 0, 4)
+    assert max(abs(int(c)) for cube in lat.cubes[4].values() for c in cube.index) > 2**43
+    for j in range(5):
+        assert list(lat.cubes[j]) == list(ref[j])
+        for cell, (members, center, weight) in ref[j].items():
+            cube = lat.cubes[j][cell]
+            assert np.array_equal(cube.members, members)
+            assert np.array_equal(cube.center, center)
+            assert cube.weight == weight
+
+
+def test_child_keys_sorted_and_descendants_breadth_first(cantor_lattice):
+    lat = cantor_lattice
+    for cube in lat.all_cubes():
+        kids = lat.child_keys(cube.key)
+        below = [(cube.level + 1, c) for c in lat.cubes.get(cube.level + 1, {})]
+        ref = sorted(k for k in below if lat.parent_key(k) == cube.key)
+        assert kids == ref
+        kids.append("mutated")  # a caller's copy: the lattice keeps its own list
+        assert lat.child_keys(cube.key) == ref
+    root = lat.tops()[0].key
+    order, frontier = [root], [root]
+    while frontier:
+        frontier = [k for f in frontier for k in lat.child_keys(f)]
+        order += frontier
+    assert lat.descendants(root) == order
+
+
+def test_tree_query_shapes():
+    # the David scan reshapes the k-NN answer and never asks for more than every point:
+    # k = 1 squeezes the neighbour axis, k = N returns every point unpadded, k > N pads
+    pts = np.random.default_rng(0).uniform(size=(7, 2))
+    tree = cKDTree(pts)
+    dist, near = tree.query(pts[:3], k=1)
+    assert dist.shape == near.shape == (3,)
+    dist, near = tree.query(pts[:3], k=7)
+    assert dist.shape == near.shape == (3, 7)
+    assert np.isfinite(dist).all() and (np.sort(near, axis=1) == np.arange(7)).all()
+    assert (np.diff(dist, axis=1) >= 0).all()
+    dist, near = tree.query(pts[:3], k=8)
+    assert np.isinf(dist[:, -1]).all() and (near[:, -1] == 7).all()
+
+
 def _david_oracle(lat):
     """All-pairs inner-ball constant and density range; zero-weight points are outside the support."""
     pts = lat.cloud.points
@@ -119,6 +179,38 @@ def _david_oracle(lat):
             inner = min(inner, np.linalg.norm(pts[outside] - cube.center, axis=1).min() / cube.side)
         densities.append(cube.weight / cube.side**lat.cloud.n)
     return (1.0 if np.isinf(inner) else float(inner)), (min(densities), max(densities))
+
+
+def _david_cloud(seed, count, dead, cluster, copies, spread, signed):
+    """Uniform live points in [-spread, spread)^2 (or [0, spread)^2), zero-weight points between
+    the closest of them and their nearest neighbours (so often a cube's nearest non-member),
+    a cluster of ``cluster`` live points within 1e-4 of one spot and ``copies`` coincident
+    copies of live points; the lattice is built without the spacing check."""
+    rng = np.random.default_rng(seed)
+    live = rng.uniform(-spread if signed else 0.0, spread, (count, 2))
+    gap, nn = cKDTree(live).query(live, k=2)
+    closest = np.argsort(gap[:, 1], kind="stable")[rng.integers(min(count, 8), size=dead)]
+    near_dead = live[closest] + rng.uniform(0.2, 0.8, (dead, 1)) * (live[nn[closest, 1]] - live[closest])
+    clump = live[rng.integers(count)] + rng.uniform(0.0, 1e-4, (cluster, 2))
+    twins = live[rng.integers(count, size=copies)]
+    pts = np.vstack([live, near_dead, clump, twins])
+    weights = np.full(len(pts), 1e-2)
+    weights[count : count + dead] = 0.0
+    order = rng.permutation(len(pts))
+    return ps.RegularCloud(pts[order], weights[order], 1, 2.0**-8, validate=False)
+
+
+def _dead_nearer(lat):
+    """Cubes whose nearest non-member weighs zero and lies nearer than every live non-member."""
+    pts, live = lat.cloud.points, lat.cloud.weights > 0
+    hits = 0
+    for cube in lat.all_cubes():
+        outside = np.ones(len(pts), dtype=bool)
+        outside[cube.members] = False
+        dist = np.linalg.norm(pts - cube.center, axis=1)
+        if (outside & live).any() and (outside & ~live).any():
+            hits += dist[outside & ~live].min() < dist[outside & live].min()
+    return hits
 
 
 class TestDavidDiagnostics:
@@ -147,8 +239,8 @@ class TestDavidDiagnostics:
     @pytest.mark.parametrize("spread", [0.5, 0.0], ids=["far_cluster", "isolated_points"])
     def test_far_points_take_the_nearest_neighbour_fallback(self, spread):
         # the level-0 cube of each cluster holds its cluster, and its B_Q (radius 3 sqrt 2)
-        # reaches no point of the other one, so those cubes need the k-NN search; with
-        # spread 0 each cluster is one point, every cube falls back and sets the constant
+        # reaches no point of the other one: the k-NN rows, not B_Q, must find the nearest
+        # non-member; with spread 0 each cluster is one point, and those cubes set the constant
         near = np.array([[0.1, 0.1], [0.3, 0.15], [0.15, 0.35], [0.6, 0.2], [0.7, 0.8]])
         near = near[:1] + spread * (near - near[:1]) if spread else near[:1]
         pts = np.vstack([near, near + [20.0, 0.5]])
@@ -172,6 +264,60 @@ class TestDavidDiagnostics:
         assert report.inner_ball_constant == _david_oracle(lat)[0]
         if not spread:
             assert report.inner_ball_constant > 20.0
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        count=st.integers(min_value=2, max_value=120),
+        dead=st.integers(min_value=0, max_value=60),
+        cluster=st.integers(min_value=0, max_value=300),
+        copies=st.integers(min_value=0, max_value=12),
+        spread=st.sampled_from([0.4, 3.0, 40.0]),
+        signed=st.booleans(),
+        j_min=st.integers(min_value=0, max_value=3),
+        depth=st.integers(min_value=0, max_value=3),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_oracle_on_random_clouds(
+        self, seed, count, dead, cluster, copies, spread, signed, j_min, depth
+    ):
+        cloud = _david_cloud(seed, count, dead, cluster, copies, spread, signed)
+        lat = cb.CubeLattice(cloud, j_min, j_min + depth)
+        report = cb.diagnose_david_properties(lat)
+        inner, (lo, hi) = _david_oracle(lat)
+        assert report.inner_ball_constant == inner
+        assert report.density_ratio_range == (lo, hi)
+
+    def test_random_clouds_reach_the_hard_cases(self):
+        # seeded draws of the property test's clouds: zero-weight points that are some cube's
+        # nearest non-member, coincident points, single-cube levels and clusters of 300 points
+        nearer_dead = single = 0
+        for seed in range(6):
+            cloud = _david_cloud(seed, 60, 40, 300, 8, 0.4, seed % 2 == 0)
+            lat = cb.CubeLattice(cloud, seed % 3, seed % 3 + 3)
+            nearer_dead += _dead_nearer(lat)
+            single += sum(len(lat.cubes[j]) == 1 for j in lat.cubes)
+            assert len(np.unique(cloud.points, axis=0)) < len(cloud.points)
+            assert cb.diagnose_david_properties(lat).inner_ball_constant == _david_oracle(lat)[0]
+        assert nearer_dead > 0 and single > 0
+
+    def test_settling_selects_far_fewer_pairs_than_the_balls(self, monkeypatch):
+        base = ps.four_corners(5)
+        jitter = np.random.default_rng(1).uniform(-0.125, 0.125, base.points.shape) * base.resolution
+        cloud = ps.RegularCloud(base.points + jitter, base.weights, 1, base.resolution)
+        lat = cb.CubeLattice(cloud, 0, 7)
+        real = ps.RegularCloud.balls_indices
+        in_balls = sum(len(real(cloud, *lat.level_balls(j))[1]) for j in range(8))
+        selected = []
+
+        def counted(self, centers, radii):
+            indptr, idx = real(self, centers, radii)
+            selected.append(len(idx))
+            return indptr, idx
+
+        monkeypatch.setattr(ps.RegularCloud, "balls_indices", counted)
+        report = cb.diagnose_david_properties(lat)
+        assert report.inner_ball_constant == _david_oracle(lat)[0]
+        assert 0 < len(selected) <= 8 and sum(selected) < in_balls / 20
 
     def test_single_point_cloud(self):
         cloud = ps.RegularCloud(np.array([[0.3, 0.3]]), np.array([0.25]), 1, 0.25)

@@ -232,9 +232,9 @@ class TestRegularityBounds:
         cloud = REGULARITY_CLOUDS[name]()
         summed, batches = [], ps._ball_batches
 
-        def counted(c, centers, radii):
+        def counted(c, centers, radii, *counts):
             summed.append(len(radii))
-            return batches(c, centers, radii)
+            return batches(c, centers, radii, *counts)
 
         monkeypatch.setattr(ps, "_ball_batches", counted)
         whole = 0
@@ -254,6 +254,27 @@ class TestRegularityBounds:
             ratios, _, idx = self._same(cloud, trials, lambda: _OneRadius(seed))
             ties += len(np.unique(idx[ratios == ratios.max()])) > 1
         assert ties >= 3  # several centres share the worst ratio, and the first is reported
+
+    @pytest.mark.parametrize("name", ["segment", "zero_weight", "curve"])
+    def test_two_count_queries(self, name):
+        # the mass bounds' outer counts also plan the summing runs: no third count query
+        cloud = REGULARITY_CLOUDS[name]()
+        tree, counted = cloud.tree, []
+
+        class CountingTree:
+            def query_ball_point(self, *args, **kwargs):
+                counted.append(bool(kwargs.get("return_length")))
+                return tree.query_ball_point(*args, **kwargs)
+
+            def __getattr__(self, attr):
+                return getattr(tree, attr)
+
+        cloud.__dict__["tree"] = CountingTree()
+        rep = ps.estimate_regularity(cloud, 2000, np.random.default_rng(1))
+        cloud.__dict__["tree"] = tree
+        again = ps.estimate_regularity(cloud, 2000, np.random.default_rng(1))
+        assert (rep.C0_estimate, rep.worst_ball.radius) == (again.C0_estimate, again.worst_ball.radius)
+        assert sum(counted) == 2 and len(counted) >= 3  # two count-only queries, then the selections
 
     def test_zero_weight_points_stay_out(self):
         cloud = _zero_weight_segment()
