@@ -11,7 +11,8 @@ angles in one array pass, for the L1 coefficient only those that closed-form
 bounds (``_start_bounds``) leave as candidates. It minimises each turn
 exactly with one sort (``_sweep``: a line about a data point, a hyperplane
 about its anchor); Brent's bounded method serves only the sup coefficient and
-codimension >= 2, within 1e-4 relative of one-at-a-time evaluation. Fields
+codimension >= 2, within 1e-4 relative of one-at-a-time evaluation; only
+these Brent paths (beta_inf, codimension >= 2) load ``scipy.optimize``. Fields
 are computed one lattice level at a time: its balls are selected in batches,
 each batch is fitted by one batched PCA, and pca values are segment sums.
 """
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .cubes import CubeKey, CubeLattice, _as_key
 from .grassmann import AffinePlane, Subspace
@@ -158,6 +158,7 @@ def _planar_refine(pts, w, r, sup, theta0):
                 break
             theta, best_val, c = t, val, off
         return best_val, theta, c
+    from scipy.optimize import minimize_scalar
     span = math.pi / 64
     for _ in range(REFINE_ITERATIONS):
         res = minimize_scalar(
@@ -195,6 +196,7 @@ def _general_refine(pts, w, r, n, sup, frame, normals, point):
                 u, m = frame[:, i], normals[:, j]
                 q, pu = rel @ normals, rel @ u
                 if sup or d - n > 1:
+                    from scipy.optimize import minimize_scalar
                     args = (q, j, q[:, j].copy(), pu, w, r, n, sup)
                     res = minimize_scalar(_turned_value, bounds=(-0.6, 0.6), args=args, method="bounded")
                     t, val = float(res.x), float(res.fun)
@@ -309,6 +311,8 @@ def beta_lattice(
 
 def wgl_sum(lattice: CubeLattice, betas: dict[CubeKey, BetaResult], epsilon: float, q0) -> float:
     """Carleson ratio: flagged-cube mass under q0 over the mass of q0."""
+    if math.isnan(epsilon):
+        raise ValueError("epsilon must not be NaN")
     root = _as_key(q0)
     total = 0.0
     for key in lattice.descendants(root):

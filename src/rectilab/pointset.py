@@ -29,7 +29,6 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .grassmann import GrassmannBall, Subspace, sample_haar, sample_in_ball
 
@@ -119,15 +118,17 @@ class RegularCloud:
             raise ValueError(f"points {i} and {j} are closer than resolution/4")
 
     @cached_property
-    def tree(self) -> cKDTree:
-        """The cloud's k-d tree; ask it for balls only through ``balls_indices``."""
+    def tree(self):
+        """The cloud's ``scipy.spatial.cKDTree``; ask it for balls only through ``balls_indices``.
+        ``scipy.spatial`` loads on the first access, at the separation check unless validate=False."""
+        from scipy.spatial import cKDTree
         return cKDTree(self.points)
 
     def balls_indices(self, centers: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """CSR pair list (indptr, idx) of the balls B(centers[b], radii[b]): ball b holds the
         ascending indices idx[indptr[b]:indptr[b + 1]] that ``Ball.contains`` accepts. One tree
         query asks for radii padded by a relative 1e-12; the exact test then filters its answer."""
-        centers, radii = np.atleast_2d(centers), np.asarray(radii, dtype=float)
+        centers, radii = self._centres(centers), np.asarray(radii, dtype=float)
         near = self.tree.query_ball_point(centers, radii * (1.0 + 1e-12), return_sorted=False)
         counts = np.fromiter(map(len, near), np.intp, len(near))
         seg = np.repeat(np.arange(len(near)), counts)
@@ -135,6 +136,13 @@ class RegularCloud:
         idx = np.sort(np.fromiter(itertools.chain.from_iterable(near), np.intp, len(seg)) + offset) - offset
         keep = _row_norms(self.points.take(idx, axis=0) - centers.take(seg, axis=0)) <= radii.take(seg)
         return np.r_[0, np.cumsum(np.bincount(seg[keep], minlength=len(near)))], idx[keep]
+
+    def _centres(self, centers) -> np.ndarray:
+        """Ball centres as rows; ValueError, before any tree query, unless they have the cloud's dimension."""
+        centers = np.atleast_2d(centers)
+        if centers.shape[1] != self.d:
+            raise ValueError(f"ball centres of dimension {centers.shape[1]} in a cloud of dimension {self.d}")
+        return centers
 
     def ball_indices(self, ball: Ball) -> np.ndarray:
         """Ascending indices of the points that ``Ball.contains`` accepts."""
@@ -310,6 +318,7 @@ def _ball_batches(cloud: RegularCloud, centers: np.ndarray, radii: np.ndarray, c
     by the point counts at radii (1 + 1e-12), from a count-only tree query unless ``counts``
     holds them; yields (first ball of the run, indptr, idx)."""
     if counts is None:
+        centers = cloud._centres(centers)  # before the tree is built
         counts = cloud.tree.query_ball_point(centers, radii * (1.0 + 1e-12), return_length=True)
     cum = np.cumsum(counts)
     cuts = np.searchsorted(cum, np.arange(BALL_CHUNK, cum[-1], BALL_CHUNK)) + 1

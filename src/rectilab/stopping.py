@@ -15,6 +15,7 @@ reference. ``heavy_cubes`` reads Mf only through {Mf >= N}, from
 exactly from row prefix sums at the few cells the bound leaves undecided,
 and takes that radius' FFT average only when a cell lies within the
 rounding band of N or the direct sums would cost more than the transform.
+``scipy.fft`` loads at the first transform.
 
 ``heavy_cubes`` renders each ball once, and that one rendering gives f, the
 balls' grid volumes and the per-system functions f_i on {f >= N_w}, the only
@@ -35,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft
 
 from .grassmann import unit_ball_volume
 
@@ -292,6 +292,7 @@ def _ball_kernel(d: int, depth: int, radius: float):
 
 def _padded(n: int, m: int, d: int) -> tuple[int, ...]:
     """Shape of the transforms for the linear convolution of an n^d grid and an m^d kernel."""
+    from scipy import fft
     return (fft.next_fast_len(n + m - 1, real=True),) * d
 
 
@@ -300,6 +301,7 @@ def _average(f: GridFunction, kernel: np.ndarray, held: dict) -> np.ndarray:
     beyond the unit cube counting as zeros: the "same" part of the linear
     convolution, padded to a fast length. ``held`` maps one padded shape to
     f's transform at that shape, so radii that pad alike share it."""
+    from scipy import fft
     n, m = f.values.shape[0], kernel.shape[0]
     shape = _padded(n, m, f.d)
     if shape not in held:

@@ -225,6 +225,12 @@ class TestWglSum:
         betas = bt.beta_lattice(lat, "beta1")
         assert bt.wgl_sum(lat, betas, 0.1, (0, (0, 0))) == 0.0
 
+    def test_nan_epsilon_raises(self):
+        # every value >= nan is False, so a NaN threshold would flag nothing and return 0
+        lat = cb.CubeLattice(ps.segment(1e-2), 0, 2)
+        with pytest.raises(ValueError, match="epsilon must not be NaN"):
+            bt.wgl_sum(lat, bt.beta_lattice(lat, "beta1"), math.nan, (0, (0, 0)))
+
     def test_four_corners_growth(self):
         cloud = ps.four_corners(4)
         ratios = {}

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rectilab import beta as bt
 from rectilab import pointset as ps
 from rectilab.grassmann import GrassmannBall, Subspace, random_rotation, sample_haar, sample_in_ball
 
@@ -538,6 +539,22 @@ class TestBallValidation:
     def test_bad_center(self, bad):
         with pytest.raises(ValueError, match="center"):
             ps.Ball(np.array([0.5, bad]), 1.0)
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            bt.beta1,
+            ps.RegularCloud.ball_mass,
+            lambda cloud, ball: ps.pbp_margin(cloud, ball, 0.1, 16, np.random.default_rng(0)),
+        ],
+        ids=["beta1", "ball_mass", "pbp_margin"],
+    )
+    def test_wrong_dimension_raises_before_the_tree(self, query):
+        corners = ps.four_corners(3)
+        cloud = ps.RegularCloud(corners.points, corners.weights, corners.n, corners.resolution, validate=False)
+        with pytest.raises(ValueError, match="ball centres of dimension 3 in a cloud of dimension 2"):
+            query(cloud, ps.Ball(np.array([0.5, 0.5, 0.5]), 0.5))
+        assert "tree" not in vars(cloud)  # rejected before the k-d tree was built
 
     def test_zero_radius_holds_its_centre(self):
         cloud = ps.segment(0.1)

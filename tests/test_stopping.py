@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import math
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings, strategies as hs
 
 from rectilab import stopping as st
@@ -337,13 +339,13 @@ class TestPrunedMaximal:
         """The forward transforms ``_level_set(f, level)`` makes, in order: ("f",
         shape) for a transform of f, (sum K, shape) for one of a kernel."""
         calls = []
-        rfftn = st.fft.rfftn
+        rfftn = scipy.fft.rfftn
 
         def counted(x, shape, *args, **kwargs):
             calls.append(("f" if x is f.values else int(x.sum()), tuple(shape)))
             return rfftn(x, shape, *args, **kwargs)
 
-        monkeypatch.setattr(st.fft, "rfftn", counted)
+        monkeypatch.setattr(scipy.fft, "rfftn", counted)
         st._level_set(f, level)
         return calls
 
@@ -385,7 +387,7 @@ class TestPrunedMaximal:
         expected = []
         for k in (depth, depth - 1):
             width = 2 ** (depth - k + 1) + 1
-            shape = (st.fft.next_fast_len(n + width - 1, real=True),) * d
+            shape = (scipy.fft.next_fast_len(n + width - 1, real=True),) * d
             if not expected or expected[-1][1] != shape:
                 expected.append(("f", shape))
             expected.append((kernel_cells(d, depth, k), shape))
@@ -429,14 +431,43 @@ class TestPrunedMaximal:
             assert np.array_equal(st._level_set(f, level), mf >= level)
 
 
+IMPORT_STAGES = """
+import json, sys
+import numpy as np
+import rectilab
+from rectilab import beta, pointset, stopping as st
+
+def loaded():
+    return [m for m in ("scipy.spatial", "scipy.optimize", "scipy.fft", "scipy.signal", "scipy.stats") if m in sys.modules]
+
+stages = [loaded()]
+config = st.StoppingConfig(N=40, M=2)
+fam = st.random_family(2, np.random.default_rng(0), config=config, grid_depth=6)
+assert st.exhaustive_verify(fam, config, st.heavy_cubes(fam, config, 6))["ok"]
+stages.append(loaded())
+cloud, ball = pointset.four_corners(2), pointset.Ball(np.full(2, 0.5), 0.5)
+beta.beta1(cloud, ball)
+stages.append(loaded())
+beta.beta_inf(cloud, ball)
+stages.append(loaded())
+print(json.dumps(stages))
+"""
+
+
 def test_import_leaves_out_scipy_signal_and_stats():
-    """``maximal_function`` calls scipy.fft itself, so importing the package
-    does not load scipy.signal or the scipy.stats it pulls in."""
+    """Each scipy submodule loads in the code that uses it: ``import rectilab``
+    loads none of them (``maximal_function`` calls scipy.fft itself, so never
+    scipy.signal or the scipy.stats it pulls in), a stopping run and its check
+    leave out scipy.spatial and scipy.optimize, a cloud's k-d tree loads
+    scipy.spatial, and scipy.optimize waits for a Brent path such as beta_inf."""
     src = Path(__file__).resolve().parents[1] / "src"
-    code = "import sys, rectilab; print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
     # ``python -c`` puts its working directory first on sys.path
-    out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", IMPORT_STAGES], cwd=src, capture_output=True, text=True, check=True)
+    imported, stopped, beta1, beta_inf = map(set, json.loads(out.stdout))
+    assert imported == set()
+    assert not {"scipy.spatial", "scipy.optimize"} & stopped
+    assert "scipy.spatial" in beta1 and "scipy.optimize" not in beta1
+    assert "scipy.optimize" in beta_inf
 
 
 class TestHeavyCubes:
