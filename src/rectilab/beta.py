@@ -3,18 +3,18 @@
 The L1 coefficient of a ball is the weighted mean distance to the best
 n-plane, normalized by r^{n+1}; the sup variant replaces the mean by a max.
 Zero-weight points lie outside the measure's support and are left out. The
-infimum over planes is approximated by a declared plane family: a weighted
-PCA fit (``pca``), descent from the PCA fit (``pca_refined``), or an
-exhaustive angle/offset grid (``grid_oracle``, planar clouds only). Every
-result carries its method tag. ``pca_refined`` scores its 65 planar start
-angles in one array pass, for the L1 coefficient only those that closed-form
-bounds (``_start_bounds``) leave as candidates. It minimises each turn
-exactly with one sort (``_sweep``: a line about a data point, a hyperplane
-about its anchor); Brent's bounded method serves only the sup coefficient and
-codimension >= 2, within 1e-4 relative of one-at-a-time evaluation; only
-these Brent paths (beta_inf, codimension >= 2) load ``scipy.optimize``. Fields
-are computed one lattice level at a time: its balls are selected in batches,
-each batch is fitted by one batched PCA, and pca values are segment sums.
+infimum over planes comes from a declared plane family: a weighted PCA fit
+(``pca``), descent from it (``pca_refined``), or the exact planar oracle
+(``grid_oracle``, a name kept because the benchmark in ``perfbench`` passes
+it). Every result carries its method tag. Exact: planar beta1 under
+``grid_oracle`` (every pivot's turn, ``_sweep``), planar beta_inf under both
+refined methods (half the minimum width, ``_half_width``) and the
+codimension-1 beta_inf turn. ``pca_refined`` planar beta1 scores the start
+angles that closed-form bounds (``_start_bounds``) keep, then turns exactly
+about a few pivots. Brent's bounded method serves only codimension >= 2, and
+only it loads ``scipy.optimize``. Fields go one lattice level at a time:
+balls are selected in batches, each batch is fitted by one batched PCA, and
+pca values are segment sums.
 """
 
 from __future__ import annotations
@@ -33,9 +33,6 @@ from .pointset import Ball, RegularCloud, _ball_batches, _pca_frames, _row_norms
 METHODS = ("pca", "pca_refined", "grid_oracle")
 REFINE_ITERATIONS = 50
 REFINE_TOL = 1e-8
-# grid_oracle: angles in [0, pi) and offsets across the ball's diameter
-ORACLE_ANGLES = 360
-ORACLE_OFFSETS = 100
 # beta_comparison skips cubes whose mean coefficient is below this times resolution / radius
 FLOOR_FACTOR = 2.0
 
@@ -73,16 +70,12 @@ def _plane_value(pts, w, normals, point, r, n, sup) -> float:
     return float(dist.max() / r) if sup else float(np.sum(w * dist) / r ** (n + 1))
 
 
-def _planar_values(pts, w, r, sup, thetas):
-    """Planar objective and best offset at every angle of ``thetas``. Each row is
+def _planar_values(pts, w, r, thetas):
+    """Planar beta1 objective and best offset at every angle of ``thetas``. Each row is
     reduced on its own, so row k equals a one-angle call at thetas[k] bit for bit."""
     s = np.cos(thetas)[:, None] * pts[:, 1]
     buf = np.sin(thetas)[:, None] * pts[:, 0]
     s -= buf
-    if sup:
-        lo, hi = s.min(axis=1), s.max(axis=1)
-        c = 0.5 * (lo + hi)
-        return np.maximum(hi - c, c - lo) / r, c
     order = s.argsort(axis=1)
     cum = np.cumsum(np.take(w, order, out=buf, mode="clip"), axis=1, out=buf)  # clip: no copy
     rows = np.arange(len(s))
@@ -122,70 +115,84 @@ def _start_bounds(pts, w, r, thetas):
     return lower, (math.sqrt(w.sum() * (max(var.min(), 0.0) + dv)) + tau) / r**2
 
 
-def _best_angle(pts, w, r, sup, thetas):
-    """The angle of ``thetas`` with the lowest planar objective: (angle, value, offset)."""
-    vals, c = _planar_values(pts, w, r, sup, thetas)
+def _best_angle(pts, w, r, thetas):
+    """The angle of ``thetas`` with the lowest planar beta1 objective: (angle, value, offset)."""
+    vals, c = _planar_values(pts, w, r, thetas)
     k = int(np.argmin(vals))
     return float(thetas[k]), float(vals[k]), float(c[k])
 
 
-def _planar_refine(pts, w, r, sup, theta0):
-    """Best of 65 start angles around theta0, then for beta1 exact turns (``_sweep``) about the
-    weighted-median point and its two neighbours along the normal while the value strictly
-    falls (an optimal L1 line passes through a weighted median); for beta_inf, Brent steps.
-    A pivot's turn depends on the pivot alone and scored no lower than the current value when
-    it was first swept, so only new pivots are turned, and the descent stops when none is new.
-    For beta1 a start angle whose ``_start_bounds`` lower bound exceeds the upper bound scores
-    above the least, so it is not scored; rows reduce alone, so kept angles score bit for bit."""
+def _planar_refine(pts, w, r, theta0):
+    """Planar beta1: the best of 65 start angles around theta0, then exact turns (``_sweep``)
+    about the weighted-median point and its two neighbours along the normal while the value
+    strictly falls (an optimal L1 line passes through a weighted median). A pivot's turn
+    depends on the pivot alone and scored no lower than the current value when it was first
+    swept, so only new pivots are turned, and the descent stops when none is new. A start
+    angle whose ``_start_bounds`` lower bound exceeds the upper bound scores above the least,
+    so it is not scored; rows reduce alone, so kept angles score bit for bit."""
     thetas = np.r_[theta0, theta0 + np.linspace(-np.pi / 2, np.pi / 2, 64, endpoint=False)]
-    if not sup:
-        lower, upper = _start_bounds(pts, w, r, thetas)
-        thetas = thetas[lower <= upper]
-    theta, best_val, c = _best_angle(pts, w, r, sup, thetas)
-    if not sup:
-        swept = set()
-        for _ in range(REFINE_ITERATIONS):
-            order = np.argsort(pts @ np.array([-math.sin(theta), math.cos(theta)]))
-            cum = np.cumsum(w[order])
-            k = int((cum < 0.5 * cum[-1]).sum())
-            pivots = [p for p in order[max(k - 1, 0) : k + 2].tolist() if p not in swept]
-            if not pivots:
-                break
-            swept.update(pivots)
-            rel = pts - pts[pivots, None]
-            t, val, off = _best_angle(pts, w, r, sup, _sweep(rel[..., 1], rel[..., 0], w)[0])
-            if val >= best_val:
-                break
-            theta, best_val, c = t, val, off
-        return best_val, theta, c
-    from scipy.optimize import minimize_scalar
-    span = math.pi / 64
+    lower, upper = _start_bounds(pts, w, r, thetas)
+    theta, best_val, c = _best_angle(pts, w, r, thetas[lower <= upper])
+    swept = set()
     for _ in range(REFINE_ITERATIONS):
-        res = minimize_scalar(
-            lambda t: _planar_values(pts, w, r, sup, [t])[0][0],
-            bounds=(theta - span, theta + span),
-            method="bounded",
-        )
-        if res.fun < best_val - REFINE_TOL:
-            theta, best_val = float(res.x), float(res.fun)
-            span /= 2.0
-        else:
+        order = np.argsort(pts @ np.array([-math.sin(theta), math.cos(theta)]))
+        cum = np.cumsum(w[order])
+        k = int((cum < 0.5 * cum[-1]).sum())
+        pivots = [p for p in order[max(k - 1, 0) : k + 2].tolist() if p not in swept]
+        if not pivots:
             break
-    val, c = _planar_values(pts, w, r, sup, [theta])
-    return min(float(val[0]), best_val), theta, float(c[0])
+        swept.update(pivots)
+        rel = pts - pts[pivots, None]
+        t, val, off = _best_angle(pts, w, r, _sweep(rel[..., 1], rel[..., 0], w)[0])
+        if val >= best_val:
+            break
+        theta, best_val, c = t, val, off
+    return best_val, theta, c
+
+
+def _pivot_oracle(pts, w, r):
+    """Exact planar beta1 (angle, value, offset): an optimal L1 line passes through two data
+    points, so the best of every pivot's exact turn is the minimum. Pivots go in chunks that
+    keep each array near 2^18 entries."""
+    rels = (pts - piv[:, None] for piv in np.array_split(pts, 1 + len(pts) ** 2 // 2**18))
+    turns = (_best_angle(pts, w, r, _sweep(rel[..., 1], rel[..., 0], w)[0]) for rel in rels)
+    return min(turns, key=lambda turn: turn[1])
+
+
+def _half_width(xy):
+    """(unit normal, half width) of the narrowest strip holding the points xy (m x 2). The width
+    is least across some convex-hull edge (Houle & Toussaint, IEEE PAMI 10, 1988), so each edge
+    normal is scored by the hull's extent along it, in chunks near 2^18 entries. Collinear or
+    coincident points have no 2-D hull; the segment from xy[0] to the farthest point stands in."""
+    from scipy.spatial import ConvexHull, QhullError
+
+    try:
+        v = xy[ConvexHull(xy).vertices]
+    except QhullError:
+        v = xy[[0, int(np.argmax(_row_norms(xy - xy[0])))]]
+    e = np.roll(v, -1, axis=0) - v
+    if not e.any():  # coincident points
+        return np.array([0.0, 1.0]), 0.0
+    normals = np.c_[-e[:, 1], e[:, 0]] / np.hypot(e[:, 0], e[:, 1])[:, None]
+    chunks = np.array_split(normals, 1 + len(v) ** 2 // 2**18)
+    width = np.concatenate([np.ptp(v @ c.T, axis=0) for c in chunks])
+    k = int(width.argmin())
+    return normals[k], 0.5 * float(width[k])
 
 
 def _turned_value(t, q, j, pm, pu, w, r, n, sup):
     """Plane value with normal j turned by t towards -u, written into column j of q."""
     q[:, j] = math.cos(t) * pm - math.sin(t) * pu
-    dist = np.abs(q[:, 0]) if q.shape[1] == 1 else np.linalg.norm(q, axis=1)
+    dist = np.linalg.norm(q, axis=1)
     return float(dist.max() / r) if sup else float((w * dist).sum() / r ** (n + 1))
 
 
 def _general_refine(pts, w, r, n, sup, frame, normals, point):
     """Coordinate descent from the PCA fit (frame, normals, point) over frame
-    rotations and offsets, monotone steps. Each (i, j) rotation projects once; beta1 in
-    codimension 1 turns exactly (``_sweep``), otherwise Brent rewrites only column j."""
+    rotations and offsets, monotone steps. Each (i, j) rotation projects once. In codimension 1
+    the turn is exact: beta1 by ``_sweep``, and beta_inf, which minimises max |a cos t - b sin t|,
+    as half the minimum width of the symmetric set {+-(a_i, -b_i)}. In codimension >= 2 Brent
+    rewrites only column j."""
     d = pts.shape[1]
     best = _plane_value(pts, w, normals, point, r, n, sup)
     for _ in range(REFINE_ITERATIONS):
@@ -195,11 +202,15 @@ def _general_refine(pts, w, r, n, sup, frame, normals, point):
             for j in range(d - n):
                 u, m = frame[:, i], normals[:, j]
                 q, pu = rel @ normals, rel @ u
-                if sup or d - n > 1:
+                if d - n > 1:
                     from scipy.optimize import minimize_scalar
                     args = (q, j, q[:, j].copy(), pu, w, r, n, sup)
                     res = minimize_scalar(_turned_value, bounds=(-0.6, 0.6), args=args, method="bounded")
                     t, val = float(res.x), float(res.fun)
+                elif sup:
+                    ab = np.c_[q[:, 0], -pu]
+                    turn, half = _half_width(np.r_[ab, -ab])
+                    t, val = math.atan2(turn[1], turn[0]), half / r
                 else:
                     t, val = map(float, _sweep(q[:, 0], pu, w))
                     val /= r ** (n + 1)
@@ -217,23 +228,6 @@ def _general_refine(pts, w, r, n, sup, frame, normals, point):
         if start - best < REFINE_TOL:
             break
     return best, frame, point
-
-
-def _grid_oracle(pts, w, ball: Ball, sup: bool) -> BetaResult:
-    r = ball.radius
-    thetas = np.arange(ORACLE_ANGLES) * math.pi / ORACLE_ANGLES
-    best = (math.inf, 0.0, 0.0)
-    for theta in thetas:
-        normal = np.array([-math.sin(theta), math.cos(theta)])
-        s = pts @ normal
-        mid = float(ball.center @ normal)
-        offsets = np.linspace(mid - r, mid + r, ORACLE_OFFSETS)
-        spread = np.abs(s[None, :] - offsets[:, None])
-        vals = spread.max(axis=1) / r if sup else (spread * w[None, :]).sum(axis=1) / r**2
-        k = int(np.argmin(vals))
-        if vals[k] < best[0]:
-            best = (float(vals[k]), float(theta), float(offsets[k]))
-    return BetaResult(best[0], _plane_from_angle(best[1], best[2]), "grid_oracle")
 
 
 def _fit(
@@ -272,14 +266,17 @@ def _fit(
             if not full[b]:
                 plane = AffinePlane(Subspace.axis(d, *range(n)), pts[0])
                 out.append(BetaResult(0.0, plane, method, degenerate=True))
-            elif method == "grid_oracle":
-                if d != 2 or n != 1:
-                    raise ValueError("grid_oracle is only available for planar clouds with n=1")
-                out.append(_grid_oracle(pts, w, Ball(centers[lo + b], r[b]), sup))
+            elif method == "grid_oracle" and (d != 2 or n != 1):
+                raise ValueError("grid_oracle is only available for planar clouds with n=1")
             elif d == 2 and n == 1:
-                theta0 = math.atan2(frames[k][1, 0], frames[k][0, 0])
-                val, theta, c = _planar_refine(pts, w, r[b], sup, theta0)
-                out.append(BetaResult(val, _plane_from_angle(theta, c), "pca_refined"))
+                if sup:
+                    normal, half = _half_width(pts)
+                    theta, val, c = math.atan2(-normal[0], normal[1]), half / r[b], _best_offset(pts @ normal, w, True)
+                elif method == "grid_oracle":
+                    theta, val, c = _pivot_oracle(pts, w, r[b])
+                else:
+                    val, theta, c = _planar_refine(pts, w, r[b], math.atan2(frames[k][1, 0], frames[k][0, 0]))
+                out.append(BetaResult(val, _plane_from_angle(theta, c), method))
             else:
                 val, fr, pt = _general_refine(pts, w, r[b], n, sup, frames[k], normals[k], means[k])
                 out.append(BetaResult(val, AffinePlane(Subspace(fr), pt), "pca_refined"))

@@ -8,7 +8,6 @@ All randomness comes from an explicitly passed ``numpy.random.Generator``.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -100,17 +99,6 @@ class Subspace:
 
     def complement(self) -> "Subspace":
         return orthogonal_complement(self)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"d": self.d, "n": self.n, "basis": [float(v) for v in self.basis.ravel(order="C")]}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Subspace":
-        obj = json.loads(text)
-        b = np.array(obj["basis"], dtype=float).reshape(obj["d"], obj["n"])
-        return cls(b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -393,9 +381,7 @@ def integrate_affine(
         direction = rng.standard_normal(k)
         direction /= np.linalg.norm(direction)
         radius = window_radius * rng.random() ** (1.0 / k)
-        anchor = v.basis @ (radius * direction)
-        plane = AffinePlane(orthogonal_complement(v), anchor)
-        values[i] = f(plane)
+        values[i] = f(fiber_through(v, v.basis @ (radius * direction)))
     est = float(np.mean(values) * volume)
     se = float(np.std(values, ddof=1) * volume / math.sqrt(samples)) if samples > 1 else float("inf")
     return est, se

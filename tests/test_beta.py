@@ -44,8 +44,8 @@ class TestBeta1:
         oracle = bt.beta1(cloud, ball, "grid_oracle")
         refined = bt.beta1(cloud, ball, "pca_refined")
         pca = bt.beta1(cloud, ball, "pca")
-        # the horizontal mid-line gives sum(w * h) / r^2; the oracle may do
-        # better with a tilted plane, never worse than grid granularity
+        # the horizontal mid-line gives sum(w * h) / r^2; the exact oracle may do
+        # better with a tilted line
         mask = ball.contains(cloud.points)
         midline_value = float((cloud.weights[mask] * 0.2).sum())
         assert oracle.value <= midline_value + 1e-12
@@ -93,10 +93,8 @@ class TestBetaInf:
         pts = np.vstack([np.c_[np.linspace(0.1, 0.9, 9), np.zeros(9)], [[0.5, 0.3]]])
         cloud = ps.RegularCloud(pts, np.r_[np.full(9, 0.1), 0.0], 1, 0.1)
         ball = ps.Ball(np.array([0.5, 0.0]), 0.5)
-        for method in ("pca", "pca_refined"):
+        for method in bt.METHODS:
             assert bt.beta_inf(cloud, ball, method).value <= 1e-12
-        # the oracle's nearest offset lies half a grid step, r / (ORACLE_OFFSETS - 1), from y = 0
-        assert bt.beta_inf(cloud, ball, "grid_oracle").value <= 1.0 / (bt.ORACLE_OFFSETS - 1) + 1e-12
 
     def test_sup_dominates_normalized_mean(self):
         # evaluating the mean objective at the sup-optimal plane bounds it by
@@ -305,13 +303,14 @@ class TestMethodAndSymmetryInvariants:
             )
 
     def test_oracle_below_methods_plus_granularity(self):
+        # the oracle is exact, so no granularity is left to allow for
         rng = np.random.default_rng(2)
         for _ in range(10):
             cloud = random_cloud(rng)
             ball = ps.Ball(np.array([0.5, 0.5]), 0.7)
             oracle = bt.beta1(cloud, ball, "grid_oracle").value
-            assert oracle <= bt.beta1(cloud, ball, "pca").value + 0.02
-            assert oracle <= bt.beta1(cloud, ball, "pca_refined").value + 0.02
+            assert oracle <= bt.beta1(cloud, ball, "pca").value + 1e-12
+            assert oracle <= bt.beta1(cloud, ball, "pca_refined").value + 1e-12
 
     def test_zero_iff_coplanar(self):
         rng = np.random.default_rng(3)
@@ -357,6 +356,11 @@ class TestMethodAndSymmetryInvariants:
             assert not any(r.degenerate for r in refined.values())
             for key, res in refined.items():
                 assert res.value <= pca[key].value + 1e-12
+                ball = lat.ball(lat.get(key))  # the returned plane attains the returned value
+                idx = cloud.ball_indices(ball)
+                dist = res.plane.distance(cloud.points[idx])
+                attained = dist.max() / ball.radius if which == "beta_inf" else cloud.weights[idx] @ dist / ball.radius ** (n + 1)
+                assert res.value == pytest.approx(attained, rel=1e-9, abs=1e-12)
 
     def test_refined_vanishes_on_a_flat_plane_in_three_dimensions(self):
         flat = ps.lipschitz_graph_cloud(lambda t: [0.0], Subspace.axis(3, 0, 1), 0.5, 2.0**-4)
@@ -374,12 +378,9 @@ class TestMethodAndSymmetryInvariants:
         assert len(lines) == len(betas) + 1
 
 
-def _direct_planar_value(pts, w, r, sup, theta):
+def _direct_planar_value(pts, w, r, theta):
     """One angle the unbatched way: a matmul projection, then a sorted weighted median."""
     s = pts @ np.array([-math.sin(theta), math.cos(theta)])
-    if sup:
-        c = 0.5 * (s.min() + s.max())
-        return float(np.abs(s - c).max() / r), c
     order = np.argsort(s)
     cum = np.cumsum(w[order])
     c = float(s[order[np.searchsorted(cum, 0.5 * cum[-1])]])
@@ -391,24 +392,23 @@ class TestPlanarValues:
         st.integers(min_value=0, max_value=2**32 - 1),
         st.integers(min_value=3, max_value=200),
         st.integers(min_value=1, max_value=70),
-        st.booleans(),
     )
     @settings(max_examples=80, deadline=None)
-    def test_batched_rows_are_one_objective(self, seed, m, k, sup):
+    def test_batched_rows_are_one_objective(self, seed, m, k):
         rng = np.random.default_rng(seed)
         pts = rng.uniform(-1.0, 1.0, (m, 2))
         w = rng.uniform(0.0, 1.0, m) * (rng.uniform(size=m) < 0.8)  # about a fifth weigh 0
         w[rng.integers(m)] = rng.uniform(0.1, 1.0)
         r = float(rng.uniform(0.1, 2.0))
         thetas = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, k)
-        vals, offsets = bt._planar_values(pts, w, r, sup, thetas)
+        vals, offsets = bt._planar_values(pts, w, r, thetas)
         assert vals.shape == offsets.shape == (k,)
         scale = float(np.abs(pts).max())
         for i, theta in enumerate(thetas):
-            one_val, one_offset = bt._planar_values(pts, w, r, sup, thetas[i : i + 1])
+            one_val, one_offset = bt._planar_values(pts, w, r, thetas[i : i + 1])
             assert one_val.tobytes() == vals[i : i + 1].tobytes()
             assert one_offset.tobytes() == offsets[i : i + 1].tobytes()
-            ref_val, ref_offset = _direct_planar_value(pts, w, r, sup, theta)
+            ref_val, ref_offset = _direct_planar_value(pts, w, r, theta)
             assert vals[i] == pytest.approx(ref_val, rel=1e-12)
             assert abs(offsets[i] - ref_offset) <= 1e-12 * scale
 
@@ -445,11 +445,52 @@ class TestSweep:
             assert one_t == t[row] and one_v == v[row]
 
 
+def _turn_sup(a, b, t):
+    """max_i |a_i cos t - b_i sin t| at every angle of t."""
+    t = np.asarray(t, dtype=float)[:, None]
+    return np.abs(a * np.cos(t) - b * np.sin(t)).max(axis=1)
+
+
+class TestSupTurn:
+    """The codimension-1 beta_inf turn of ``_general_refine``: half the minimum width of
+    {+-(a_i, -b_i)}, against the turn objective at every pair normal of +-(a, b)."""
+
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=1, max_value=40),
+        st.sampled_from(["generic", "zeros", "collinear", "origin"]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_least_over_every_pair_normal(self, seed, m, kind):
+        rng = np.random.default_rng(seed)
+        a, b = rng.normal(size=(2, m)) * rng.uniform(0.01, 10.0)
+        if kind == "zeros":
+            a[rng.uniform(size=m) < 0.3] = 0.0
+            b[rng.uniform(size=m) < 0.3] = 0.0
+        elif kind == "collinear":
+            b = rng.normal() * a  # every (a_i, b_i) on one line through the origin
+        elif kind == "origin":
+            a, b = np.zeros(m), np.zeros(m)
+        ab = np.c_[a, -b]
+        turn, half = bt._half_width(np.r_[ab, -ab])
+        sym = np.r_[np.c_[a, b], -np.c_[a, b]]
+        i, j = np.triu_indices(len(sym), 1)
+        d = sym[j] - sym[i]
+        x, y = -d[:, 1], d[:, 0]
+        # a pair normal (x, y) of +-(a, b) scores |(a, b) . (x, y)| = |a cos t - b sin t|, t = atan2(-y, x)
+        scores = _turn_sup(a, b, np.arctan2(-y, x)[(d != 0).any(axis=1)])
+        brute = float(scores.min()) if len(scores) else 0.0
+        tol = 1e-12 * float(np.hypot(a, b).max(initial=1.0))
+        assert abs(half - brute) <= tol
+        assert abs(_turn_sup(a, b, [math.atan2(turn[1], turn[0])])[0] - half) <= tol
+        assert (half <= _turn_sup(a, b, rng.uniform(0.0, math.pi, 50)) + tol).all()
+
+
 def _unpruned_planar_refine(pts, w, r, theta0, pivots=None):
-    """The beta1 path of ``_planar_refine`` with every one of the 65 start angles scored and
+    """``_planar_refine`` with every one of the 65 start angles scored and
     every pivot swept again on each turn; ``pivots`` collects each turn's pivot indices."""
     thetas = np.r_[theta0, theta0 + np.linspace(-np.pi / 2, np.pi / 2, 64, endpoint=False)]
-    theta, best_val, c = bt._best_angle(pts, w, r, False, thetas)
+    theta, best_val, c = bt._best_angle(pts, w, r, thetas)
     for _ in range(bt.REFINE_ITERATIONS):
         order = np.argsort(pts @ np.array([-math.sin(theta), math.cos(theta)]))
         cum = np.cumsum(w[order])
@@ -457,7 +498,7 @@ def _unpruned_planar_refine(pts, w, r, theta0, pivots=None):
         if pivots is not None:
             pivots.append(order[max(k - 1, 0) : k + 2].tolist())
         rel = pts - pts[order[max(k - 1, 0) : k + 2], None]
-        t, val, off = bt._best_angle(pts, w, r, False, bt._sweep(rel[..., 1], rel[..., 0], w)[0])
+        t, val, off = bt._best_angle(pts, w, r, bt._sweep(rel[..., 1], rel[..., 0], w)[0])
         if val >= best_val:
             break
         theta, best_val, c = t, val, off
@@ -497,10 +538,10 @@ class TestStartBounds:
     def _check(self, pts, w, r, theta0):
         thetas = np.r_[theta0, theta0 + np.linspace(-np.pi / 2, np.pi / 2, 64, endpoint=False)]
         lower, upper = bt._start_bounds(pts, w, r, thetas)
-        vals = bt._planar_values(pts, w, r, False, thetas)[0]
+        vals = bt._planar_values(pts, w, r, thetas)[0]
         assert (lower <= vals).all()
         assert vals.min() <= upper
-        got = bt._planar_refine(pts, w, r, False, theta0)
+        got = bt._planar_refine(pts, w, r, theta0)
         want = _unpruned_planar_refine(pts, w, r, theta0)
         assert np.array(got).tobytes() == np.array(want).tobytes()
         return int((lower > upper).sum())
@@ -552,6 +593,40 @@ class TestStartBounds:
         assert rows > 0 and pruned > rows // 2  # the bounds drop 63 % of the start angles here
 
 
+def _pair_strip_oracle(pts):
+    """Least half extent of the points across the normal of a line through two distinct data
+    points: half the minimum width, so exact planar beta_inf times r. 0 if all coincide."""
+    i, j = np.triu_indices(len(pts), 1)
+    d = pts[j] - pts[i]
+    d = d[(d != 0).any(axis=1)]
+    if not len(d):
+        return 0.0
+    s = pts @ (np.c_[-d[:, 1], d[:, 0]] / np.hypot(d[:, 0], d[:, 1])[:, None]).T
+    return 0.5 * float((s.max(axis=0) - s.min(axis=0)).min())
+
+
+class TestPlanarBetaInfExact:
+    @pytest.mark.parametrize("kind", TestStartBounds.KINDS)
+    @pytest.mark.parametrize("m", [3, 4, 40, 120])
+    def test_equals_the_pair_strip_oracle(self, kind, m):
+        for seed in range(5):
+            rng = np.random.default_rng([seed, m, 21])
+            pts, w = _start_grid_cloud(rng, kind, m)
+            live = pts[w > 0]
+            cloud = ps.RegularCloud(pts, w, 1, 1e-3, validate=False)
+            center = live.mean(axis=0)
+            ball = ps.Ball(center, 1.5 * float(np.linalg.norm(live - center, axis=1).max()) + 0.1)
+            exact = _pair_strip_oracle(live) / ball.radius
+            for method in ("pca_refined", "grid_oracle"):
+                res = bt.beta_inf(cloud, ball, method)
+                assert res.degenerate == (len(live) < 3)
+                if res.degenerate:
+                    continue
+                assert res.value == pytest.approx(exact, rel=1e-9, abs=1e-12)
+                assert res.plane.distance(live).max() / ball.radius == pytest.approx(res.value, rel=1e-9, abs=1e-12)
+                assert res.value <= bt.beta_inf(cloud, ball, "pca").value + 1e-12
+
+
 class TestPivotMemo:
     def test_curve_lattice_equals_the_unmemoised_descent(self, monkeypatch):
         # the descent sweeps a pivot once per ball; every ball of the lattice must score as
@@ -562,8 +637,8 @@ class TestPivotMemo:
         lat = cb.CubeLattice(curve, 0, 7)
         real, balls, repeats = bt._planar_refine, [], [0]
 
-        def both(pts, w, r, sup, theta0):
-            got, turns = real(pts, w, r, sup, theta0), []
+        def both(pts, w, r, theta0):
+            got, turns = real(pts, w, r, theta0), []
             want = _unpruned_planar_refine(pts, w, r, theta0, turns)
             assert np.array(got).tobytes() == np.array(want).tobytes()
             swept = set()
@@ -620,7 +695,7 @@ def _refined_and_exact(cloud, ball):
     exact = _pair_line_oracle(cloud.points[idx], cloud.weights[idx], ball.radius)
     assert refined.value >= exact - 1e-12
     assert refined.value <= bt.beta1(cloud, ball, "pca").value + 1e-12
-    assert bt.beta1(cloud, ball, "grid_oracle").value >= exact - 1e-12
+    assert bt.beta1(cloud, ball, "grid_oracle").value == pytest.approx(exact, rel=1e-9)
     return refined.value, exact
 
 
@@ -656,20 +731,21 @@ def _pinned_clouds():
     return {"curve": curve, "surface": surface, "space_curve": space_curve}
 
 
-# pca_refined (beta1, beta_inf) of each ball, as computed by scoring every start
-# angle and every Brent step with its own matmul projection (planar path) and by
-# projecting on freshly turned normals (coordinate descent)
+# pca_refined (beta1, beta_inf) of each ball. beta1, and beta_inf of the space curve, as computed
+# by scoring every start angle with its own matmul projection (planar path) and by projecting on
+# freshly turned normals (coordinate descent); beta_inf of the curve and the surface from the
+# exact half width (planar) and the exact codimension-1 turn
 PINNED = {
     "curve": [
-        ((0.1, 0.25 * math.sin(0.2 * math.pi)), 0.05, 0.017471815570772445, 0.015698819684802252),
-        ((0.3, 0.2), 0.1, 0.17427918514692922, 0.15992750606978912),
-        ((0.55, -0.05), 0.2, 0.023921197891005726, 0.03016825297519038),
-        ((0.8, -0.2), 0.4, 0.34744108480884495, 0.3300584375400499),
+        ((0.1, 0.25 * math.sin(0.2 * math.pi)), 0.05, 0.017471815570772445, 0.015698792091444515),
+        ((0.3, 0.2), 0.1, 0.17427918514692922, 0.15992746778699218),
+        ((0.55, -0.05), 0.2, 0.023921197891005726, 0.030167785797149127),
+        ((0.8, -0.2), 0.4, 0.34744108480884495, 0.33005841029533894),
     ],
     "surface": [
-        ((0.25, 0.25, 0.0), 0.2, 0.12243863746957606, 0.08734156699988828),
-        ((0.5, 0.5, 0.0), 0.3, 0.32413830102487207, 0.21675698790852876),
-        ((0.7, 0.3, 0.05), 0.45, 0.4462432962657592, 0.423501208672418),
+        ((0.25, 0.25, 0.0), 0.2, 0.12243863746957606, 0.08734113580196548),
+        ((0.5, 0.5, 0.0), 0.3, 0.32413830102487207, 0.21675651776696267),
+        ((0.7, 0.3, 0.05), 0.45, 0.4462432962657592, 0.42350273518243076),
     ],
     "space_curve": [
         ((0.2, 0.14, 0.08), 0.15, 0.06641794382404771, 0.058870922217910536),

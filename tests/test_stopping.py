@@ -435,7 +435,7 @@ IMPORT_STAGES = """
 import json, sys
 import numpy as np
 import rectilab
-from rectilab import beta, pointset, stopping as st
+from rectilab import beta, grassmann, pointset, stopping as st
 
 def loaded():
     return [m for m in ("scipy.spatial", "scipy.optimize", "scipy.fft", "scipy.signal", "scipy.stats") if m in sys.modules]
@@ -448,7 +448,10 @@ stages.append(loaded())
 cloud, ball = pointset.four_corners(2), pointset.Ball(np.full(2, 0.5), 0.5)
 beta.beta1(cloud, ball)
 stages.append(loaded())
-beta.beta_inf(cloud, ball)
+assert not beta.beta_inf(cloud, ball).degenerate
+stages.append(loaded())
+space = pointset.lipschitz_graph_cloud(lambda t: [0.2 * np.sin(4.0 * t[0]), 0.1 * np.cos(3.0 * t[0])], grassmann.Subspace.axis(3, 0), 1.5, 2.0**-4)
+assert not beta.beta1(space, pointset.Ball(space.points.mean(axis=0), 0.5)).degenerate
 stages.append(loaded())
 print(json.dumps(stages))
 """
@@ -459,15 +462,17 @@ def test_import_leaves_out_scipy_signal_and_stats():
     loads none of them (``maximal_function`` calls scipy.fft itself, so never
     scipy.signal or the scipy.stats it pulls in), a stopping run and its check
     leave out scipy.spatial and scipy.optimize, a cloud's k-d tree loads
-    scipy.spatial, and scipy.optimize waits for a Brent path such as beta_inf."""
+    scipy.spatial, planar beta1 and beta_inf are exact without scipy.optimize,
+    and scipy.optimize waits for Brent's path, codimension >= 2 (d = 3, n = 1)."""
     src = Path(__file__).resolve().parents[1] / "src"
     # ``python -c`` puts its working directory first on sys.path
     out = subprocess.run([sys.executable, "-c", IMPORT_STAGES], cwd=src, capture_output=True, text=True, check=True)
-    imported, stopped, beta1, beta_inf = map(set, json.loads(out.stdout))
+    imported, stopped, beta1, beta_inf, codim2 = map(set, json.loads(out.stdout))
     assert imported == set()
     assert not {"scipy.spatial", "scipy.optimize"} & stopped
     assert "scipy.spatial" in beta1 and "scipy.optimize" not in beta1
-    assert "scipy.optimize" in beta_inf
+    assert "scipy.optimize" not in beta_inf
+    assert "scipy.optimize" in codim2
 
 
 class TestHeavyCubes:
