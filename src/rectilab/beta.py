@@ -14,7 +14,10 @@ angles that closed-form bounds (``_start_bounds``) keep, then turns exactly
 about a few pivots. Brent's bounded method serves only codimension >= 2, and
 only it loads ``scipy.optimize``. Fields go one lattice level at a time:
 balls are selected in batches, each batch is fitted by one batched PCA, and
-pca values are segment sums.
+pca values are segment sums. A result holds its value, method tag,
+degenerate flag and the fit's raw arrays, a d x n basis and one point of the
+plane; the validated ``AffinePlane`` is built when ``.plane`` is first read,
+and ``export_betas`` writes from the arrays without building it.
 """
 
 from __future__ import annotations
@@ -22,12 +25,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .cubes import CubeKey, CubeLattice, _as_key
-from .grassmann import AffinePlane, Subspace
+from .grassmann import AffinePlane, Subspace, _canonical_anchor
 from .pointset import Ball, RegularCloud, _ball_batches, _pca_frames, _row_norms
 
 METHODS = ("pca", "pca_refined", "grid_oracle")
@@ -37,22 +41,32 @@ REFINE_TOL = 1e-8
 FLOOR_FACTOR = 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BetaResult:
+    """A coefficient ``value`` >= 0 (NaN rejected) with its ``method`` tag and ``degenerate``
+    flag (fewer than n + 2 live points: value 0). The fitted plane is kept as the fit left it,
+    an orthonormal d x n ``basis`` and one ``point`` of the plane; ``.plane`` builds and
+    validates ``AffinePlane(Subspace(basis), point)`` the first time it is read."""
+
     value: float
-    plane: AffinePlane
+    basis: np.ndarray
+    point: np.ndarray
     method: str
     degenerate: bool = False
 
     def __post_init__(self):
-        if self.value < 0:
+        if not self.value >= 0:
             raise ValueError("a plane-approximation coefficient is nonnegative")
 
+    @cached_property
+    def plane(self) -> AffinePlane:
+        return AffinePlane(Subspace(self.basis), self.point)
 
-def _plane_from_angle(theta: float, offset: float) -> AffinePlane:
-    direction = Subspace(np.array([[math.cos(theta)], [math.sin(theta)]]))
+
+def _plane_from_angle(theta: float, offset: float):
+    """(basis, point) of the line at angle theta, offset along its normal."""
     normal = np.array([-math.sin(theta), math.cos(theta)])
-    return AffinePlane(direction, offset * normal)
+    return np.array([[math.cos(theta)], [math.sin(theta)]]), offset * normal
 
 
 def _best_offset(s: np.ndarray, w: np.ndarray, sup: bool) -> float:
@@ -234,10 +248,13 @@ def _fit(
     cloud: RegularCloud, centers: np.ndarray, radii: np.ndarray, method: str, sup: bool
 ) -> list[BetaResult]:
     """Coefficients of the balls B(centers[b], radii[b]), selected in batches; a batch's pca fits
-    come from one ``_pca_frames`` call and its pca values from segment sums (sup: maxima)."""
+    come from one ``_pca_frames`` call, its pca values from segment sums (sup: maxima), and its
+    pca results from one pass over them. Degenerate and refined balls go one at a time."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     n, d = cloud.n, cloud.d
+    if method == "grid_oracle" and (d, n) != (2, 1):
+        raise ValueError("grid_oracle is only available for planar clouds with n=1")
     out = []
     for lo, indptr, idx in _ball_batches(cloud, centers, radii):
         r, live = radii[lo : lo + len(indptr) - 1], cloud.weights[idx] > 0
@@ -248,26 +265,23 @@ def _fit(
             if indptr[b] == indptr[b + 1]:
                 raise ValueError("the ball does not meet the cloud")
             raise ValueError("the ball holds only zero-weight points, outside the measure's support")
-        full = counts >= n + 2
+        full, ptr, batch = counts >= n + 2, np.concatenate(([0], counts.cumsum())), np.empty(len(r), object)
+        kth = np.cumsum(full) - 1  # ball b's row in the pca fit
         if method != "grid_oracle" and full.any():
-            fit, fptr = idx[full[seg]], np.r_[0, np.cumsum(counts[full])]
+            fit, fptr = idx[full[seg]], np.concatenate(([0], counts[full].cumsum()))
             pts, w = cloud.points.take(fit, axis=0), cloud.weights.take(fit)
             frames, normals, means, dist = _pca_frames(pts, w, fptr, n)
-            if sup:
-                values = np.maximum.reduceat(dist, fptr[:-1]) / r[full]
-            else:
-                values = np.add.reduceat(w * dist, fptr[:-1]) / r[full] ** (n + 1)
-        balls = zip(np.cumsum(full) - 1, np.split(idx, np.cumsum(counts)[:-1]))
-        for b, (k, sel) in enumerate(balls):
-            if method == "pca" and full[b]:
-                out.append(BetaResult(float(values[k]), AffinePlane(Subspace(frames[k]), means[k]), "pca"))
-                continue
+            if method == "pca":
+                if sup:
+                    values = np.maximum.reduceat(dist, fptr[:-1]) / r[full]
+                else:
+                    values = np.add.reduceat(w * dist, fptr[:-1]) / r[full] ** (n + 1)
+                batch[full] = [BetaResult(v, f, p, method) for v, f, p in zip(values.tolist(), frames, means)]
+        for b in np.flatnonzero(~full) if method == "pca" else range(len(r)):
+            sel, k = idx[ptr[b] : ptr[b + 1]], kth[b]
             pts, w = cloud.points[sel], cloud.weights[sel]
             if not full[b]:
-                plane = AffinePlane(Subspace.axis(d, *range(n)), pts[0])
-                out.append(BetaResult(0.0, plane, method, degenerate=True))
-            elif method == "grid_oracle" and (d != 2 or n != 1):
-                raise ValueError("grid_oracle is only available for planar clouds with n=1")
+                batch[b] = BetaResult(0.0, np.eye(d, n), pts[0], method, degenerate=True)
             elif d == 2 and n == 1:
                 if sup:
                     normal, half = _half_width(pts)
@@ -276,10 +290,10 @@ def _fit(
                     theta, val, c = _pivot_oracle(pts, w, r[b])
                 else:
                     val, theta, c = _planar_refine(pts, w, r[b], math.atan2(frames[k][1, 0], frames[k][0, 0]))
-                out.append(BetaResult(val, _plane_from_angle(theta, c), method))
+                batch[b] = BetaResult(val, *_plane_from_angle(theta, c), method)
             else:
-                val, fr, pt = _general_refine(pts, w, r[b], n, sup, frames[k], normals[k], means[k])
-                out.append(BetaResult(val, AffinePlane(Subspace(fr), pt), "pca_refined"))
+                batch[b] = BetaResult(*_general_refine(pts, w, r[b], n, sup, frames[k], normals[k], means[k]), method)
+        out.extend(batch.tolist())
     return out
 
 
@@ -352,11 +366,12 @@ def beta_comparison(lattice: CubeLattice):
 
 
 def export_betas(betas: dict[CubeKey, BetaResult], path: str | Path, which: str = "beta1"):
-    """CSV rows: level, cell index, value, method, plane parameters."""
+    """CSV rows: level, cell index, value, method, plane parameters: the basis, row-major, and the
+    canonical anchor, written from each result's arrays without building its ``AffinePlane``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["level", "cell_index", which, "method", "plane_direction", "plane_anchor"])
         for (level, cell), res in sorted(betas.items()):
-            direction = " ".join(repr(float(x)) for x in res.plane.direction.basis.ravel())
-            anchor = " ".join(repr(float(x)) for x in res.plane.anchor)
+            direction = " ".join(map(repr, res.basis.ravel().tolist()))
+            anchor = " ".join(map(repr, _canonical_anchor(res.basis, res.point).tolist()))
             writer.writerow([level, " ".join(map(str, cell)), repr(res.value), res.method, direction, anchor])

@@ -101,12 +101,18 @@ class Subspace:
         return orthogonal_complement(self)
 
 
+def _canonical_anchor(basis: np.ndarray, point: np.ndarray) -> np.ndarray:
+    """The component of ``point`` orthogonal to the span of the orthonormal d x n ``basis``."""
+    b = np.ascontiguousarray(basis)  # same rounding for every memory layout
+    return point - b @ (b.T @ point)
+
+
 @dataclass(frozen=True, eq=False)
 class AffinePlane:
     """An m-dimensional affine plane, direction subspace plus canonical anchor.
 
     The anchor is the component of any plane point orthogonal to the
-    direction, which makes the representation unique and equality testable.
+    direction (``_canonical_anchor``), which makes the representation unique.
     """
 
     direction: Subspace
@@ -116,9 +122,7 @@ class AffinePlane:
         a = np.zeros(self.direction.d) if self.anchor is None else np.asarray(self.anchor, float)
         if a.shape != (self.direction.d,):
             raise DimensionMismatchError("anchor dimension does not match the direction")
-        b = np.ascontiguousarray(self.direction.basis)  # same rounding for every memory layout
-        a = a - b @ (b.T @ a)
-        object.__setattr__(self, "anchor", a)
+        object.__setattr__(self, "anchor", _canonical_anchor(self.direction.basis, a))
 
     @property
     def d(self) -> int:
@@ -135,14 +139,6 @@ class AffinePlane:
         tang = rel @ self.direction.basis
         normal = rel - tang @ self.direction.basis.T
         return np.linalg.norm(normal, axis=-1)
-
-    def close_to(self, other: "AffinePlane") -> bool:
-        if self.m != other.m or self.d != other.d:
-            return False
-        return (
-            metric(self.direction, other.direction) <= 1e-9
-            and np.linalg.norm(self.anchor - other.anchor) <= 1e-9
-        )
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Plane-approximation coefficients: oracles, method ordering, invariances."""
 
+import csv
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from rectilab import beta as bt
 from rectilab import cubes as cb
 from rectilab import pointset as ps
-from rectilab.grassmann import Subspace, random_rotation
+from rectilab.grassmann import AffinePlane, Subspace, random_rotation
 
 
 def two_segments(h: float, res: float = 5e-3) -> ps.RegularCloud:
@@ -30,6 +31,12 @@ def zero_weight_cloud() -> ps.RegularCloud:
 
 
 ZERO_WEIGHT_BALL = ps.Ball(np.array([0.25, 0.12]), 0.2)
+
+
+def sparse_cloud() -> ps.RegularCloud:
+    """Three points far apart: some lattice balls hold fewer than n + 2 of them."""
+    pts = np.array([[0.1, 0.1], [0.9, 0.9], [0.85, 0.1]])
+    return ps.RegularCloud(pts, np.ones(3), 1, 1e-3, validate=False)
 
 
 class TestBeta1:
@@ -199,22 +206,83 @@ class TestBatchedPcaField:
                 assert res.degenerate == ref.degenerate
                 inside = (np.linalg.norm(pts - ball.center, axis=1) <= ball.radius) & (weights > 0)
                 assert res.degenerate == (inside.sum() < n + 2)
+                dist = res.plane.distance(pts[inside])  # the stored plane attains the value
                 if res.degenerate:
-                    assert res.value == 0.0
+                    assert res.value == 0.0 and dist[0] <= 1e-15
                     continue
                 b1, binf, kappa = _svd_oracle(pts[inside], weights[inside], n, ball.radius)
                 expected = binf if sup else b1
                 assert res.value == pytest.approx(expected, rel=1e-9 + 1e3 * eps * kappa, abs=1e-15)
+                attained = dist.max() / ball.radius if sup else weights[inside] @ dist / ball.radius ** (n + 1)
+                assert res.value == pytest.approx(attained, rel=1e-9, abs=1e-12)
 
     def test_some_balls_are_degenerate_and_some_raise(self):
         # the strategy above reaches both branches: a sparse cloud has balls with fewer
         # than n + 2 live points, and a zero-weight-only cube makes the field raise
-        pts = np.array([[0.1, 0.1], [0.9, 0.9], [0.85, 0.1]])
-        sparse = ps.RegularCloud(pts, np.ones(3), 1, 1e-3, validate=False)
-        flags = [r.degenerate for r in bt.beta_lattice(cb.CubeLattice(sparse, 0, 3), method="pca").values()]
+        flags = [r.degenerate for r in bt.beta_lattice(cb.CubeLattice(sparse_cloud(), 0, 3), method="pca").values()]
         assert any(flags) and not all(flags)
         with pytest.raises(ValueError, match="only zero-weight points"):
             bt.beta_lattice(cb.CubeLattice(zero_weight_cloud(), 0, 3), method="pca")
+
+    @pytest.mark.parametrize("make", [lambda: ps.four_corners(2), sparse_cloud], ids=["four_corners", "sparse"])
+    def test_planes_are_built_only_when_read(self, monkeypatch, tmp_path, make):
+        lat = cb.CubeLattice(make(), 0, 3)
+        built = []
+        for cls in (Subspace, AffinePlane):
+            def spy(self, _post_init=cls.__post_init__):
+                built.append(type(self).__name__)
+                _post_init(self)
+            monkeypatch.setattr(cls, "__post_init__", spy)
+        betas = bt.beta_lattice(lat, method="pca")
+        bt.export_betas(betas, tmp_path / "betas.csv")
+        assert built == []  # neither the field nor its export validates a plane
+        for count, res in enumerate(betas.values(), start=1):
+            plane = res.plane
+            assert res.plane is plane  # the second read builds nothing
+            assert built == ["Subspace", "AffinePlane"] * count
+        with open(tmp_path / "betas.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(betas)
+        for row, (_, res) in zip(rows, sorted(betas.items())):  # the export's anchor is the plane's
+            assert row["plane_direction"] == " ".join(map(repr, res.plane.direction.basis.ravel().tolist()))
+            assert row["plane_anchor"] == " ".join(map(repr, res.plane.anchor.tolist()))
+
+
+class TestBoundaryErrors:
+    def test_nan_value_raises(self):
+        # NaN fails every comparison, so a test of value < 0 lets it through
+        with pytest.raises(ValueError, match="nonnegative"):
+            bt.BetaResult(math.nan, np.eye(2, 1), np.zeros(2), "pca")
+
+    def test_non_orthonormal_basis_raises_when_the_plane_is_read(self):
+        res = bt.BetaResult(0.1, np.array([[1.0], [1.0]]), np.zeros(2), "pca")
+        with pytest.raises(ValueError, match="not orthonormal to 1e-10"):
+            res.plane
+
+    @pytest.mark.parametrize("fn", [bt.beta1, bt.beta_inf])
+    def test_grid_oracle_outside_the_plane_raises_on_a_degenerate_ball(self, fn):
+        # three points on a line in R^3: the ball holds one, fewer than n + 2
+        pts = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        cloud = ps.RegularCloud(pts, np.ones(3), 1, 0.5, validate=False)
+        ball = ps.Ball(np.zeros(3), 0.1)
+        assert fn(cloud, ball, "pca").degenerate
+        with pytest.raises(ValueError, match="grid_oracle is only available"):
+            fn(cloud, ball, "grid_oracle")
+
+    def test_unknown_method_raises(self):
+        with pytest.raises(ValueError, match="unknown method 'svd'"):
+            bt.beta1(ps.segment(1e-2), ps.Ball(np.array([0.5, 0.0]), 0.6), "svd")
+
+    def test_unknown_which_raises(self):
+        with pytest.raises(ValueError, match="which must be"):
+            bt.beta_lattice(cb.CubeLattice(ps.segment(1e-2), 0, 1), "beta2")
+
+    def test_wgl_sum_missing_coefficient_raises(self):
+        lat = cb.CubeLattice(ps.segment(1e-2), 0, 2)
+        betas = bt.beta_lattice(lat, "beta1")
+        del betas[(2, (1, 0))]
+        with pytest.raises(KeyError, match="missing coefficient for cube"):
+            bt.wgl_sum(lat, betas, 0.1, (0, (0, 0)))
 
 
 class TestWglSum:

@@ -273,8 +273,18 @@ class TestInvariantsAndSerialization:
         d = gr.Subspace.axis(3, 2)
         p1 = gr.AffinePlane(d, np.array([1.0, 2.0, 5.0]))
         p2 = gr.AffinePlane(d, np.array([1.0, 2.0, -9.0]))
-        assert p1.close_to(p2)
+        # two points of one line give one plane: same direction, same anchor
+        assert gr.metric(p1.direction, p2.direction) <= 1e-9
+        assert np.linalg.norm(p1.anchor - p2.anchor) <= 1e-9
         assert abs(p1.anchor @ d.basis[:, 0]) < 1e-12
+
+    def test_non_orthonormal_basis_raises(self):
+        with pytest.raises(ValueError, match="not orthonormal to 1e-10"):
+            gr.Subspace(np.array([[1.0], [1.0]]))
+
+    def test_anchor_of_the_wrong_dimension_raises(self):
+        with pytest.raises(gr.DimensionMismatchError, match="anchor dimension"):
+            gr.AffinePlane(gr.Subspace.axis(3, 0), np.zeros(2))
 
     def test_affine_plane_anchor_ignores_basis_layout(self):
         rng = np.random.default_rng(18)
