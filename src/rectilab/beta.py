@@ -43,10 +43,10 @@ FLOOR_FACTOR = 2.0
 
 @dataclass(frozen=True, eq=False)
 class BetaResult:
-    """A coefficient ``value`` >= 0 (NaN rejected) with its ``method`` tag and ``degenerate``
-    flag (fewer than n + 2 live points: value 0). The fitted plane is kept as the fit left it,
-    an orthonormal d x n ``basis`` and one ``point`` of the plane; ``.plane`` builds and
-    validates ``AffinePlane(Subspace(basis), point)`` the first time it is read."""
+    """A coefficient ``value`` >= 0 (NaN rejected, kept as a Python float) with its ``method``
+    tag and ``degenerate`` flag (fewer than n + 2 live points: value 0). The fitted plane is kept
+    as the fit left it, an orthonormal d x n ``basis`` and one ``point`` of the plane; ``.plane``
+    builds and validates ``AffinePlane(Subspace(basis), point)`` the first time it is read."""
 
     value: float
     basis: np.ndarray
@@ -55,6 +55,8 @@ class BetaResult:
     degenerate: bool = False
 
     def __post_init__(self):
+        if type(self.value) is not float:  # a numpy scalar's repr is np.float64(...)
+            object.__setattr__(self, "value", float(self.value))
         if not self.value >= 0:
             raise ValueError("a plane-approximation coefficient is nonnegative")
 

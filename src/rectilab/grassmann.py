@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 ORTHO_TOL = 1e-10
-# sample_in_ball gives up after this many rejected draws
-SAMPLE_MAX_TRIES = 10_000
 
 
 class DimensionMismatchError(ValueError):
@@ -77,10 +75,6 @@ class Subspace:
     @property
     def projection_matrix(self) -> np.ndarray:
         return self.basis @ self.basis.T
-
-    @classmethod
-    def from_vectors(cls, vectors) -> "Subspace":
-        return cls(orthonormalize(_as_matrix(vectors)))
 
     @classmethod
     def axis(cls, d: int, *axes: int) -> "Subspace":
@@ -163,22 +157,12 @@ def project(v: Subspace, x: np.ndarray) -> np.ndarray:
 
 def metric(v1: Subspace, v2: Subspace) -> float:
     """Operator-norm distance between projections, ``||P1 - P2||``."""
-    _check_same_shape(v1, v2)
-    diff = v1.projection_matrix - v2.projection_matrix
-    return float(np.linalg.norm(diff, ord=2))
-
-
-def metric_bar(v1: Subspace, v2: Subspace) -> float:
-    """Equivalent metric: max distance of a unit vector of ``v1`` to ``v2``."""
-    _check_same_shape(v1, v2)
-    return containment_residual(v1, v2)
-
-
-def _check_same_shape(v1: Subspace, v2: Subspace):
     if v1.d != v2.d:
         raise DimensionMismatchError("ambient dimensions differ")
     if v1.n != v2.n:
         raise DimensionMismatchError("subspace dimensions differ")
+    diff = v1.projection_matrix - v2.projection_matrix
+    return float(np.linalg.norm(diff, ord=2))
 
 
 def containment_residual(v: Subspace, w: Subspace) -> float:
@@ -214,12 +198,7 @@ def sample_haar(d: int, n: int, rng: np.random.Generator) -> Subspace:
         raise DimensionMismatchError(f"need 0 <= n <= d, got n={n}, d={d}")
     if n == 0:
         return Subspace.zero(d)
-    while True:
-        g = rng.standard_normal((d, n))
-        try:
-            return Subspace(orthonormalize(g))
-        except DegenerateInputError:  # probability zero, but be safe
-            continue
+    return Subspace(np.linalg.qr(rng.standard_normal((d, n)))[0])  # rank n with probability 1
 
 
 def random_rotation(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -233,26 +212,49 @@ def rotate(g: np.ndarray, v: Subspace) -> Subspace:
     return Subspace(orthonormalize(g @ v.basis))
 
 
-def sample_in_ball(ball: GrassmannBall, rng: np.random.Generator) -> Subspace:
-    """A random subspace inside a Grassmannian ball.
+def _plane_basis(p: np.ndarray, k: int) -> np.ndarray:
+    """Orthonormal basis of the range of the rank-k projection ``p``, fixed by ``p`` alone: the Q
+    of a QR of p at k coordinate axes picked by column pivoting, R's diagonal positive."""
+    cols, q = p.copy(), np.empty((len(p), k))
+    for j in range(k):
+        sq = (cols * cols).sum(axis=0)
+        i = sq.argmax()
+        q[:, j] = u = cols[:, i] / math.sqrt(sq[i])
+        cols -= u[:, None] * (u @ cols)
+    return q
 
-    Gaussian perturbation of the center basis, rejected until the metric
-    constraint holds; covers the whole ball but is not exactly the
-    Haar-restricted law (adequate for searching over a ball of directions).
+
+def _chart(b: np.ndarray, c: np.ndarray, g: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Bases (B + C A)(I + A^T A)^(-1/2), stacked (k, d, n), of span(B + C A) for A = norms[i] G[i]
+    / ||G[i]||_2, from one stacked ``eigh`` of G^T G. The plane's metric to span(B) is
+    ||A|| / sqrt(1 + ||A||^2) (Bjorck and Golub, Math. Comp. 27, 1973)."""
+    lam, w = np.linalg.eigh(np.einsum("kji,kjl->kil", g, g))  # ascending
+    scale = norms / np.sqrt(lam[:, -1])
+    root = (w / np.sqrt(1.0 + scale[:, None] ** 2 * lam)[:, None, :]) @ w.transpose(0, 2, 1)
+    return (b + c @ (scale[:, None, None] * g)) @ root
+
+
+def sample_in_ball(ball: GrassmannBall, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Orthonormal bases, stacked (count, d, n), of ``count`` random planes in a Grassmannian ball.
+
+    For radius delta < 1 each plane is span(B + C A), with B and C the bases of the centre V0
+    and of its complement that ``_plane_basis`` fixes from P_V0, A = t U G / ||G||_2, G a
+    (d - n) x n standard Gaussian, U uniform on (0, 1] and t = delta / sqrt(1 - delta^2). The
+    ball is exactly {||A|| <= t}, so no draw is rejected, and the bases depend only on the
+    plane V0 and the generator. Radius 0 gives B count times, as a read-only view, and draws
+    nothing; a radius >= 1 covers all of G(d, n), and the planes are Haar (one stacked QR).
     """
     c, r = ball.center, ball.radius
-    if r == 0.0:
-        return c
-    for _ in range(SAMPLE_MAX_TRIES):
-        scale = r * rng.uniform(0.1, 1.1)
-        g = c.basis + scale * rng.standard_normal(c.basis.shape)
-        try:
-            v = Subspace(orthonormalize(g))
-        except DegenerateInputError:
-            continue
-        if metric(c, v) <= r:
-            return v
-    raise RuntimeError(f"ball sampling did not accept within {SAMPLE_MAX_TRIES} tries")
+    d, n = c.d, c.n
+    p = c.projection_matrix
+    b = _plane_basis(p, n)
+    if r == 0.0 or n in (0, d):
+        return np.broadcast_to(b, (count, d, n))
+    if r >= 1.0:
+        return np.linalg.qr(rng.standard_normal((count, d, n)))[0]
+    g = rng.standard_normal((count, d - n, n))
+    norms = r / math.sqrt(1.0 - r * r) * (1.0 - rng.random(count))
+    return _chart(b, _plane_basis(np.eye(d) - p, d - n), g, norms)
 
 
 def nearest_subspace_in(w2: Subspace, v1: Subspace, w1: Subspace) -> Subspace:

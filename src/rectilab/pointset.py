@@ -157,21 +157,12 @@ class RegularCloud:
         return float(self.weights.sum())
 
     @property
-    def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.points.min(axis=0), self.points.max(axis=0)
-
-    @property
     def diameter(self) -> float:
-        lo, hi = self.bounding_box
-        return float(np.linalg.norm(hi - lo))
+        """The diagonal of the bounding box."""
+        return float(np.linalg.norm(self.points.max(axis=0) - self.points.min(axis=0)))
 
     def ball_mass(self, ball: Ball) -> float:
         return float(self.weights[self.ball_indices(ball)].sum())
-
-    def enclosing_ball(self, factor: float = 1.0) -> Ball:
-        lo, hi = self.bounding_box
-        center = (lo + hi) / 2.0
-        return Ball(center, factor * max(self.diameter / 2.0, self.resolution))
 
     def dilated(self, factor: float) -> "RegularCloud":
         return replace(self, points=self.points * factor, weights=self.weights * factor**self.n,
@@ -369,16 +360,16 @@ def projection_measure(
     """
     if grid_resolution < cloud.resolution:
         raise ValueError("grid_resolution must be at least the cloud resolution")
-    return _shadow(cloud.points[cloud.ball_indices(ball)], v, grid_resolution)
+    return _shadow(cloud.points[cloud.ball_indices(ball)], v.basis, grid_resolution)
 
 
-def _shadow(pts: np.ndarray, v: Subspace, g: float) -> float:
-    """Occupied half-open grid cells of side g under the projection of pts to v, times g^n."""
-    cells = np.floor(pts @ v.basis / g).astype(np.int64)
+def _shadow(pts: np.ndarray, basis: np.ndarray, g: float) -> float:
+    """Occupied half-open grid cells of side g in the coordinates of pts @ basis, times g^n."""
+    cells = np.floor(pts @ basis / g).astype(np.int64)
     # distinct rows after a lexicographic sort; np.unique(axis=0) is ~10x slower
     cells = cells[np.lexsort(cells.T)]
     occupied = np.count_nonzero(np.any(cells[1:] != cells[:-1], axis=1)) + min(len(cells), 1)
-    return float(occupied) * g**v.n
+    return float(occupied) * g ** basis.shape[1]
 
 
 def _pca_frames(pts: np.ndarray, w: np.ndarray, indptr: np.ndarray, n: int):
@@ -420,6 +411,10 @@ def pbp_margin(
     B(V0, delta) has shadow at least delta r^n. A negative margin means no
     candidate did. The ball's points are selected once per call; each
     shadow equals ``projection_measure(cloud, V, ball, grid_resolution)``.
+    Each candidate's directions are one ``sample_in_ball`` batch (the law is
+    stated there; Haar planes for delta >= 1), scored in order until the
+    margin falls below the best so far. Their bases are fixed by the plane
+    V0, so the margin depends on the candidate planes, not on their bases.
     """
     _check_count("n_directions", n_directions, 16)
     _check_count("n_candidates", n_candidates, 1)
@@ -437,11 +432,9 @@ def pbp_margin(
     best_v0, best_margin = candidates[0], -math.inf
     rn = ball.radius**n
     for v0 in candidates:
-        gball = GrassmannBall(v0, delta)
         margin = math.inf
-        for _ in range(n_directions):
-            v = sample_in_ball(gball, rng)
-            margin = min(margin, _shadow(pts, v, g) / rn - delta)
+        for basis in sample_in_ball(GrassmannBall(v0, delta), rng, n_directions):
+            margin = min(margin, _shadow(pts, basis, g) / rn - delta)
             if margin < best_margin:
                 break
         if margin > best_margin:

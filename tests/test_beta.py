@@ -445,6 +445,33 @@ class TestMethodAndSymmetryInvariants:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == len(betas) + 1
 
+    @pytest.mark.parametrize(
+        "make, which",
+        [
+            (lambda: cb.CubeLattice(ps.segment(1e-2), 0, 1), "beta_inf"),  # planar beta_inf: half / r
+            (lambda: cb.CubeLattice(ps.four_corners(3), 0, 3), "beta_inf"),
+            (  # codimension-1 coordinate descent: accepted turns rescale by r^(n + 1)
+                lambda: cb.CubeLattice(
+                    ps.lipschitz_graph_cloud(
+                        lambda t: [0.2 * np.sin(2.0 * np.pi * t[0]) * np.cos(2.0 * np.pi * t[1])],
+                        Subspace.axis(3, 0, 1), 1.8, 2.0**-4,
+                    ), 0, 2,
+                ),
+                "beta1",
+            ),
+        ],
+        ids=["segment-inf", "four_corners-inf", "surface-beta1"],
+    )
+    def test_export_writes_plain_float_values(self, tmp_path, make, which):
+        betas = bt.beta_lattice(make(), which)
+        assert all(type(res.value) is float for res in betas.values())
+        bt.export_betas(betas, tmp_path / "betas.csv", which)
+        with open(tmp_path / "betas.csv", newline="") as fh:
+            cells = [row[which] for row in csv.DictReader(fh)]
+        assert len(cells) == len(betas)
+        for cell, (_, res) in zip(cells, sorted(betas.items())):
+            assert "np." not in cell and float(cell) == res.value
+
 
 def _direct_planar_value(pts, w, r, theta):
     """One angle the unbatched way: a matmul projection, then a sorted weighted median."""

@@ -20,7 +20,7 @@ class TestProject:
         assert np.allclose(gr.project(v, np.array([3.0, 4.0])), [3.0, 0.0])
 
     def test_rank_one_formula(self):
-        v = gr.Subspace.from_vectors(np.array([1.0, 1.0]) / math.sqrt(2))
+        v = gr.Subspace(gr.orthonormalize(np.array([1.0, 1.0])))
         assert np.allclose(gr.project(v, np.array([1.0, 0.0])), [0.5, 0.5])
 
     def test_idempotence_random(self):
@@ -63,29 +63,15 @@ class TestMetric:
         mix = v.basis @ np.linalg.qr(rng.standard_normal((2, 2)))[0]
         assert gr.metric(v, gr.Subspace(mix)) < 1e-10
 
-
-class TestMetricBar:
-    def test_identical(self):
-        v = gr.Subspace.axis(3, 0, 2)
-        assert gr.metric_bar(v, v) == pytest.approx(0.0, abs=1e-12)
-
-    def test_line_angle(self):
-        theta = 0.4
-        assert gr.metric_bar(gr.Subspace.axis(2, 0), line(theta)) == pytest.approx(math.sin(theta))
-
-    def test_two_sided_comparability(self):
+    def test_equals_containment_residual(self):
+        # for planes of one dimension ||P1 - P2|| = ||(I - P2) P1||, the sine of the largest
+        # principal angle, so the "max distance of a unit vector of v1 to v2" form is this metric
         rng = np.random.default_rng(3)
-        ratios = []
         for _ in range(1000):
             d = int(rng.integers(2, 6))
             n = int(rng.integers(1, d))
             v1, v2 = gr.sample_haar(d, n, rng), gr.sample_haar(d, n, rng)
-            m, mb = gr.metric(v1, v2), gr.metric_bar(v1, v2)
-            if m > 1e-9:
-                ratios.append(mb / m)
-        ratios = np.array(ratios)
-        assert ratios.max() / ratios.min() <= 2.0
-        assert np.all(ratios > 0.4) and np.all(ratios < 2.5)
+            assert gr.containment_residual(v1, v2) == pytest.approx(gr.metric(v1, v2), abs=1e-12)
 
 
 class TestHaar:
@@ -116,6 +102,97 @@ class TestHaar:
             rotated.append(gr.metric(gr.rotate(g, v), v_ref))
         stat = scipy.stats.ks_2samp(plain, rotated)
         assert stat.pvalue > 0.01
+
+
+def chart_norm(delta: float) -> float:
+    """The chart radius t of B(V0, delta): ||A|| <= t exactly when metric(V0, span(B + C A)) <= delta."""
+    return delta / math.sqrt(1.0 - delta**2)
+
+
+class TestSampleInBall:
+    SHAPES = [(2, 1), (3, 1), (3, 2), (5, 2)]
+
+    @staticmethod
+    def frames(v: gr.Subspace):
+        p = v.projection_matrix
+        return gr._plane_basis(p, v.n), gr._plane_basis(np.eye(v.d) - p, v.d - v.n)
+
+    @pytest.mark.parametrize("d, n", SHAPES)
+    def test_draws_lie_in_the_ball_with_orthonormal_bases(self, d, n):
+        rng = np.random.default_rng(d * 10 + n)
+        for delta in (0.05, 0.3, 0.7, 0.95):
+            v0 = gr.sample_haar(d, n, rng)
+            bases = gr.sample_in_ball(gr.GrassmannBall(v0, delta), rng, 250)
+            assert bases.shape == (250, d, n)
+            gram = bases.transpose(0, 2, 1) @ bases
+            assert np.abs(gram - np.eye(n)).max() <= 1e-12
+            assert max(gr.metric(v0, gr.Subspace(b)) for b in bases) <= delta + 1e-12
+
+    @pytest.mark.parametrize("d, n", SHAPES)
+    def test_chart_sphere_is_the_ball_boundary(self, d, n):
+        rng = np.random.default_rng(d * 10 + n + 1)
+        for delta in (0.1, 0.5, 0.9):
+            v0 = gr.sample_haar(d, n, rng)
+            g = rng.standard_normal((50, d - n, n))
+            bases = gr._chart(*self.frames(v0), g, np.full(50, chart_norm(delta)))
+            for b in bases:
+                assert gr.metric(v0, gr.Subspace(b)) == pytest.approx(delta, abs=1e-12)
+
+    @pytest.mark.parametrize("d, n", SHAPES)
+    def test_law_reaches_the_boundary(self, d, n):
+        rng = np.random.default_rng(d * 10 + n + 2)
+        v0 = gr.sample_haar(d, n, rng)
+        bases = gr.sample_in_ball(gr.GrassmannBall(v0, 0.2), rng, 2000)
+        assert max(gr.metric(v0, gr.Subspace(b)) for b in bases) >= 0.99 * 0.2
+
+    @pytest.mark.parametrize("d, n", [(2, 1), (3, 2)])
+    def test_chart_norm_is_uniform(self, d, n):
+        # metric = s / sqrt(1 + s^2) at chart norm s = ||A||, and s / t is U, uniform on (0, 1]
+        rng = np.random.default_rng(d * 10 + n + 3)
+        v0, delta = gr.sample_haar(d, n, rng), 0.4
+        m = np.array([gr.metric(v0, gr.Subspace(b)) for b in gr.sample_in_ball(gr.GrassmannBall(v0, delta), rng, 2000)])
+        u = m / np.sqrt(1.0 - m**2) / chart_norm(delta)
+        assert scipy.stats.kstest(u, "uniform").pvalue > 0.01
+
+    def test_zero_radius_is_the_centre_and_draws_nothing(self):
+        rng = np.random.default_rng(11)
+        v0 = gr.sample_haar(3, 2, rng)
+        state = rng.bit_generator.state
+        bases = gr.sample_in_ball(gr.GrassmannBall(v0, 0.0), rng, 4)
+        assert rng.bit_generator.state == state
+        assert np.array_equal(bases, np.broadcast_to(self.frames(v0)[0], (4, 3, 2)))
+        assert gr.metric(v0, gr.Subspace(bases[0])) <= 1e-15
+
+    @pytest.mark.parametrize("delta", [1.0, 1.5, 2.0])
+    def test_radius_one_and_above_is_haar(self, delta):
+        # the ball is all of G(d, n); every radius >= 1 and every centre gives one Haar draw
+        rng = np.random.default_rng(12)
+        bases = gr.sample_in_ball(gr.GrassmannBall(gr.Subspace.axis(2, 0), delta), rng, 5000)
+        other = gr.sample_in_ball(gr.GrassmannBall(line(1.0), 1.0), np.random.default_rng(12), 5000)
+        assert np.array_equal(bases, other)
+        assert np.abs(bases.transpose(0, 2, 1) @ bases - 1.0).max() <= 1e-12
+        angles = np.arctan2(bases[:, 1, 0], bases[:, 0, 0]) % math.pi
+        assert scipy.stats.kstest(angles / math.pi, "uniform").pvalue > 0.01
+
+    @pytest.mark.parametrize("d, n", SHAPES)
+    def test_bases_are_fixed_by_the_plane(self, d, n):
+        rng = np.random.default_rng(d * 10 + n + 4)
+        v0 = gr.sample_haar(d, n, rng)
+        turned = gr.Subspace(v0.basis @ gr.random_rotation(n, rng))
+        for delta in (0.0, 0.3):
+            a = gr.sample_in_ball(gr.GrassmannBall(v0, delta), np.random.default_rng(5), 64)
+            b = gr.sample_in_ball(gr.GrassmannBall(turned, delta), np.random.default_rng(5), 64)
+            assert np.abs(a - b).max() <= 1e-14
+
+    def test_plane_basis_where_the_largest_diagonal_axes_are_dependent(self):
+        # span{(e0 + e1)/sqrt 2, (e2 + e3)/sqrt 2}: all p_ii tie at 1/2 and p e0 = p e1, so the
+        # QR of p at the axes of the two largest p_ii alone would be singular
+        basis = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]) / math.sqrt(2.0)
+        p = basis @ basis.T
+        for k, proj in ((2, p), (2, np.eye(4) - p)):
+            q = gr._plane_basis(proj, k)
+            assert np.abs(q.T @ q - np.eye(k)).max() <= 1e-15
+            assert np.abs(q @ q.T - proj).max() <= 1e-15
 
 
 class TestNearestSubspaceIn:
@@ -164,7 +241,7 @@ class TestNearestSubspaceIn:
             d = int(rng.integers(3, 6))
             n = int(rng.integers(1, d - 1))
             w1, v1 = gr.fubini_sample(d, n, rng)
-            w2 = gr.sample_in_ball(gr.GrassmannBall(w1, 0.3), rng)
+            w2 = gr.Subspace(gr.sample_in_ball(gr.GrassmannBall(w1, 0.3), rng, 1)[0])
             dist_w = gr.metric(w1, w2)
             if dist_w < 1e-6:
                 continue
