@@ -9,15 +9,18 @@ infimum over planes comes from a declared plane family: a weighted PCA fit
 it). Every result carries its method tag. Exact: planar beta1 under
 ``grid_oracle`` (every pivot's turn, ``_sweep``), planar beta_inf under both
 refined methods (half the minimum width, ``_half_width``) and the
-codimension-1 beta_inf turn. ``pca_refined`` planar beta1 scores the start
-angles that closed-form bounds (``_start_bounds``) keep, then turns exactly
-about a few pivots. Brent's bounded method serves only codimension >= 2, and
-only it loads ``scipy.optimize``. Fields go one lattice level at a time:
-balls are selected in batches, each batch is fitted by one batched PCA, and
-pca values are segment sums. A result holds its value, method tag,
-degenerate flag and the fit's raw arrays, a d x n basis and one point of the
-plane; the validated ``AffinePlane`` is built when ``.plane`` is first read,
-and ``export_betas`` writes from the arrays without building it.
+codimension-1 beta_inf turn. ``pca_refined`` planar beta1 refines all the
+balls of a selection batch together (``_planar_refine``): each scores the
+start angles that closed-form bounds (``_start_bounds``) keep, then turns
+exactly about a few pivots, in lockstep on a padded layout whose rows sort
+and sum their own points, so a ball's result is the same alone as in any
+batch. Brent's bounded method serves only codimension >= 2, and only it
+loads ``scipy.optimize``. Fields go one lattice level at a time: balls are
+selected in batches, each batch is fitted by one batched PCA, and pca
+values are segment sums. A result holds its value, method tag, degenerate
+flag and the fit's raw arrays, a d x n basis and one point of the plane; the
+validated ``AffinePlane`` is built when ``.plane`` is first read, and
+``export_betas`` writes from the arrays without building it.
 """
 
 from __future__ import annotations
@@ -86,84 +89,167 @@ def _plane_value(pts, w, normals, point, r, n, sup) -> float:
     return float(dist.max() / r) if sup else float(np.sum(w * dist) / r ** (n + 1))
 
 
-def _planar_values(pts, w, r, thetas):
-    """Planar beta1 objective and best offset at every angle of ``thetas``. Each row is
-    reduced on its own, so row k equals a one-angle call at thetas[k] bit for bit."""
-    s = np.cos(thetas)[:, None] * pts[:, 1]
-    buf = np.sin(thetas)[:, None] * pts[:, 0]
-    s -= buf
-    order = s.argsort(axis=1)
-    cum = np.cumsum(np.take(w, order, out=buf, mode="clip"), axis=1, out=buf)  # clip: no copy
-    rows = np.arange(len(s))
-    c = s[rows, order[rows, (cum < 0.5 * cum[:, -1:]).sum(axis=1)]]
+def _padded(pts, w, start, m):
+    """Ball b's points pts[start[b]:start[b] + m[b]] as row b of a coordinate-major (2, B, M) array
+    and its weights as row b of a (B, M) array; each pad copies its ball's first point and weighs 0."""
+    lane = np.arange(m.max())
+    pad = lane >= m[:, None]
+    at = start[:, None] + np.where(pad, 0, lane)
+    return pts.T[:, at], np.where(pad, 0.0, w[at])
+
+
+def _size_runs(size):
+    """(lo, hi, n) for each run of rows lo..hi-1 of equal size n."""
+    cuts = (np.flatnonzero(np.diff(size)) + 1).tolist()
+    return zip([0, *cuts], [*cuts, len(size)], size[[0, *cuts]].tolist())
+
+
+def _row_argsort(s, size, offset):
+    """Each row's argsort over its first size[row] entries, which orders ties as a one-row argsort of
+    those entries would, then the rest of the row in place, plus offset[row]; rows of equal size sort
+    together."""
+    width, offset = s.shape[1], offset[:, None]
+    if (size == width).all():
+        order = s.argsort(axis=1)
+        return np.add(order, offset, out=order)
+    order, lane = np.empty(s.shape, np.intp), np.arange(width)
+    for lo, hi, n in _size_runs(size):
+        np.add(s[lo:hi, :n].argsort(axis=1), offset[lo:hi], out=order[lo:hi, :n])
+        np.add(lane[n:], offset[lo:hi], out=order[lo:hi, n:])
+    return order
+
+
+def _planar_values(xy, w, m, r2, ball, thetas):
+    """Planar beta1 objective and best offset of every row k: ball ball[k] of a ``_padded`` batch (r2:
+    the squared radii) at angle thetas[k]. Each row sorts (``_row_argsort``) and sums its own m points
+    alone, as a one-ball call would (a sort or sum over the padded length orders ties and rounds
+    differently), so row k equals a one-row call bit for bit; pads weigh 0 and sort last, so they move
+    no weighted median."""
+    rows, size, stride = np.arange(len(ball)), m[ball], xy.shape[2] * ball
+    width = int(size.max())  # the rows' own widest ball, not the batch's
+    s = xy[1, :, :width].take(ball, axis=0)
+    s *= np.cos(thetas)[:, None]
+    s -= xy[0, :, :width].take(ball, axis=0) * np.sin(thetas)[:, None]
+    order = _row_argsort(s, size, stride)  # flat indices into w
+    buf = w.take(order)
+    cum = np.cumsum(buf, axis=1, out=buf)
+    c = s[rows, order[rows, (cum < 0.5 * cum[:, -1:]).sum(axis=1)] - stride]
     s -= c[:, None]
     np.abs(s, out=s)
-    s *= w
-    return s.sum(axis=1) / r**2, c
+    s *= w[:, :width].take(ball, axis=0, out=buf, mode="clip")  # clip: no buffered copy
+    vals = np.empty(len(ball))
+    for lo, hi, n in _size_runs(size):
+        vals[lo:hi] = s[lo:hi, :n].sum(axis=1)
+    return vals / r2[ball], c
 
 
-def _sweep(a, b, w):
+def _sweep(a, b, w, size=None):
     """Exact minimiser t in [0, pi] of sum_i w_i |a_i cos t - b_i sin t| along the last axis, and
     the minimum. Between the zeros of its terms the sum is a nonnegative sinusoid, so concave, and
-    the minimum sits at a zero: score each with running sums of w·a and w·b in sorted order."""
+    the minimum sits at a zero: score each with running sums of w·a and w·b in sorted order. With
+    ``size``, rows of a padded batch hold size[row] terms and then zero-weight pads."""
     zeros = np.arctan2(a, b)
-    sw = np.where(zeros < 0, -w, w)  # flip the terms whose zero atan2 puts in (-pi, 0)
-    zeros[zeros < 0] += np.pi
+    flip = zeros < 0
+    sw = np.where(flip, -w, w)  # flip the terms whose zero atan2 puts in (-pi, 0)
+    zeros[flip] += np.pi
     base = zeros.shape[-1] * np.arange(zeros.size // zeros.shape[-1]).reshape(zeros.shape[:-1])
-    order = zeros.argsort(axis=-1) + base[..., None]  # flat indices, one take per array
-    zeros, ca, cb = zeros.take(order), (sw * a).take(order).cumsum(-1), (sw * b).take(order).cumsum(-1)
-    vals = np.cos(zeros) * (ca[..., -1:] - 2.0 * ca) - np.sin(zeros) * (cb[..., -1:] - 2.0 * cb)
+    if size is None:  # flat indices, one take per array
+        order = zeros.argsort(axis=-1) + base[..., None]
+    else:
+        order = _row_argsort(zeros, size, base)
+    zeros = zeros.take(order)
+    # vals = cos z (A - 2 ca) - sin z (B - 2 cb), A and B the totals, written in place to hold the memory
+    ca, cb = ((sw * c).take(order).cumsum(-1) for c in (a, b))
+    for run, trig in ((ca, np.cos), (cb, np.sin)):
+        np.subtract(run[..., -1:].copy(), np.multiply(run, 2.0, out=run), out=run)
+        run *= trig(zeros)
+    vals = np.subtract(ca, cb, out=ca)
+    if size is not None:
+        vals[np.arange(vals.shape[-1]) >= size[:, None]] = np.inf  # the pads, sorted last, are no zeros
     k = vals.argmin(axis=-1) + base
     return zeros.take(k), np.maximum(vals.take(k), 0.0)  # the running sums can round below 0
 
 
-def _start_bounds(pts, w, r, thetas):
-    """(lower, upper): row k of the planar beta1 ``_planar_values`` is at least lower[k] and the
-    least row at most upper. With s the projections on the normal at t and V = sum w (s - mean)^2
-    (a quadratic form of the 2x2 covariance), V = sum w (s - mean)(s - c) <= R sum w |s - c| for
-    any c (R: largest distance to the mean); at the least V, sum w |s - median| <= sqrt(W V) by
-    Cauchy-Schwarz. Slacks 1e-13 m trace (on V) and 1e-13 m W max|coordinate| cover rounding."""
-    rel = pts - w @ pts / w.sum()
-    cov, nrm = (w * rel.T) @ rel, np.c_[-np.sin(thetas), np.cos(thetas)]
-    var = ((nrm @ cov) * nrm).sum(axis=1)
-    dv, tau = 1e-13 * len(pts) * np.array([cov.trace(), w.sum() * np.abs(pts).max()])
-    lower = ((var - dv) / max(_row_norms(rel).max(), np.finfo(float).tiny) - tau) / r**2
-    return lower, (math.sqrt(w.sum() * (max(var.min(), 0.0) + dv)) + tau) / r**2
+def _start_bounds(xy, w, m, r2, thetas):
+    """(lower, upper) on a ``_padded`` batch: ball b's planar beta1 ``_planar_values`` at thetas[b, k]
+    is at least lower[b, k], and the least of them at most upper[b]. With s the projections on the
+    normal at t and V = sum w (s - mean)^2 (a quadratic form of the 2x2 covariance), V = sum w (s -
+    mean)(s - c) <= R sum w |s - c| for any c (R: largest distance to the mean); at the least V, sum w
+    |s - median| <= sqrt(W V) by Cauchy-Schwarz. Slacks 1e-13 m trace (on V) and 1e-13 m W
+    max|coordinate| cover rounding. Pads weigh 0 and copy a point, so they move no sum or maximum."""
+    total = w.sum(axis=1)
+    rel = xy - (xy * w).sum(axis=2, keepdims=True) / total[:, None]
+    cov = np.einsum("ibm,jbm,bm->bij", rel, rel, w)
+    nrm = np.stack([-np.sin(thetas), np.cos(thetas)], axis=-1)
+    var = np.einsum("bki,bij,bkj->bk", nrm, cov, nrm)
+    dv = 1e-13 * m * np.trace(cov, axis1=1, axis2=2)
+    tau = 1e-13 * m * total * np.abs(xy).max(axis=(0, 2))
+    reach = np.maximum(np.sqrt((rel * rel).sum(axis=0)).max(axis=1), np.finfo(float).tiny)
+    lower = ((var - dv[:, None]) / reach[:, None] - tau[:, None]) / r2[:, None]
+    return lower, (np.sqrt(total * (np.maximum(var.min(axis=1), 0.0) + dv)) + tau) / r2
+
+
+def _first_least(group, vals):
+    """Index of the first least of ``vals`` within each run of equal labels of the ascending ``group``."""
+    return np.lexsort((vals, group))[np.flatnonzero(np.diff(group, prepend=-1))]
 
 
 def _best_angle(pts, w, r, thetas):
-    """The angle of ``thetas`` with the lowest planar beta1 objective: (angle, value, offset)."""
-    vals, c = _planar_values(pts, w, r, thetas)
+    """The angle of ``thetas`` with the lowest planar beta1 objective on one ball: (angle, value, offset)."""
+    one = np.zeros(len(thetas), np.intp)
+    m = np.array([len(pts)])
+    vals, c = _planar_values(pts.T[:, None], w[None], m, np.array([r**2]), one, thetas)
     k = int(np.argmin(vals))
     return float(thetas[k]), float(vals[k]), float(c[k])
 
 
-def _planar_refine(pts, w, r, theta0):
-    """Planar beta1: the best of 65 start angles around theta0, then exact turns (``_sweep``)
-    about the weighted-median point and its two neighbours along the normal while the value
-    strictly falls (an optimal L1 line passes through a weighted median). A pivot's turn
-    depends on the pivot alone and scored no lower than the current value when it was first
-    swept, so only new pivots are turned, and the descent stops when none is new. A start
-    angle whose ``_start_bounds`` lower bound exceeds the upper bound scores above the least,
-    so it is not scored; rows reduce alone, so kept angles score bit for bit."""
-    thetas = np.r_[theta0, theta0 + np.linspace(-np.pi / 2, np.pi / 2, 64, endpoint=False)]
-    lower, upper = _start_bounds(pts, w, r, thetas)
-    theta, best_val, c = _best_angle(pts, w, r, thetas[lower <= upper])
-    swept = set()
+def _planar_refine(pts, w, ptr, r, theta0):
+    """Planar beta1 of every ball of a CSR batch (points pts[ptr[b]:ptr[b + 1]], radius r[b]) from its
+    PCA angle theta0[b]: (values, angles, offsets). Each ball scores the 65 start angles around
+    theta0[b] that its ``_start_bounds`` keep (a dropped angle scores above the least), then turns
+    exactly (``_sweep``) about the weighted-median point and its two neighbours along the normal while
+    the value strictly falls (an optimal L1 line passes through a weighted median). A pivot's turn
+    depends on the pivot alone and scored no lower than the current value when it was first swept, so
+    only new pivots are turned, and a ball stops when none is new. The balls go in lockstep on a
+    ``_padded`` layout: one ``_sweep`` turns every active ball's new pivots and one ``_planar_values``
+    call scores the turns. Each row sorts and sums its own points alone, pads sort last and never
+    pivot, and each ball takes the first least of its own rows, so a ball's result does not depend on
+    the rest of its batch."""
+    m = np.diff(ptr)
+    xy, w = _padded(pts, w, ptr[:-1], m)
+    pts = np.moveaxis(xy, 0, -1).copy()  # (B, M, 2) rows for the matmul
+    r2 = np.array([x**2 for x in r])  # a float64's ** 2 is pow(), which can differ from x * x
+    thetas = np.c_[theta0, theta0[:, None] + np.linspace(-np.pi / 2, np.pi / 2, 64, endpoint=False)]
+    lower, upper = _start_bounds(xy, w, m, r2, thetas)
+    ball, k = np.nonzero(lower <= upper[:, None])
+    kept = thetas[ball, k]
+    # no call scores more entries than the largest one-ball grid of kept rows, so a batch peaks as one ball would
+    step = max(1, int((np.bincount(ball, minlength=len(m)) * m).max()) // xy.shape[2])
+    scored = [_planar_values(xy, w, m, r2, ball[i : i + step], kept[i : i + step]) for i in range(0, len(ball), step)]
+    vals, offs = (np.concatenate(part) for part in zip(*scored))
+    first = _first_least(ball, vals)
+    theta, best, c = kept[first], vals[first], offs[first]
+    swept, live = np.zeros(w.shape, bool), np.arange(len(m))
     for _ in range(REFINE_ITERATIONS):
-        order = np.argsort(pts @ np.array([-math.sin(theta), math.cos(theta)]))
-        cum = np.cumsum(w[order])
-        k = int((cum < 0.5 * cum[-1]).sum())
-        pivots = [p for p in order[max(k - 1, 0) : k + 2].tolist() if p not in swept]
-        if not pivots:
+        normal = np.stack([-np.sin(theta[live]), np.cos(theta[live])], axis=1)
+        s = (pts[live] @ normal[:, :, None])[..., 0]  # a stacked matmul rounds as pts @ normal does
+        order = _row_argsort(s, m[live], np.zeros_like(live))
+        cum = np.take_along_axis(w[live], order, axis=1).cumsum(axis=1)
+        k = (cum < 0.5 * cum[:, -1:]).sum(axis=1)
+        at = np.maximum(k - 1, 0)[:, None] + np.arange(3)
+        piv = np.take_along_axis(order, np.minimum(at, pts.shape[1] - 1), axis=1)
+        row, j = np.nonzero((at < np.minimum(k + 2, m[live])[:, None]) & ~swept[live[:, None], piv])
+        if not len(row):
             break
-        swept.update(pivots)
-        rel = pts - pts[pivots, None]
-        t, val, off = _best_angle(pts, w, r, _sweep(rel[..., 1], rel[..., 0], w)[0])
-        if val >= best_val:
-            break
-        theta, best_val, c = t, val, off
-    return best_val, theta, c
+        ball, piv = live[row], piv[row, j]
+        swept[ball, piv] = True
+        t = _sweep(*(x[ball] - x[ball, piv][:, None] for x in (xy[1], xy[0])), w[ball], m[ball])[0]
+        vals, offs = _planar_values(xy, w, m, r2, ball, t)
+        first = _first_least(ball, vals)
+        first = first[vals[first] < best[ball[first]]]
+        live = ball[first]
+        theta[live], best[live], c[live] = t[first], vals[first], offs[first]
+    return best, theta, c
 
 
 def _pivot_oracle(pts, w, r):
@@ -177,9 +263,12 @@ def _pivot_oracle(pts, w, r):
 
 def _half_width(xy):
     """(unit normal, half width) of the narrowest strip holding the points xy (m x 2). The width
-    is least across some convex-hull edge (Houle & Toussaint, IEEE PAMI 10, 1988), so each edge
-    normal is scored by the hull's extent along it, in chunks near 2^18 entries. Collinear or
-    coincident points have no 2-D hull; the segment from xy[0] to the farthest point stands in."""
+    is least across some convex-hull edge (Houle & Toussaint, IEEE PAMI 10, 1988), where it is the
+    hull's extent along the edge normal, from the edge's ends to the farthest vertex. That vertex
+    starts the first edge turned at least pi from the edge, found by binary search over the edge
+    angles, which rise once around the counterclockwise hull (an angle that rounds across a tie
+    picks an equally far vertex). Collinear or coincident points have no 2-D hull; the segment from
+    xy[0] to the farthest point stands in."""
     from scipy.spatial import ConvexHull, QhullError
 
     try:
@@ -190,8 +279,11 @@ def _half_width(xy):
     if not e.any():  # coincident points
         return np.array([0.0, 1.0]), 0.0
     normals = np.c_[-e[:, 1], e[:, 0]] / np.hypot(e[:, 0], e[:, 1])[:, None]
-    chunks = np.array_split(normals, 1 + len(v) ** 2 // 2**18)
-    width = np.concatenate([np.ptp(v @ c.T, axis=0) for c in chunks])
+    edge, angle = np.arange(len(v)), np.unwrap(np.arctan2(e[:, 1], e[:, 0]))
+    far = np.searchsorted(np.r_[angle, angle + 2.0 * np.pi], angle + np.pi)
+    near = np.c_[edge, edge + 1, far] % len(v)
+    extent = (v[near] @ normals[:, :, None])[..., 0]
+    width = extent.max(axis=1) - extent.min(axis=1)
     k = int(width.argmin())
     return normals[k], 0.5 * float(width[k])
 
@@ -251,7 +343,9 @@ def _fit(
 ) -> list[BetaResult]:
     """Coefficients of the balls B(centers[b], radii[b]), selected in batches; a batch's pca fits
     come from one ``_pca_frames`` call, its pca values from segment sums (sup: maxima), and its
-    pca results from one pass over them. Degenerate and refined balls go one at a time."""
+    pca results from one pass over them. A batch's refined planar beta1 balls go through one
+    ``_planar_refine`` call on the same selection; degenerate balls, the other refined balls and
+    the oracle go one at a time."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     n, d = cloud.n, cloud.d
@@ -279,7 +373,11 @@ def _fit(
                 else:
                     values = np.add.reduceat(w * dist, fptr[:-1]) / r[full] ** (n + 1)
                 batch[full] = [BetaResult(v, f, p, method) for v, f, p in zip(values.tolist(), frames, means)]
-        for b in np.flatnonzero(~full) if method == "pca" else range(len(r)):
+            elif (d, n) == (2, 1) and not sup:
+                theta0 = np.array([math.atan2(f[1, 0], f[0, 0]) for f in frames])  # a vectorised arctan2 may round differently
+                fits = zip(*(a.tolist() for a in _planar_refine(pts, w, fptr, r[full], theta0)))
+                batch[full] = [BetaResult(v, *_plane_from_angle(t, c), method) for v, t, c in fits]
+        for b in [b for b, res in enumerate(batch) if res is None]:
             sel, k = idx[ptr[b] : ptr[b + 1]], kth[b]
             pts, w = cloud.points[sel], cloud.weights[sel]
             if not full[b]:
@@ -288,10 +386,8 @@ def _fit(
                 if sup:
                     normal, half = _half_width(pts)
                     theta, val, c = math.atan2(-normal[0], normal[1]), half / r[b], _best_offset(pts @ normal, w, True)
-                elif method == "grid_oracle":
-                    theta, val, c = _pivot_oracle(pts, w, r[b])
                 else:
-                    val, theta, c = _planar_refine(pts, w, r[b], math.atan2(frames[k][1, 0], frames[k][0, 0]))
+                    theta, val, c = _pivot_oracle(pts, w, r[b])
                 batch[b] = BetaResult(val, *_plane_from_angle(theta, c), method)
             else:
                 batch[b] = BetaResult(*_general_refine(pts, w, r[b], n, sup, frames[k], normals[k], means[k]), method)

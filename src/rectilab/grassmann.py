@@ -208,10 +208,6 @@ def random_rotation(d: int, rng: np.random.Generator) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def rotate(g: np.ndarray, v: Subspace) -> Subspace:
-    return Subspace(orthonormalize(g @ v.basis))
-
-
 def _plane_basis(p: np.ndarray, k: int) -> np.ndarray:
     """Orthonormal basis of the range of the rank-k projection ``p``, fixed by ``p`` alone: the Q
     of a QR of p at k coordinate axes picked by column pivoting, R's diagonal positive."""

@@ -482,30 +482,81 @@ def _direct_planar_value(pts, w, r, theta):
     return float(np.sum(w * np.abs(s - c)) / r**2), c
 
 
+def _one_ball_planar_values(pts, w, r, thetas):
+    """Planar beta1 objective and offset of one ball at every angle, each row sorted and summed on
+    its own over the ball's points alone: the layout a padded batch must reproduce bit for bit."""
+    s = np.cos(thetas)[:, None] * pts[:, 1] - np.sin(thetas)[:, None] * pts[:, 0]
+    order = s.argsort(axis=1)
+    cum = np.cumsum(w[order], axis=1)
+    rows = np.arange(len(s))
+    c = s[rows, order[rows, (cum < 0.5 * cum[:, -1:]).sum(axis=1)]]
+    return (w * np.abs(s - c[:, None])).sum(axis=1) / r**2, c
+
+
+def _batch(clouds):
+    """CSR (points, weights, indptr) of a list of (points, weights) balls."""
+    ptr = np.r_[0, np.cumsum([len(p) for p, _ in clouds])]
+    return np.concatenate([p for p, _ in clouds]), np.concatenate([w for _, w in clouds]), ptr
+
+
+def _padded_batch(clouds):
+    """``beta._padded`` arrays (xy, w) of a list of (points, weights) balls, and their sizes."""
+    pts, w, ptr = _batch(clouds)
+    return (*bt._padded(pts, w, ptr[:-1], np.diff(ptr)), np.diff(ptr))
+
+
 class TestPlanarValues:
     @given(
         st.integers(min_value=0, max_value=2**32 - 1),
-        st.integers(min_value=3, max_value=200),
+        st.lists(st.integers(min_value=3, max_value=200), min_size=1, max_size=5),
         st.integers(min_value=1, max_value=70),
     )
     @settings(max_examples=80, deadline=None)
-    def test_batched_rows_are_one_objective(self, seed, m, k):
+    def test_batched_rows_are_one_objective(self, seed, sizes, k):
+        # rows of a padded batch of balls of several sizes: each equals a one-row call and the
+        # one-ball layout bit for bit, and the direct objective to rounding
         rng = np.random.default_rng(seed)
-        pts = rng.uniform(-1.0, 1.0, (m, 2))
-        w = rng.uniform(0.0, 1.0, m) * (rng.uniform(size=m) < 0.8)  # about a fifth weigh 0
-        w[rng.integers(m)] = rng.uniform(0.1, 1.0)
-        r = float(rng.uniform(0.1, 2.0))
+        balls = []
+        for m in sizes:
+            w = rng.uniform(0.0, 1.0, m) * (rng.uniform(size=m) < 0.8)  # about a fifth weigh 0
+            w[rng.integers(m)] = rng.uniform(0.1, 1.0)
+            balls.append((rng.uniform(-1.0, 1.0, (m, 2)), w))
+        xy, w, m = _padded_batch(balls)
+        radii = rng.uniform(0.1, 2.0, len(sizes))
+        r2 = np.array([x**2 for x in radii])
+        ball = np.sort(rng.integers(len(sizes), size=k))
         thetas = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, k)
-        vals, offsets = bt._planar_values(pts, w, r, thetas)
+        vals, offsets = bt._planar_values(xy, w, m, r2, ball, thetas)
         assert vals.shape == offsets.shape == (k,)
-        scale = float(np.abs(pts).max())
-        for i, theta in enumerate(thetas):
-            one_val, one_offset = bt._planar_values(pts, w, r, thetas[i : i + 1])
+        for i, (b, theta) in enumerate(zip(ball, thetas)):
+            pts, wb = balls[b]
+            one_val, one_offset = bt._planar_values(xy, w, m, r2, ball[i : i + 1], thetas[i : i + 1])
             assert one_val.tobytes() == vals[i : i + 1].tobytes()
             assert one_offset.tobytes() == offsets[i : i + 1].tobytes()
-            ref_val, ref_offset = _direct_planar_value(pts, w, r, theta)
-            assert vals[i] == pytest.approx(ref_val, rel=1e-12)
-            assert abs(offsets[i] - ref_offset) <= 1e-12 * scale
+            ref_val, ref_offset = _one_ball_planar_values(pts, wb, radii[b], thetas[i : i + 1])
+            assert ref_val.tobytes() == vals[i : i + 1].tobytes()
+            assert ref_offset.tobytes() == offsets[i : i + 1].tobytes()
+            direct_val, direct_offset = _direct_planar_value(pts, wb, radii[b], theta)
+            assert vals[i] == pytest.approx(direct_val, rel=1e-12)
+            assert abs(offsets[i] - direct_offset) <= 1e-12 * float(np.abs(pts).max())
+
+    def test_tied_projections_sort_as_one_ball(self):
+        # two sites of equal weight multisets: each site's projections tie, and the weighted median
+        # sits where one site's running weight meets half the total, so the order of the ties
+        # decides it; a sort over the padded width orders them differently from the one-ball sort
+        for seed in range(100):
+            rng = np.random.default_rng([seed, 31])
+            n = int(rng.integers(5, 60))
+            weights = rng.uniform(0.1, 1.0, n)
+            pts = np.repeat(rng.uniform(-1.0, 1.0, (2, 2)), n, axis=0)
+            w = np.r_[weights, rng.permutation(weights)]
+            shuffle = rng.permutation(2 * n)
+            other = rng.uniform(-1.0, 1.0, (int(rng.integers(2 * n + 1, 300)), 2))
+            xy, wp, m = _padded_batch([(pts[shuffle], w[shuffle]), (other, rng.uniform(0.1, 1.0, len(other)))])
+            thetas = rng.uniform(-math.pi, math.pi, 20)
+            got = bt._planar_values(xy, wp, m, np.ones(2), np.zeros(20, np.intp), thetas)
+            want = _one_ball_planar_values(pts[shuffle], w[shuffle], 1.0, thetas)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def _turn_objective(a, b, w, t):
@@ -581,6 +632,35 @@ class TestSupTurn:
         assert (half <= _turn_sup(a, b, rng.uniform(0.0, math.pi, 50)) + tol).all()
 
 
+class TestHalfWidthLargeHull:
+    """``_half_width`` finds each edge's farthest vertex by binary search; against the extent of
+    every point along every hull edge normal on hulls of hundreds of vertices."""
+
+    @pytest.mark.parametrize("kind", ["ellipse", "regular"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_every_edge_scored_against_every_point(self, kind, seed):
+        from scipy.spatial import ConvexHull
+
+        rng = np.random.default_rng([seed, 58])
+        h = int(rng.integers(300, 900))
+        if kind == "ellipse":
+            t = np.sort(rng.uniform(0.0, 2.0 * math.pi, h))
+            rim = np.c_[rng.uniform(0.5, 2.0) * np.cos(t), rng.uniform(0.1, 1.0) * np.sin(t)]
+        else:  # parallel opposite edges when h is even: the searched angle meets an edge angle exactly
+            t = np.linspace(0.0, 2.0 * math.pi, h, endpoint=False)
+            rim = np.c_[np.cos(t), np.sin(t)]
+        pts = np.r_[rim, 0.5 * rng.uniform(-0.5, 0.5, (200, 2))] @ random_rotation(2, rng).T
+        pts += rng.uniform(-1e3, 1e3, 2)
+        normal, half = bt._half_width(pts)
+        v = pts[ConvexHull(pts).vertices]
+        e = np.roll(v, -1, axis=0) - v
+        extent = np.ptp(pts @ (np.c_[-e[:, 1], e[:, 0]] / np.hypot(e[:, 0], e[:, 1])[:, None]).T, axis=0)
+        tol = 1e-12 * float(np.abs(pts).max())
+        assert len(v) > 200
+        assert abs(half - 0.5 * float(extent.min())) <= tol
+        assert abs(0.5 * float(np.ptp(pts @ normal)) - half) <= tol
+
+
 def _unpruned_planar_refine(pts, w, r, theta0, pivots=None):
     """``_planar_refine`` with every one of the 65 start angles scored and
     every pivot swept again on each turn; ``pivots`` collects each turn's pivot indices."""
@@ -631,15 +711,16 @@ class TestStartBounds:
     KINDS = ("uniform", "axis", "slanted", "near_collinear", "coincident", "two_sites", "outlier")
 
     def _check(self, pts, w, r, theta0):
+        xy, wp, m = _padded_batch([(pts, w)])
         thetas = np.r_[theta0, theta0 + np.linspace(-np.pi / 2, np.pi / 2, 64, endpoint=False)]
-        lower, upper = bt._start_bounds(pts, w, r, thetas)
-        vals = bt._planar_values(pts, w, r, thetas)[0]
-        assert (lower <= vals).all()
-        assert vals.min() <= upper
-        got = bt._planar_refine(pts, w, r, theta0)
+        lower, upper = bt._start_bounds(xy, wp, m, np.array([r**2]), thetas[None])
+        vals = bt._planar_values(xy, wp, m, np.array([r**2]), np.zeros(65, np.intp), thetas)[0]
+        assert (lower[0] <= vals).all()
+        assert vals.min() <= upper[0]
+        got = bt._planar_refine(pts, w, np.array([0, len(pts)]), np.array([r]), np.array([theta0]))
         want = _unpruned_planar_refine(pts, w, r, theta0)
-        assert np.array(got).tobytes() == np.array(want).tobytes()
-        return int((lower > upper).sum())
+        assert np.array(got).tobytes() == np.array(want)[:, None].tobytes()
+        return int((lower > upper[:, None]).sum())
 
     @given(
         st.integers(min_value=0, max_value=2**32 - 1),
@@ -732,20 +813,74 @@ class TestPivotMemo:
         lat = cb.CubeLattice(curve, 0, 7)
         real, balls, repeats = bt._planar_refine, [], [0]
 
-        def both(pts, w, r, theta0):
-            got, turns = real(pts, w, r, theta0), []
-            want = _unpruned_planar_refine(pts, w, r, theta0, turns)
-            assert np.array(got).tobytes() == np.array(want).tobytes()
-            swept = set()
-            for turn in turns:
-                repeats[0] += sum(p in swept for p in turn)
-                swept.update(turn)
-            balls.append(len(pts))
+        def both(pts, w, ptr, r, theta0):
+            got = real(pts, w, ptr, r, theta0)
+            for b in range(len(r)):
+                turns, ball = [], slice(ptr[b], ptr[b + 1])
+                want = _unpruned_planar_refine(pts[ball], w[ball], r[b], theta0[b], turns)
+                assert np.array(got)[:, b].tobytes() == np.array(want).tobytes()
+                swept = set()
+                for turn in turns:
+                    repeats[0] += sum(p in swept for p in turn)
+                    swept.update(turn)
+                balls.append(ptr[b + 1] - ptr[b])
             return got
 
         monkeypatch.setattr(bt, "_planar_refine", both)
         bt.beta_lattice(lat)
         assert len(balls) == len(lat) > 400 and repeats[0] > 1000
+
+
+class TestPlanarBatch:
+    """``_planar_refine`` on one batch of balls of every start-grid kind and many sizes."""
+
+    @staticmethod
+    def _mixed(seed):
+        """Live (points, weights) balls of every ``_start_grid_cloud`` kind at sizes 3-400, each
+        shifted by up to 1e3, in shuffled order, with radii and start angles."""
+        rng = np.random.default_rng([seed, 24])
+        balls = []
+        for kind in TestStartBounds.KINDS:
+            for m in (3, 4, int(rng.integers(5, 150)), 400):
+                pts, w = _start_grid_cloud(rng, kind, m)
+                live = w > 0
+                if live.sum() >= 3:
+                    balls.append((pts[live] + rng.uniform(-1e3, 1e3), w[live]))
+        balls = [balls[i] for i in rng.permutation(len(balls))]
+        spread = np.array([np.abs(pts - pts.mean(axis=0)).max() for pts, _ in balls])
+        radii = spread * rng.uniform(1.5, 3.0, len(balls)) + 1e-3
+        return balls, radii, rng.uniform(-math.pi, math.pi, len(balls))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_each_ball_equals_the_unpruned_descent(self, seed):
+        balls, radii, theta0 = self._mixed(seed)
+        sizes = [len(pts) for pts, _ in balls]
+        assert min(sizes) == 3 and max(sizes) > 300 and len(balls) > 20
+        got = np.array(bt._planar_refine(*_batch(balls), radii, theta0))
+        for b, (pts, w) in enumerate(balls):
+            want = _unpruned_planar_refine(pts, w, radii[b], theta0[b])
+            assert got[:, b].tobytes() == np.array(want).tobytes()
+
+    def test_a_ball_does_not_depend_on_its_batch(self):
+        balls, radii, theta0 = self._mixed(7)
+        got = np.array(bt._planar_refine(*_batch(balls), radii, theta0))
+        for b in range(len(balls)):
+            alone = bt._planar_refine(*_batch(balls[b : b + 1]), radii[b : b + 1], theta0[b : b + 1])
+            assert np.array(alone).tobytes() == got[:, b : b + 1].tobytes()
+        half = np.arange(len(balls))[::-2]  # another batch, in another order
+        other = bt._planar_refine(*_batch([balls[b] for b in half]), radii[half], theta0[half])
+        assert np.array(other).tobytes() == got[:, half].tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bounds_hold_for_every_ball(self, seed):
+        balls, radii, theta0 = self._mixed(seed + 11)
+        xy, w, m = _padded_batch(balls)
+        r2 = np.array([x**2 for x in radii])
+        thetas = np.c_[theta0, theta0[:, None] + np.linspace(-np.pi / 2, np.pi / 2, 64, endpoint=False)]
+        lower, upper = bt._start_bounds(xy, w, m, r2, thetas)
+        vals = bt._planar_values(xy, w, m, r2, np.repeat(np.arange(len(m)), 65), thetas.ravel())[0]
+        assert (lower <= vals.reshape(len(m), 65)).all()
+        assert (vals.reshape(len(m), 65).min(axis=1) <= upper).all()
 
 
 def _pair_line_oracle(pts, w, r):

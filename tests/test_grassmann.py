@@ -99,7 +99,7 @@ class TestHaar:
         for _ in range(10_000):
             v = gr.sample_haar(d, n, rng)
             plain.append(gr.metric(v, v_ref))
-            rotated.append(gr.metric(gr.rotate(g, v), v_ref))
+            rotated.append(gr.metric(gr.Subspace(g @ v.basis), v_ref))
         stat = scipy.stats.ks_2samp(plain, rotated)
         assert stat.pvalue > 0.01
 
@@ -213,7 +213,7 @@ class TestNearestSubspaceIn:
                 [0.0, math.sin(theta), math.cos(theta)],
             ]
         )
-        w2 = gr.rotate(rot, w1)
+        w2 = gr.Subspace(rot @ w1.basis)
         x_axis = gr.Subspace.axis(3, 0)
         v2 = gr.nearest_subspace_in(w2, x_axis, w1)
         assert gr.metric(x_axis, v2) < 1e-10
@@ -228,7 +228,7 @@ class TestNearestSubspaceIn:
                 [0.0, math.sin(theta), math.cos(theta)],
             ]
         )
-        w2 = gr.rotate(rot, w1)
+        w2 = gr.Subspace(rot @ w1.basis)
         y_axis = gr.Subspace.axis(3, 1)
         v2 = gr.nearest_subspace_in(w2, y_axis, w1)
         assert gr.metric(y_axis, v2) == pytest.approx(math.sin(theta), abs=1e-10)
