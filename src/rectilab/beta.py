@@ -223,9 +223,10 @@ def _planar_refine(pts, w, ptr, r, theta0):
     lower, upper = _start_bounds(xy, w, m, r2, thetas)
     ball, k = np.nonzero(lower <= upper[:, None])
     kept = thetas[ball, k]
-    # no call scores more entries than the largest one-ball grid of kept rows, so a batch peaks as one ball would
+    # no call scores more entries than the largest one-ball grid of kept rows: a batch peaks as one ball
     step = max(1, int((np.bincount(ball, minlength=len(m)) * m).max()) // xy.shape[2])
-    scored = [_planar_values(xy, w, m, r2, ball[i : i + step], kept[i : i + step]) for i in range(0, len(ball), step)]
+    parts = range(0, len(ball), step)
+    scored = [_planar_values(xy, w, m, r2, ball[i : i + step], kept[i : i + step]) for i in parts]
     vals, offs = (np.concatenate(part) for part in zip(*scored))
     first = _first_least(ball, vals)
     theta, best, c = kept[first], vals[first], offs[first]
@@ -374,7 +375,8 @@ def _fit(
                     values = np.add.reduceat(w * dist, fptr[:-1]) / r[full] ** (n + 1)
                 batch[full] = [BetaResult(v, f, p, method) for v, f, p in zip(values.tolist(), frames, means)]
             elif (d, n) == (2, 1) and not sup:
-                theta0 = np.array([math.atan2(f[1, 0], f[0, 0]) for f in frames])  # a vectorised arctan2 may round differently
+                # math.atan2: a vectorised arctan2 may round differently
+                theta0 = np.array([math.atan2(f[1, 0], f[0, 0]) for f in frames])
                 fits = zip(*(a.tolist() for a in _planar_refine(pts, w, fptr, r[full], theta0)))
                 batch[full] = [BetaResult(v, *_plane_from_angle(t, c), method) for v, t, c in fits]
         for b in [b for b, res in enumerate(batch) if res is None]:
