@@ -104,18 +104,14 @@ def _size_runs(size):
     return zip([0, *cuts], [*cuts, len(size)], size[[0, *cuts]].tolist())
 
 
-def _row_argsort(s, size, offset):
+def _row_argsort(s, size):
     """Each row's argsort over its first size[row] entries, which orders ties as a one-row argsort of
-    those entries would, then the rest of the row in place, plus offset[row]; rows of equal size sort
-    together."""
-    width, offset = s.shape[1], offset[:, None]
-    if (size == width).all():
-        order = s.argsort(axis=1)
-        return np.add(order, offset, out=order)
-    order, lane = np.empty(s.shape, np.intp), np.arange(width)
+    those entries would, then the rest of the row in place; rows of equal size sort together."""
+    if (size == s.shape[1]).all():
+        return s.argsort(axis=1)
+    order = np.broadcast_to(np.arange(s.shape[1]), s.shape).copy()
     for lo, hi, n in _size_runs(size):
-        np.add(s[lo:hi, :n].argsort(axis=1), offset[lo:hi], out=order[lo:hi, :n])
-        np.add(lane[n:], offset[lo:hi], out=order[lo:hi, n:])
+        order[lo:hi, :n] = s[lo:hi, :n].argsort(axis=1)
     return order
 
 
@@ -130,7 +126,8 @@ def _planar_values(xy, w, m, r2, ball, thetas):
     s = xy[1, :, :width].take(ball, axis=0)
     s *= np.cos(thetas)[:, None]
     s -= xy[0, :, :width].take(ball, axis=0) * np.sin(thetas)[:, None]
-    order = _row_argsort(s, size, stride)  # flat indices into w
+    order = _row_argsort(s, size)
+    order += stride[:, None]  # flat indices into w
     buf = w.take(order)
     cum = np.cumsum(buf, axis=1, out=buf)
     c = s[rows, order[rows, (cum < 0.5 * cum[:, -1:]).sum(axis=1)] - stride]
@@ -153,10 +150,8 @@ def _sweep(a, b, w, size=None):
     sw = np.where(flip, -w, w)  # flip the terms whose zero atan2 puts in (-pi, 0)
     zeros[flip] += np.pi
     base = zeros.shape[-1] * np.arange(zeros.size // zeros.shape[-1]).reshape(zeros.shape[:-1])
-    if size is None:  # flat indices, one take per array
-        order = zeros.argsort(axis=-1) + base[..., None]
-    else:
-        order = _row_argsort(zeros, size, base)
+    order = zeros.argsort(axis=-1) if size is None else _row_argsort(zeros, size)
+    order += base[..., None]  # flat indices, one take per array
     zeros = zeros.take(order)
     # vals = cos z (A - 2 ca) - sin z (B - 2 cb), A and B the totals, written in place to hold the memory
     ca, cb = ((sw * c).take(order).cumsum(-1) for c in (a, b))
@@ -234,7 +229,7 @@ def _planar_refine(pts, w, ptr, r, theta0):
     for _ in range(REFINE_ITERATIONS):
         normal = np.stack([-np.sin(theta[live]), np.cos(theta[live])], axis=1)
         s = (pts[live] @ normal[:, :, None])[..., 0]  # a stacked matmul rounds as pts @ normal does
-        order = _row_argsort(s, m[live], np.zeros_like(live))
+        order = _row_argsort(s, m[live])
         cum = np.take_along_axis(w[live], order, axis=1).cumsum(axis=1)
         k = (cum < 0.5 * cum[:, -1:]).sum(axis=1)
         at = np.maximum(k - 1, 0)[:, None] + np.arange(3)

@@ -553,10 +553,11 @@ class TestPlanarValues:
             shuffle = rng.permutation(2 * n)
             other = rng.uniform(-1.0, 1.0, (int(rng.integers(2 * n + 1, 300)), 2))
             xy, wp, m = _padded_batch([(pts[shuffle], w[shuffle]), (other, rng.uniform(0.1, 1.0, len(other)))])
-            thetas = rng.uniform(-math.pi, math.pi, 20)
-            got = bt._planar_values(xy, wp, m, np.ones(2), np.zeros(20, np.intp), thetas)
-            want = _one_ball_planar_values(pts[shuffle], w[shuffle], 1.0, thetas)
-            assert np.array(got).tobytes() == np.array(want).tobytes()
+            thetas = rng.uniform(-math.pi, math.pi, 21)
+            # the wider ball's row pads the tied ball's rows in the same call
+            got = bt._planar_values(xy, wp, m, np.ones(2), np.repeat([0, 1], [20, 1]), thetas)
+            want = _one_ball_planar_values(pts[shuffle], w[shuffle], 1.0, thetas[:20])
+            assert np.array(got)[:, :20].tobytes() == np.array(want).tobytes()
 
 
 def _turn_objective(a, b, w, t):
