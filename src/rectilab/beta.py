@@ -12,10 +12,11 @@ refined methods (half the minimum width, ``_half_width``) and the
 codimension-1 beta_inf turn. ``pca_refined`` planar beta1 refines all the
 balls of a selection batch together (``_planar_refine``): each scores the
 start angles that closed-form bounds (``_start_bounds``) keep, then turns
-exactly about a few pivots, in lockstep on a padded layout whose rows sort
-and sum their own points, so a ball's result is the same alone as in any
-batch. Brent's bounded method serves only codimension >= 2, and only it
-loads ``scipy.optimize``. Fields go one lattice level at a time: balls are
+exactly about a few pivots, in lockstep on a padded layout, one
+power-of-two class of point counts at a time; rows sort and sum their own
+points, so a ball's result is the same alone as in any batch. Brent's
+bounded method serves only codimension >= 2, and only it loads
+``scipy.optimize``. Fields go one lattice level at a time: balls are
 selected in batches, each batch is fitted by one batched PCA, and pca
 values are segment sums. A result holds its value, method tag, degenerate
 flag and the fit's raw arrays, a d x n basis and one point of the plane; the
@@ -200,18 +201,30 @@ def _best_angle(pts, w, r, thetas):
 
 def _planar_refine(pts, w, ptr, r, theta0):
     """Planar beta1 of every ball of a CSR batch (points pts[ptr[b]:ptr[b + 1]], radius r[b]) from its
-    PCA angle theta0[b]: (values, angles, offsets). Each ball scores the 65 start angles around
-    theta0[b] that its ``_start_bounds`` keep (a dropped angle scores above the least), then turns
-    exactly (``_sweep``) about the weighted-median point and its two neighbours along the normal while
-    the value strictly falls (an optimal L1 line passes through a weighted median). A pivot's turn
-    depends on the pivot alone and scored no lower than the current value when it was first swept, so
-    only new pivots are turned, and a ball stops when none is new. The balls go in lockstep on a
-    ``_padded`` layout: one ``_sweep`` turns every active ball's new pivots and one ``_planar_values``
-    call scores the turns. Each row sorts and sums its own points alone, pads sort last and never
-    pivot, and each ball takes the first least of its own rows, so a ball's result does not depend on
-    the rest of its batch."""
+    PCA angle theta0[b]: (values, angles, offsets). Balls go in power-of-two classes of their point
+    counts (``_planar_lockstep``), so a class pads to fewer than twice its points, however the batch
+    mixes small and large balls."""
     m = np.diff(ptr)
-    xy, w = _padded(pts, w, ptr[:-1], m)
+    size = np.frexp(m)[1]
+    out = np.empty((3, len(m)))
+    for c in np.unique(size):
+        b = np.flatnonzero(size == c)
+        out[:, b] = _planar_lockstep(pts, w, ptr[b], m[b], r[b], theta0[b])
+    return tuple(out)
+
+
+def _planar_lockstep(pts, w, start, m, r, theta0):
+    """``_planar_refine`` on the balls of points pts[start[b]:start[b] + m[b]]. Each ball scores the
+    65 start angles around theta0[b] that its ``_start_bounds`` keep (a dropped angle scores above the
+    least), then turns exactly (``_sweep``) about the weighted-median point and its two neighbours
+    along the normal while the value strictly falls (an optimal L1 line passes through a weighted
+    median). A pivot's turn depends on the pivot alone and scored no lower than the current value when
+    it was first swept, so only new pivots are turned, and a ball stops when none is new. The balls go
+    in lockstep on a ``_padded`` layout: one ``_sweep`` turns every active ball's new pivots and one
+    ``_planar_values`` call scores the turns. Each row sorts and sums its own points alone, pads sort
+    last and never pivot, and each ball takes the first least of its own rows, so a ball's result does
+    not depend on the rest of its batch."""
+    xy, w = _padded(pts, w, start, m)
     pts = np.moveaxis(xy, 0, -1).copy()  # (B, M, 2) rows for the matmul
     r2 = np.array([x**2 for x in r])  # a float64's ** 2 is pow(), which can differ from x * x
     thetas = np.c_[theta0, theta0[:, None] + np.linspace(-np.pi / 2, np.pi / 2, 64, endpoint=False)]

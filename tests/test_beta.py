@@ -872,6 +872,29 @@ class TestPlanarBatch:
         other = bt._planar_refine(*_batch([balls[b] for b in half]), radii[half], theta0[half])
         assert np.array(other).tobytes() == got[:, half].tobytes()
 
+    def test_small_balls_and_one_large_ball_pad_to_their_own_size(self, monkeypatch):
+        # a batch of 400 balls of 3-5 points and one of 5,000 (a dense cluster in one cube) pads to
+        # fewer than twice its points, not 401 rows of 5,000, and each ball equals itself alone
+        rng = np.random.default_rng(24)
+        balls = [(rng.uniform(-1.0, 1.0, (m, 2)), rng.uniform(0.1, 1.0, m)) for m in rng.integers(3, 6, 400)]
+        x = rng.uniform(-1.0, 1.0, 5000)
+        balls.append((np.c_[x, 0.3 * x + rng.normal(0.0, 0.01, 5000)], rng.uniform(0.1, 1.0, 5000)))
+        radii, theta0 = np.full(len(balls), 2.0), rng.uniform(-math.pi, math.pi, len(balls))
+        real, padded = bt._padded, []
+
+        def counted(pts, w, start, m):
+            xy, wp = real(pts, w, start, m)
+            padded.append(wp.size)
+            return xy, wp
+
+        monkeypatch.setattr(bt, "_padded", counted)
+        got = np.array(bt._planar_refine(*_batch(balls), radii, theta0))
+        total = sum(len(w) for _, w in balls)
+        assert len(padded) == 3 and sum(padded) < 2 * total  # classes 2-3, 4-7 and 4096-8191
+        for b in (*range(0, 400, 37), 400):
+            alone = bt._planar_refine(*_batch(balls[b : b + 1]), radii[b : b + 1], theta0[b : b + 1])
+            assert np.array(alone).tobytes() == got[:, b : b + 1].tobytes()
+
     @pytest.mark.parametrize("seed", range(3))
     def test_bounds_hold_for_every_ball(self, seed):
         balls, radii, theta0 = self._mixed(seed + 11)
