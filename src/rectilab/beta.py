@@ -13,15 +13,17 @@ codimension-1 beta_inf turn. ``pca_refined`` planar beta1 refines all the
 balls of a selection batch together (``_planar_refine``): each scores the
 start angles that closed-form bounds (``_start_bounds``) keep, then turns
 exactly about a few pivots, in lockstep on a padded layout, one
-power-of-two class of point counts at a time; rows sort and sum their own
-points, so a ball's result is the same alone as in any batch. Brent's
-bounded method serves only codimension >= 2, and only it loads
-``scipy.optimize``. Fields go one lattice level at a time: balls are
-selected in batches, each batch is fitted by one batched PCA, and pca
-values are segment sums. A result holds its value, method tag, degenerate
-flag and the fit's raw arrays, a d x n basis and one point of the plane; the
-validated ``AffinePlane`` is built when ``.plane`` is first read, and
-``export_betas`` writes from the arrays without building it.
+power-of-two class of point counts at a time. Rows sort stably and sum in
+sequence, and pads weigh 0 and copy their ball's first point: they sort
+after every real point they tie with and add nothing, so a ball's result is
+the same alone as in any batch. Brent's bounded method serves only
+codimension >= 2, and only it loads ``scipy.optimize``. Fields go one
+lattice level at a time: balls are selected in batches, each batch is
+fitted by one batched PCA, and pca values are segment sums. A result holds
+its value, method tag, degenerate flag and the fit's raw arrays, a d x n
+basis and one point of the plane; the validated ``AffinePlane`` is built
+when ``.plane`` is first read, and ``export_betas`` writes from the arrays
+without building it.
 """
 
 from __future__ import annotations
@@ -99,35 +101,17 @@ def _padded(pts, w, start, m):
     return pts.T[:, at], np.where(pad, 0.0, w[at])
 
 
-def _size_runs(size):
-    """(lo, hi, n) for each run of rows lo..hi-1 of equal size n."""
-    cuts = (np.flatnonzero(np.diff(size)) + 1).tolist()
-    return zip([0, *cuts], [*cuts, len(size)], size[[0, *cuts]].tolist())
-
-
-def _row_argsort(s, size):
-    """Each row's argsort over its first size[row] entries, which orders ties as a one-row argsort of
-    those entries would, then the rest of the row in place; rows of equal size sort together."""
-    if (size == s.shape[1]).all():
-        return s.argsort(axis=1)
-    order = np.broadcast_to(np.arange(s.shape[1]), s.shape).copy()
-    for lo, hi, n in _size_runs(size):
-        order[lo:hi, :n] = s[lo:hi, :n].argsort(axis=1)
-    return order
-
-
 def _planar_values(xy, w, m, r2, ball, thetas):
     """Planar beta1 objective and best offset of every row k: ball ball[k] of a ``_padded`` batch (r2:
-    the squared radii) at angle thetas[k]. Each row sorts (``_row_argsort``) and sums its own m points
-    alone, as a one-ball call would (a sort or sum over the padded length orders ties and rounds
-    differently), so row k equals a one-row call bit for bit; pads weigh 0 and sort last, so they move
-    no weighted median."""
-    rows, size, stride = np.arange(len(ball)), m[ball], xy.shape[2] * ball
-    width = int(size.max())  # the rows' own widest ball, not the batch's
+    the squared radii) at angle thetas[k], over the rows' own widest ball. Rows sort stably and take
+    their totals from running sums; pads weigh 0 and copy their ball's first point, so they sort after
+    every real point they tie with and add trailing zeros, and no row depends on the padded width."""
+    rows, stride = np.arange(len(ball)), xy.shape[2] * ball
+    width = int(m[ball].max())
     s = xy[1, :, :width].take(ball, axis=0)
     s *= np.cos(thetas)[:, None]
     s -= xy[0, :, :width].take(ball, axis=0) * np.sin(thetas)[:, None]
-    order = _row_argsort(s, size)
+    order = s.argsort(axis=1, kind="stable")
     order += stride[:, None]  # flat indices into w
     buf = w.take(order)
     cum = np.cumsum(buf, axis=1, out=buf)
@@ -135,23 +119,22 @@ def _planar_values(xy, w, m, r2, ball, thetas):
     s -= c[:, None]
     np.abs(s, out=s)
     s *= w[:, :width].take(ball, axis=0, out=buf, mode="clip")  # clip: no buffered copy
-    vals = np.empty(len(ball))
-    for lo, hi, n in _size_runs(size):
-        vals[lo:hi] = s[lo:hi, :n].sum(axis=1)
-    return vals / r2[ball], c
+    return np.cumsum(s, axis=1, out=s)[:, -1] / r2[ball], c
 
 
-def _sweep(a, b, w, size=None):
+def _sweep(a, b, w, kind=None):
     """Exact minimiser t in [0, pi] of sum_i w_i |a_i cos t - b_i sin t| along the last axis, and
     the minimum. Between the zeros of its terms the sum is a nonnegative sinusoid, so concave, and
-    the minimum sits at a zero: score each with running sums of w·a and w·b in sorted order. With
-    ``size``, rows of a padded batch hold size[row] terms and then zero-weight pads."""
+    the minimum sits at a zero: score each with running sums of w·a and w·b in the order of
+    ``argsort(kind=kind)``. Sorted stably, a row's zero-weight copies of its first term (a ``_padded``
+    row's pads) change no bit: they sort after its ties and add nothing to the running sums, so each
+    scores as the term before it and is never the first least."""
     zeros = np.arctan2(a, b)
     flip = zeros < 0
     sw = np.where(flip, -w, w)  # flip the terms whose zero atan2 puts in (-pi, 0)
     zeros[flip] += np.pi
     base = zeros.shape[-1] * np.arange(zeros.size // zeros.shape[-1]).reshape(zeros.shape[:-1])
-    order = zeros.argsort(axis=-1) if size is None else _row_argsort(zeros, size)
+    order = zeros.argsort(axis=-1, kind=kind)
     order += base[..., None]  # flat indices, one take per array
     zeros = zeros.take(order)
     # vals = cos z (A - 2 ca) - sin z (B - 2 cb), A and B the totals, written in place to hold the memory
@@ -160,8 +143,6 @@ def _sweep(a, b, w, size=None):
         np.subtract(run[..., -1:].copy(), np.multiply(run, 2.0, out=run), out=run)
         run *= trig(zeros)
     vals = np.subtract(ca, cb, out=ca)
-    if size is not None:
-        vals[np.arange(vals.shape[-1]) >= size[:, None]] = np.inf  # the pads, sorted last, are no zeros
     k = vals.argmin(axis=-1) + base
     return zeros.take(k), np.maximum(vals.take(k), 0.0)  # the running sums can round below 0
 
@@ -194,7 +175,7 @@ def _best_angle(pts, w, r, thetas):
     """The angle of ``thetas`` with the lowest planar beta1 objective on one ball: (angle, value, offset)."""
     one = np.zeros(len(thetas), np.intp)
     m = np.array([len(pts)])
-    vals, c = _planar_values(pts.T[:, None], w[None], m, np.array([r**2]), one, thetas)
+    vals, c = _planar_values(pts.T[:, None], w[None], m, np.array([r * r]), one, thetas)
     k = int(np.argmin(vals))
     return float(thetas[k]), float(vals[k]), float(c[k])
 
@@ -221,12 +202,11 @@ def _planar_lockstep(pts, w, start, m, r, theta0):
     median). A pivot's turn depends on the pivot alone and scored no lower than the current value when
     it was first swept, so only new pivots are turned, and a ball stops when none is new. The balls go
     in lockstep on a ``_padded`` layout: one ``_sweep`` turns every active ball's new pivots and one
-    ``_planar_values`` call scores the turns. Each row sorts and sums its own points alone, pads sort
-    last and never pivot, and each ball takes the first least of its own rows, so a ball's result does
-    not depend on the rest of its batch."""
+    ``_planar_values`` call scores the turns. Pads change no bit there (both sort stably), the median
+    sort puts them at +inf so they never pivot, and each ball takes the first least of its own rows,
+    so a ball's result does not depend on the rest of its batch."""
     xy, w = _padded(pts, w, start, m)
-    pts = np.moveaxis(xy, 0, -1).copy()  # (B, M, 2) rows for the matmul
-    r2 = np.array([x**2 for x in r])  # a float64's ** 2 is pow(), which can differ from x * x
+    r2 = r * r
     thetas = np.c_[theta0, theta0[:, None] + np.linspace(-np.pi / 2, np.pi / 2, 64, endpoint=False)]
     lower, upper = _start_bounds(xy, w, m, r2, thetas)
     ball, k = np.nonzero(lower <= upper[:, None])
@@ -238,21 +218,20 @@ def _planar_lockstep(pts, w, start, m, r, theta0):
     vals, offs = (np.concatenate(part) for part in zip(*scored))
     first = _first_least(ball, vals)
     theta, best, c = kept[first], vals[first], offs[first]
-    swept, live = np.zeros(w.shape, bool), np.arange(len(m))
+    swept, live, pad = np.zeros(w.shape, bool), np.arange(len(m)), np.arange(w.shape[1]) >= m[:, None]
     for _ in range(REFINE_ITERATIONS):
-        normal = np.stack([-np.sin(theta[live]), np.cos(theta[live])], axis=1)
-        s = (pts[live] @ normal[:, :, None])[..., 0]  # a stacked matmul rounds as pts @ normal does
-        order = _row_argsort(s, m[live])
+        s = xy[1, live] * np.cos(theta[live])[:, None] - xy[0, live] * np.sin(theta[live])[:, None]
+        order = np.where(pad[live], np.inf, s).argsort(axis=1, kind="stable")
         cum = np.take_along_axis(w[live], order, axis=1).cumsum(axis=1)
         k = (cum < 0.5 * cum[:, -1:]).sum(axis=1)
         at = np.maximum(k - 1, 0)[:, None] + np.arange(3)
-        piv = np.take_along_axis(order, np.minimum(at, pts.shape[1] - 1), axis=1)
+        piv = np.take_along_axis(order, np.minimum(at, w.shape[1] - 1), axis=1)
         row, j = np.nonzero((at < np.minimum(k + 2, m[live])[:, None]) & ~swept[live[:, None], piv])
         if not len(row):
             break
         ball, piv = live[row], piv[row, j]
         swept[ball, piv] = True
-        t = _sweep(*(x[ball] - x[ball, piv][:, None] for x in (xy[1], xy[0])), w[ball], m[ball])[0]
+        t = _sweep(*(x[ball] - x[ball, piv][:, None] for x in (xy[1], xy[0])), w[ball], "stable")[0]
         vals, offs = _planar_values(xy, w, m, r2, ball, t)
         first = _first_least(ball, vals)
         first = first[vals[first] < best[ball[first]]]
@@ -383,8 +362,7 @@ def _fit(
                     values = np.add.reduceat(w * dist, fptr[:-1]) / r[full] ** (n + 1)
                 batch[full] = [BetaResult(v, f, p, method) for v, f, p in zip(values.tolist(), frames, means)]
             elif (d, n) == (2, 1) and not sup:
-                # math.atan2: a vectorised arctan2 may round differently
-                theta0 = np.array([math.atan2(f[1, 0], f[0, 0]) for f in frames])
+                theta0 = np.arctan2(frames[:, 1, 0], frames[:, 0, 0])
                 fits = zip(*(a.tolist() for a in _planar_refine(pts, w, fptr, r[full], theta0)))
                 batch[full] = [BetaResult(v, *_plane_from_angle(t, c), method) for v, t, c in fits]
         for b in [b for b, res in enumerate(batch) if res is None]:

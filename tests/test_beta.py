@@ -145,6 +145,31 @@ class TestBetaLattice:
         for level in range(1, 5):
             assert min(by_level[level]) >= 0.05
 
+    @pytest.mark.parametrize(
+        "make, j_max",
+        [
+            (lambda: ps.four_corners(4), 5),  # exact ties
+            (
+                lambda: ps.lipschitz_graph_cloud(
+                    lambda t: [0.25 * np.sin(2.0 * np.pi * t[0])], Subspace.axis(2, 0), 2.0, 2.0**-9
+                ),
+                6,
+            ),
+            (lambda: ps.hrycak(3), 4),
+        ],
+        ids=["four_corners", "sine_curve", "hrycak"],
+    )
+    def test_each_cube_equals_its_ball_alone(self, make, j_max):
+        # a field fits a level's balls in batches; each cube's result must not depend on the batch:
+        # the per-ball call on the cube's ball gives the same value, basis and point, bit for bit
+        lat = cb.CubeLattice(make(), 0, j_max)
+        for which, per_ball in (("beta1", bt.beta1), ("beta_inf", bt.beta_inf)):
+            for key, res in bt.beta_lattice(lat, which).items():
+                alone = per_ball(lat.cloud, lat.ball(lat.get(key)))
+                assert (res.method, res.degenerate) == (alone.method, alone.degenerate)
+                for got, want in ((res.value, alone.value), (res.basis, alone.basis), (res.point, alone.point)):
+                    assert np.shape(got) == np.shape(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
     def test_translation_resampled_distribution(self):
         base = ps.four_corners(3)
         lat0 = cb.CubeLattice(base, 0, 4)
@@ -483,14 +508,14 @@ def _direct_planar_value(pts, w, r, theta):
 
 
 def _one_ball_planar_values(pts, w, r, thetas):
-    """Planar beta1 objective and offset of one ball at every angle, each row sorted and summed on
-    its own over the ball's points alone: the layout a padded batch must reproduce bit for bit."""
+    """Planar beta1 objective and offset of one ball at every angle, each row sorted stably and
+    summed sequentially over the ball's points alone: what a padded batch must give bit for bit."""
     s = np.cos(thetas)[:, None] * pts[:, 1] - np.sin(thetas)[:, None] * pts[:, 0]
-    order = s.argsort(axis=1)
+    order = s.argsort(axis=1, kind="stable")
     cum = np.cumsum(w[order], axis=1)
     rows = np.arange(len(s))
     c = s[rows, order[rows, (cum < 0.5 * cum[:, -1:]).sum(axis=1)]]
-    return (w * np.abs(s - c[:, None])).sum(axis=1) / r**2, c
+    return np.cumsum(w * np.abs(s - c[:, None]), axis=1)[:, -1] / (r * r), c
 
 
 def _batch(clouds):
@@ -523,7 +548,7 @@ class TestPlanarValues:
             balls.append((rng.uniform(-1.0, 1.0, (m, 2)), w))
         xy, w, m = _padded_batch(balls)
         radii = rng.uniform(0.1, 2.0, len(sizes))
-        r2 = np.array([x**2 for x in radii])
+        r2 = radii * radii
         ball = np.sort(rng.integers(len(sizes), size=k))
         thetas = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, k)
         vals, offsets = bt._planar_values(xy, w, m, r2, ball, thetas)
@@ -543,7 +568,7 @@ class TestPlanarValues:
     def test_tied_projections_sort_as_one_ball(self):
         # two sites of equal weight multisets: each site's projections tie, and the weighted median
         # sits where one site's running weight meets half the total, so the order of the ties
-        # decides it; a sort over the padded width orders them differently from the one-ball sort
+        # decides it; a stable sort keeps the ball's own order of them, whatever the padded width
         for seed in range(100):
             rng = np.random.default_rng([seed, 31])
             n = int(rng.integers(5, 60))
@@ -571,9 +596,10 @@ class TestSweep:
         st.integers(min_value=0, max_value=2**32 - 1),
         st.integers(min_value=1, max_value=60),
         st.integers(min_value=1, max_value=5),
+        st.integers(min_value=1, max_value=200),
     )
     @settings(max_examples=100, deadline=None)
-    def test_exact_minimum_over_the_turn(self, seed, m, k):
+    def test_exact_minimum_over_the_turn(self, seed, m, k, pads):
         rng = np.random.default_rng(seed)
         a, b = rng.normal(size=(2, k, m)) * rng.uniform(0.01, 10.0)
         a[rng.uniform(size=(k, m)) < 0.1] = 0.0  # zeros of atan2 at 0 and at pi
@@ -581,6 +607,11 @@ class TestSweep:
         w = rng.uniform(0.0, 1.0, m) * (rng.uniform(size=m) < 0.8)  # about a fifth weigh 0
         t, v = bt._sweep(a, b, w)
         assert t.shape == v.shape == (k,)
+        # a padded row: zero-weight copies of its first term change no bit of a stable sweep
+        stable = np.array(bt._sweep(a, b, w, "stable"))
+        padded = (np.concatenate([x, np.repeat(x[:, :1], pads, axis=1)], axis=1) for x in (a, b))
+        assert np.array(bt._sweep(*padded, np.r_[w, np.zeros(pads)], "stable")).tobytes() == stable.tobytes()
+        assert np.abs(stable[1] - v).max() <= 1e-12 * float((w * np.hypot(a, b)).sum(axis=1).max())
         for row in range(k):
             tol = 1e-12 * float((w * np.hypot(a[row], b[row])).sum())
             zeros = np.mod(np.arctan2(a[row], b[row]), math.pi)
@@ -668,13 +699,13 @@ def _unpruned_planar_refine(pts, w, r, theta0, pivots=None):
     thetas = np.r_[theta0, theta0 + np.linspace(-np.pi / 2, np.pi / 2, 64, endpoint=False)]
     theta, best_val, c = bt._best_angle(pts, w, r, thetas)
     for _ in range(bt.REFINE_ITERATIONS):
-        order = np.argsort(pts @ np.array([-math.sin(theta), math.cos(theta)]))
+        order = np.argsort(pts[:, 1] * math.cos(theta) - pts[:, 0] * math.sin(theta), kind="stable")
         cum = np.cumsum(w[order])
         k = int((cum < 0.5 * cum[-1]).sum())
         if pivots is not None:
             pivots.append(order[max(k - 1, 0) : k + 2].tolist())
         rel = pts - pts[order[max(k - 1, 0) : k + 2], None]
-        t, val, off = bt._best_angle(pts, w, r, bt._sweep(rel[..., 1], rel[..., 0], w)[0])
+        t, val, off = bt._best_angle(pts, w, r, bt._sweep(rel[..., 1], rel[..., 0], w, "stable")[0])
         if val >= best_val:
             break
         theta, best_val, c = t, val, off
@@ -899,7 +930,7 @@ class TestPlanarBatch:
     def test_bounds_hold_for_every_ball(self, seed):
         balls, radii, theta0 = self._mixed(seed + 11)
         xy, w, m = _padded_batch(balls)
-        r2 = np.array([x**2 for x in radii])
+        r2 = radii * radii
         thetas = np.c_[theta0, theta0[:, None] + np.linspace(-np.pi / 2, np.pi / 2, 64, endpoint=False)]
         lower, upper = bt._start_bounds(xy, w, m, r2, thetas)
         vals = bt._planar_values(xy, w, m, r2, np.repeat(np.arange(len(m)), 65), thetas.ravel())[0]
