@@ -19,7 +19,11 @@ after every real point they tie with and add nothing, so a ball's result is
 the same alone as in any batch. Brent's bounded method serves only
 codimension >= 2, and only it loads ``scipy.optimize``. Fields go one
 lattice level at a time: balls are selected in batches, each batch is
-fitted by one batched PCA, and pca values are segment sums. A result holds
+fitted by one batched PCA, and pca values are segment sums. A ball whose live
+selection is every live point of the cloud is fitted once per radius in a
+call, and the call's later such balls copy that fit: a fit reads only the
+live points, their weights and the radius, and no ball's fit depends on its
+batch, so the copy is the fit, bit for bit. A result holds
 its value, method tag, degenerate flag and the fit's raw arrays, a d x n
 basis and one point of the plane; the validated ``AffinePlane`` is built
 when ``.plane`` is first read, and ``export_betas`` writes from the arrays
@@ -333,13 +337,17 @@ def _fit(
     come from one ``_pca_frames`` call, its pca values from segment sums (sup: maxima), and its
     pca results from one pass over them. A batch's refined planar beta1 balls go through one
     ``_planar_refine`` call on the same selection; degenerate balls, the other refined balls and
-    the oracle go one at a time."""
+    the oracle go one at a time. A whole-cloud ball, whose live selection is every live point of
+    the cloud, is fitted only if it is the call's first of its radius; each later one gets its
+    own result with that fit's value, method and flag and copies of its arrays. A fit reads the
+    live points, their weights and the radius, not the centre, and a ball's fit does not depend
+    on its batch, so the copy is what fitting the ball would give, bit for bit."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     n, d = cloud.n, cloud.d
     if method == "grid_oracle" and (d, n) != (2, 1):
         raise ValueError("grid_oracle is only available for planar clouds with n=1")
-    out = []
+    out, first_whole, live_points = [], {}, np.count_nonzero(cloud.weights > 0)
     for lo, indptr, idx in _ball_batches(cloud, centers, radii):
         r, live = radii[lo : lo + len(indptr) - 1], cloud.weights[idx] > 0
         seg, idx = np.repeat(np.arange(len(r)), np.diff(indptr))[live], idx[live]
@@ -349,23 +357,28 @@ def _fit(
             if indptr[b] == indptr[b + 1]:
                 raise ValueError("the ball does not meet the cloud")
             raise ValueError("the ball holds only zero-weight points, outside the measure's support")
-        full, ptr, batch = counts >= n + 2, np.concatenate(([0], counts.cumsum())), np.empty(len(r), object)
-        kth = np.cumsum(full) - 1  # ball b's row in the pca fit
-        if method != "grid_oracle" and full.any():
-            fit, fptr = idx[full[seg]], np.concatenate(([0], counts[full].cumsum()))
+        at = len(out) + np.arange(len(r))  # the balls' positions in out
+        source = at.copy()  # the position of the fit each ball takes
+        for b in np.flatnonzero(counts == live_points).tolist():
+            source[b] = first_whole.setdefault(float(r[b]), at[b])
+        own, full = source == at, counts >= n + 2
+        fitted, ptr, batch = own & full, np.concatenate(([0], counts.cumsum())), np.empty(len(r), object)
+        kth = np.cumsum(fitted) - 1  # ball b's row in the pca fit
+        if method != "grid_oracle" and fitted.any():
+            fit, fptr = idx[fitted[seg]], np.concatenate(([0], counts[fitted].cumsum()))
             pts, w = cloud.points.take(fit, axis=0), cloud.weights.take(fit)
             frames, normals, means, dist = _pca_frames(pts, w, fptr, n)
             if method == "pca":
                 if sup:
-                    values = np.maximum.reduceat(dist, fptr[:-1]) / r[full]
+                    values = np.maximum.reduceat(dist, fptr[:-1]) / r[fitted]
                 else:
-                    values = np.add.reduceat(w * dist, fptr[:-1]) / r[full] ** (n + 1)
-                batch[full] = [BetaResult(v, f, p, method) for v, f, p in zip(values.tolist(), frames, means)]
+                    values = np.add.reduceat(w * dist, fptr[:-1]) / r[fitted] ** (n + 1)
+                batch[fitted] = [BetaResult(v, f, p, method) for v, f, p in zip(values.tolist(), frames, means)]
             elif (d, n) == (2, 1) and not sup:
                 theta0 = np.arctan2(frames[:, 1, 0], frames[:, 0, 0])
-                fits = zip(*(a.tolist() for a in _planar_refine(pts, w, fptr, r[full], theta0)))
-                batch[full] = [BetaResult(v, *_plane_from_angle(t, c), method) for v, t, c in fits]
-        for b in [b for b, res in enumerate(batch) if res is None]:
+                fits = zip(*(a.tolist() for a in _planar_refine(pts, w, fptr, r[fitted], theta0)))
+                batch[fitted] = [BetaResult(v, *_plane_from_angle(t, c), method) for v, t, c in fits]
+        for b in [b for b in np.flatnonzero(own).tolist() if batch[b] is None]:
             sel, k = idx[ptr[b] : ptr[b + 1]], kth[b]
             pts, w = cloud.points[sel], cloud.weights[sel]
             if not full[b]:
@@ -380,6 +393,9 @@ def _fit(
             else:
                 batch[b] = BetaResult(*_general_refine(pts, w, r[b], n, sup, frames[k], normals[k], means[k]), method)
         out.extend(batch.tolist())
+        for i, j in zip(at[~own].tolist(), source[~own].tolist()):
+            res = out[j]
+            out[i] = BetaResult(res.value, res.basis.copy(), res.point.copy(), res.method, res.degenerate)
     return out
 
 

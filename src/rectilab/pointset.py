@@ -322,13 +322,20 @@ def estimate_regularity(cloud: RegularCloud, trials: int, rng: np.random.Generat
 
     Samples centres from the cloud (weighted) and radii log-uniformly in
     [4 * resolution, diam]; the estimate is the worst ratio between ball
-    mass and r^n in either direction, the first of equal ratios. Each centre
-    has positive weight and lies in its own ball, so every mass is positive.
-    Count-only queries at radii (1 -+ 1e-12) bound each mass by max(centre
-    weight, inner count * least weight) and outer count * largest weight; a
-    ball whose upper ratio bound is below the largest lower one (less 1e-9
-    relative, for rounding) is beaten strictly, so it is never summed. The
-    outer counts also plan the runs in which the other balls are summed.
+    mass and r^n in either direction, the first of equal ratios in draw
+    order. Each centre has positive weight and lies in its own ball, so every
+    mass is positive. Count-only queries at radii (1 -+ 1e-12) bound each
+    mass below by max(centre weight, (inner count - zero-weight count) *
+    least positive weight) and above by outer count * largest weight. The
+    bar starts at the largest lower ratio bound, and a ball whose upper
+    ratio bound is below it (less 1e-9 relative, for rounding) is beaten
+    strictly, so it is never summed. The other balls are summed in
+    ``_ball_batches`` runs, planned by the outer counts, in stably descending
+    order of their upper bounds; after each run the bar rises to the worst
+    ratio summed so far, and the scan stops before the first run whose
+    leading upper bound is below the bar (less 1e-9). Every ball left
+    unsummed is beaten strictly by a summed one, and each mass is one sum per
+    ball, so the report is the one that summing every ball gives.
     """
     _check_count("trials", trials, 1)
     r_lo = 4.0 * cloud.resolution
@@ -337,14 +344,26 @@ def estimate_regularity(cloud: RegularCloud, trials: int, rng: np.random.Generat
     radii = np.exp(rng.uniform(math.log(r_lo), math.log(r_hi), size=trials))
     centers, w, rn = cloud.points[idx], cloud.weights, radii**cloud.n
     near = [cloud.tree.query_ball_point(centers, radii * f, return_length=True) for f in (1 - 1e-12, 1 + 1e-12)]
-    lo, hi = np.maximum(w[idx], near[0] * w.min()), near[1] * w.max()
-    keep = np.flatnonzero(np.maximum(hi / rn, rn / lo) >= np.maximum(lo / rn, rn / hi).max() * (1 - 1e-9))
-    # one sum per ball, not np.add.reduceat: a ball's mass rounds as ball_mass rounds it
-    batches = _ball_batches(cloud, centers[keep], radii[keep], near[1][keep])
-    masses = np.array([part.sum() for _, ptr, sel in batches for part in np.split(w[sel], ptr[1:-1])])
-    ratios = np.maximum(masses / rn[keep], rn[keep] / masses)
-    k = int(np.argmax(ratios))  # the first of equal ratios, and the first ball when none exceeds 1
-    worst, k = (float(ratios[k]), keep[k]) if ratios[k] > 1.0 else (1.0, 0)
+    live = w > 0
+    lo = np.maximum(w[idx], (near[0] - np.count_nonzero(~live)) * w[live].min())
+    hi, slack = near[1] * w.max(), 1.0 - 1e-9
+    upper, bar = np.maximum(hi / rn, rn / lo), np.maximum(lo / rn, rn / hi).max()
+    keep = np.flatnonzero(upper >= bar * slack)
+    keep = keep[np.argsort(-upper[keep], kind="stable")]
+    drawn, ratios = [], []
+    for first, ptr, sel in _ball_batches(cloud, centers[keep], radii[keep], near[1][keep]):
+        run = keep[first : first + len(ptr) - 1]
+        # one sum per ball, not np.add.reduceat: a ball's mass rounds as ball_mass rounds it
+        masses = np.array([part.sum() for part in np.split(w[sel], ptr[1:-1])])
+        drawn.append(run)
+        ratios.append(np.maximum(masses / rn[run], rn[run] / masses))
+        bar = max(bar, ratios[-1].max())
+        if first + len(run) == len(keep) or upper[keep[first + len(run)]] < bar * slack:
+            break
+    drawn, ratios = np.concatenate(drawn), np.concatenate(ratios)
+    worst = ratios.max()
+    k = drawn[ratios == worst].min()  # the first of equal ratios, and the first ball when none exceeds 1
+    worst, k = (float(worst), k) if worst > 1.0 else (1.0, 0)
     return RegularityReport(C0_estimate=worst, worst_ball=Ball(centers[k], float(radii[k])), samples=trials)
 
 

@@ -835,6 +835,16 @@ class TestPlanarBetaInfExact:
                 assert res.value <= bt.beta_inf(cloud, ball, "pca").value + 1e-12
 
 
+def _whole_cloud_balls(lat):
+    """Per level (one radius), the keys of the cubes whose balls hold every live point of the
+    cloud by ``Ball.contains``: a field fits the first and copies it to the rest."""
+    live = lat.cloud.weights > 0
+    return [
+        [cube.key for cube in lat.cubes[j].values() if (lat.ball(cube).contains(lat.cloud.points) & live).sum() == live.sum()]
+        for j in range(lat.j_min, lat.j_max + 1)
+    ]
+
+
 class TestPivotMemo:
     def test_curve_lattice_equals_the_unmemoised_descent(self, monkeypatch):
         # the descent sweeps a pivot once per ball; every ball of the lattice must score as
@@ -860,7 +870,8 @@ class TestPivotMemo:
 
         monkeypatch.setattr(bt, "_planar_refine", both)
         bt.beta_lattice(lat)
-        assert len(balls) == len(lat) > 400 and repeats[0] > 1000
+        copies = sum(len(whole) - 1 for whole in _whole_cloud_balls(lat) if whole)
+        assert len(balls) == len(lat) - copies > 400 and repeats[0] > 1000
 
 
 class TestPlanarBatch:
@@ -936,6 +947,116 @@ class TestPlanarBatch:
         vals = bt._planar_values(xy, w, m, r2, np.repeat(np.arange(len(m)), 65), thetas.ravel())[0]
         assert (lower <= vals.reshape(len(m), 65)).all()
         assert (vals.reshape(len(m), 65).min(axis=1) <= upper).all()
+
+
+def _zero_weight_tail() -> ps.RegularCloud:
+    """32 weighted points along a gentle wave and a tail of 3 zero-weight points past its end:
+    some level-3 balls hold every live point and not the tail."""
+    x = np.r_[np.arange(32) / 64 + 1 / 128, 0.53, 0.57, 0.61]
+    pts = np.c_[x, 0.3 + 0.02 * np.sin(9.0 * x)]
+    return ps.RegularCloud(pts, np.r_[np.full(32, 1 / 64), np.zeros(3)], 1, 1 / 64, validate=False)
+
+
+class TestWholeCloudBalls:
+    """A ``_fit`` call fits each whole-cloud radius once; every other whole-cloud ball of that
+    radius gets a copy, which must equal the ball's own fit and share no memory."""
+
+    CLOUDS = {
+        "four_corners": (lambda: ps.four_corners(2), 4),
+        "curve": (
+            lambda: ps.lipschitz_graph_cloud(
+                lambda t: [0.25 * np.sin(2.0 * np.pi * t[0])], Subspace.axis(2, 0), 1.6, 2.0**-7
+            ),
+            4,
+        ),
+        "zero_weight_tail": (_zero_weight_tail, 5),
+        "surface": (
+            lambda: ps.lipschitz_graph_cloud(
+                lambda t: [0.2 * np.sin(2.0 * np.pi * t[0]) * np.cos(2.0 * np.pi * t[1])],
+                Subspace.axis(3, 0, 1),
+                1.8,
+                2.0**-4,
+            ),
+            3,
+        ),
+    }
+
+    # the balls that each fitting path receives: the rows of a batched call, or one per call
+    PATHS = {
+        "_pca_frames": lambda pts, w, indptr, n: len(indptr) - 1,
+        "_planar_refine": lambda pts, w, ptr, r, theta0: len(r),
+        "_general_refine": lambda *args: 1,
+        "_pivot_oracle": lambda *args: 1,
+        "_half_width": lambda *args: 1,
+    }
+
+    @staticmethod
+    def _same(res, alone):
+        assert (res.method, res.degenerate) == (alone.method, alone.degenerate)
+        for got, want in ((res.value, alone.value), (res.basis, alone.basis), (res.point, alone.point)):
+            assert np.shape(got) == np.shape(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("sup", [False, True])
+    @pytest.mark.parametrize("method", ["pca", "pca_refined", "grid_oracle"])
+    def test_one_call_of_several_radii_copies_each_radius_fit(self, method, sup):
+        # the curve's levels 0-2 hold whole-cloud balls of three radii; in one call over every
+        # level's balls each ball must still equal its own fit
+        lat = cb.CubeLattice(self.CLOUDS["curve"][0](), 0, 4)
+        centers, radii = (np.concatenate(part) for part in zip(*map(lat.level_balls, range(5))))
+        per_ball = bt.beta_inf if sup else bt.beta1
+        for center, radius, res in zip(centers, radii, bt._fit(lat.cloud, centers, radii, method, sup)):
+            self._same(res, per_ball(lat.cloud, ps.Ball(center, radius), method))
+
+    @pytest.mark.parametrize(
+        "name, which, method",
+        [
+            (name, which, method)
+            for name in sorted(CLOUDS)
+            for which in ("beta1", "beta_inf")
+            for method in ("pca", "pca_refined", "grid_oracle")
+            if not (name == "surface" and method == "grid_oracle")  # the oracle is planar
+        ],
+    )
+    def test_fits_once_per_radius_and_copies_equal_fits(self, monkeypatch, name, which, method):
+        make, j_max = self.CLOUDS[name]
+        lat = cb.CubeLattice(make(), 0, j_max)
+        whole = _whole_cloud_balls(lat)
+        copies = [key for keys in whole for key in keys[1:]]
+        assert len(copies) >= 3
+        if name == "zero_weight_tail":  # a ball holding every live point and not every point
+            assert any(not lat.ball(lat.get(key)).contains(lat.cloud.points).all() for keys in whole for key in keys)
+        counted = {}
+        for path, balls in self.PATHS.items():
+            if path == "_half_width" and lat.cloud.d > 2:
+                continue  # ``_general_refine`` calls it once per turn
+            def spy(*args, _path=path, _balls=balls, _real=getattr(bt, path)):
+                counted[_path] = counted.get(_path, 0) + _balls(*args)
+                return _real(*args)
+            monkeypatch.setattr(bt, path, spy)
+        field = bt.beta_lattice(lat, which, method)
+        monkeypatch.undo()
+        assert counted and set(counted.values()) == {sum(not res.degenerate for res in field.values()) - len(copies)}
+
+        per_ball = bt.beta1 if which == "beta1" else bt.beta_inf
+        for key, res in field.items():
+            self._same(res, per_ball(lat.cloud, lat.ball(lat.get(key)), method))
+
+        results = list(field.values())
+        assert len({id(res) for res in results}) == len(results)
+        arrays = [a for res in results for a in (res.basis, res.point)]
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1 :])
+        built = []
+        real = AffinePlane.__post_init__
+
+        def spy(self):
+            built.append(self)
+            real(self)
+
+        monkeypatch.setattr(AffinePlane, "__post_init__", spy)
+        for key in copies:
+            res = field[key]
+            assert res.plane is res.plane
+        assert len(built) == len(copies)
 
 
 def _pair_line_oracle(pts, w, r):

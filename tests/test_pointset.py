@@ -250,6 +250,31 @@ class TestRegularityBounds:
         if trials == 2000 and name == "whole_cloud":
             assert whole > 300
 
+    @pytest.mark.parametrize("name", ["segment", "curve", "surface", "zero_weight"])
+    def test_best_bound_first_sums_fewer_balls_than_the_bounds_keep(self, name, monkeypatch):
+        # summed balls are the ones the selection runs yield; the scan stops once a run's leading
+        # upper bound is below the worst ratio summed, and with zero weights the lower bound counts
+        # only the inner points that can weigh
+        cloud = REGULARITY_CLOUDS[name]()
+        kept, summed, batches = [], [], ps._ball_batches
+
+        def counted(c, centers, radii, *counts):
+            kept.append(len(radii))
+            summed.append(0)
+            for run in batches(c, centers, radii, *counts):
+                summed[-1] += len(run[1]) - 1
+                yield run
+
+        monkeypatch.setattr(ps, "_ball_batches", counted)
+        for seed in range(3):
+            self._same(cloud, 2000, lambda: np.random.default_rng([seed, 2000]))
+        if name == "segment":  # the bounds alone keep one ball, the worst
+            assert kept == summed == [1, 1, 1]
+        else:
+            assert len(summed) == 3 and all(s < k for s, k in zip(summed, kept))
+        if name == "zero_weight":
+            assert max(summed) < 2000
+
     @pytest.mark.parametrize("trials", [7, 2000])
     def test_first_of_equal_ratios(self, trials):
         cloud = ps.segment(1e-2)
@@ -258,6 +283,22 @@ class TestRegularityBounds:
             ratios, _, idx = self._same(cloud, trials, lambda: _OneRadius(seed))
             ties += len(np.unique(idx[ratios == ratios.max()])) > 1
         assert ties >= 3  # several centres share the worst ratio, and the first is reported
+
+    def test_first_of_equal_ratios_with_unequal_bounds(self):
+        # ball 0 holds one point of weight 1, ball 1 two of weight 0.5 at the same radius: equal
+        # ratios, but ball 1's upper bound is twice ball 0's, so it is summed first; ball 0 is reported
+        pts = np.array([[0.0, 0.0], [10.0, 0.0], [10.5, 0.0]])
+        cloud = ps.RegularCloud(pts, np.array([1.0, 0.5, 0.5]), 1, 0.1, validate=False)
+
+        class Draws:
+            def choice(self, *args, **kwargs):
+                return np.array([0, 1])
+
+            def uniform(self, low, high, size):
+                return np.full(size, math.log(0.6))
+
+        ratios, _, _ = self._same(cloud, 2, Draws)
+        assert ratios[0] == ratios[1]
 
     @pytest.mark.parametrize("name", ["segment", "zero_weight", "curve"])
     def test_two_count_queries(self, name):
