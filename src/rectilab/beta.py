@@ -106,24 +106,31 @@ def _padded(pts, w, start, m):
 
 
 def _planar_values(xy, w, m, r2, ball, thetas):
-    """Planar beta1 objective and best offset of every row k: ball ball[k] of a ``_padded`` batch (r2:
-    the squared radii) at angle thetas[k], over the rows' own widest ball. Rows sort stably and take
-    their totals from running sums; pads weigh 0 and copy their ball's first point, so they sort after
-    every real point they tie with and add trailing zeros, and no row depends on the padded width."""
+    """Planar beta1 objective, best offset and pivots of every row k: ball ball[k] of a ``_padded``
+    batch (r2: the squared radii) at angle thetas[k], over the rows' own widest ball. Each row sorts
+    stably with its pads last and takes its weighted median from running sums; the pivots are the
+    lanes of the median and its two neighbours in that order (-1 where none is a real point). The
+    objective sums in lane order, where pads copy their ball's first point and weigh 0, so they add
+    trailing zeros, and no row depends on the padded width."""
     rows, stride = np.arange(len(ball)), xy.shape[2] * ball
     width = int(m[ball].max())
     s = xy[1, :, :width].take(ball, axis=0)
     s *= np.cos(thetas)[:, None]
     s -= xy[0, :, :width].take(ball, axis=0) * np.sin(thetas)[:, None]
-    order = s.argsort(axis=1, kind="stable")
+    real = np.arange(width) < m[ball][:, None]
+    order = np.where(real, s, np.inf).argsort(axis=1, kind="stable")
     order += stride[:, None]  # flat indices into w
     buf = w.take(order)
     cum = np.cumsum(buf, axis=1, out=buf)
-    c = s[rows, order[rows, (cum < 0.5 * cum[:, -1:]).sum(axis=1)] - stride]
+    k = (cum < 0.5 * cum[:, -1:]).sum(axis=1)
+    at = np.maximum(k - 1, 0)[:, None] + np.arange(3)
+    lanes = np.take_along_axis(order, np.minimum(at, width - 1), axis=1) - stride[:, None]
+    pivots = np.where(at < np.minimum(k + 2, m[ball])[:, None], lanes, -1)
+    c = s[rows, order[rows, k] - stride]
     s -= c[:, None]
     np.abs(s, out=s)
     s *= w[:, :width].take(ball, axis=0, out=buf, mode="clip")  # clip: no buffered copy
-    return np.cumsum(s, axis=1, out=s)[:, -1] / r2[ball], c
+    return np.cumsum(s, axis=1, out=s)[:, -1] / r2[ball], c, pivots
 
 
 def _sweep(a, b, w, kind=None):
@@ -179,7 +186,7 @@ def _best_angle(pts, w, r, thetas):
     """The angle of ``thetas`` with the lowest planar beta1 objective on one ball: (angle, value, offset)."""
     one = np.zeros(len(thetas), np.intp)
     m = np.array([len(pts)])
-    vals, c = _planar_values(pts.T[:, None], w[None], m, np.array([r * r]), one, thetas)
+    vals, c, _ = _planar_values(pts.T[:, None], w[None], m, np.array([r * r]), one, thetas)
     k = int(np.argmin(vals))
     return float(thetas[k]), float(vals[k]), float(c[k])
 
@@ -206,9 +213,10 @@ def _planar_lockstep(pts, w, start, m, r, theta0):
     median). A pivot's turn depends on the pivot alone and scored no lower than the current value when
     it was first swept, so only new pivots are turned, and a ball stops when none is new. The balls go
     in lockstep on a ``_padded`` layout: one ``_sweep`` turns every active ball's new pivots and one
-    ``_planar_values`` call scores the turns. Pads change no bit there (both sort stably), the median
-    sort puts them at +inf so they never pivot, and each ball takes the first least of its own rows,
-    so a ball's result does not depend on the rest of its batch."""
+    ``_planar_values`` call scores the turns and gives each row's pivots from the sort that scored it,
+    so the next step turns about the pivots of each ball's best row. Pads change no bit there (both
+    sort stably), the scoring sort puts them last so they never pivot, and each ball takes the first
+    least of its own rows, so a ball's result does not depend on the rest of its batch."""
     xy, w = _padded(pts, w, start, m)
     r2 = r * r
     thetas = np.c_[theta0, theta0[:, None] + np.linspace(-np.pi / 2, np.pi / 2, 64, endpoint=False)]
@@ -219,27 +227,21 @@ def _planar_lockstep(pts, w, start, m, r, theta0):
     step = max(1, int((np.bincount(ball, minlength=len(m)) * m).max()) // xy.shape[2])
     parts = range(0, len(ball), step)
     scored = [_planar_values(xy, w, m, r2, ball[i : i + step], kept[i : i + step]) for i in parts]
-    vals, offs = (np.concatenate(part) for part in zip(*scored))
+    vals, offs, pivots = (np.concatenate(part) for part in zip(*scored))
     first = _first_least(ball, vals)
-    theta, best, c = kept[first], vals[first], offs[first]
-    swept, live, pad = np.zeros(w.shape, bool), np.arange(len(m)), np.arange(w.shape[1]) >= m[:, None]
+    theta, best, c, piv = kept[first], vals[first], offs[first], pivots[first]
+    swept, live = np.zeros(w.shape, bool), np.arange(len(m))
     for _ in range(REFINE_ITERATIONS):
-        s = xy[1, live] * np.cos(theta[live])[:, None] - xy[0, live] * np.sin(theta[live])[:, None]
-        order = np.where(pad[live], np.inf, s).argsort(axis=1, kind="stable")
-        cum = np.take_along_axis(w[live], order, axis=1).cumsum(axis=1)
-        k = (cum < 0.5 * cum[:, -1:]).sum(axis=1)
-        at = np.maximum(k - 1, 0)[:, None] + np.arange(3)
-        piv = np.take_along_axis(order, np.minimum(at, w.shape[1] - 1), axis=1)
-        row, j = np.nonzero((at < np.minimum(k + 2, m[live])[:, None]) & ~swept[live[:, None], piv])
+        row, j = np.nonzero((piv >= 0) & ~swept[live[:, None], piv])
         if not len(row):
             break
         ball, piv = live[row], piv[row, j]
         swept[ball, piv] = True
         t = _sweep(*(x[ball] - x[ball, piv][:, None] for x in (xy[1], xy[0])), w[ball], "stable")[0]
-        vals, offs = _planar_values(xy, w, m, r2, ball, t)
+        vals, offs, pivots = _planar_values(xy, w, m, r2, ball, t)
         first = _first_least(ball, vals)
         first = first[vals[first] < best[ball[first]]]
-        live = ball[first]
+        live, piv = ball[first], pivots[first]
         theta[live], best[live], c[live] = t[first], vals[first], offs[first]
     return best, theta, c
 

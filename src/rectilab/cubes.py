@@ -3,11 +3,12 @@
 Cubes are ambient half-open dyadic grid cells intersected with a cloud;
 cube centres snap to cloud points and every cube carries the ball
 B_Q = B(c_Q, C * side) with C = 3 * sqrt(d), which makes the balls nested
-along parent links. Cubes are identified by (level, cell index) keys, and
-flags are mappings from those keys to bools. Functions that take a root
-cube accept a ``Cube`` or its key. The David scan finds each cube's nearest
-non-member by k-nearest neighbours and settles each level's least distance
-with one small ball query.
+along parent links. Cubes are identified by (level, cell index) keys with
+Python int cells, and flags are mappings from those keys to bools. A lattice
+lists every cube's children, in key order, when it is built, and the tree
+walkers read those lists. Functions that take a root cube accept a ``Cube``
+or its key. The David scan finds each cube's nearest non-member by k-nearest
+neighbours and settles each level's least distance with one small ball query.
 """
 
 from __future__ import annotations
@@ -16,12 +17,11 @@ import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .pointset import BALL_CHUNK, Ball, RegularCloud, _row_norms
+from .pointset import BALL_CHUNK, Ball, RegularCloud, _check_count, _row_norms
 
 CubeKey = tuple[int, tuple[int, ...]]
 Flags = Mapping[CubeKey, bool]
@@ -49,13 +49,18 @@ class CubeLattice:
 
     ``cubes[j]`` maps the occupied cells of side 2^-j to Cube objects in order
     of each cell's first point, members ascending: one stable lexsort of the
-    level's integer cells, a key per coordinate (one flattened key could
-    overflow on wide clouds), groups the points. Parents and children are
-    index-arithmetic on keys, each cube's children sorted once. The ball
-    constant C guarantees B_Q inside B_parent.
+    level's integer cells, a key per coordinate with the first primary (one
+    flattened key could overflow on wide clouds), groups the points in key
+    order. Key cells are Python ints. The same pass appends each cube to its
+    parent's child list, so the lists come out in key order, and keeps the
+    level's centres as one read-only array, which ``level_balls`` returns and
+    each cube's ``center`` is a row of. The ball constant C guarantees B_Q
+    inside B_parent.
     """
 
     def __init__(self, cloud: RegularCloud, j_min: int, j_max: int):
+        _check_count("j_min", j_min)
+        _check_count("j_max", j_max)
         if len(cloud.points) == 0:
             raise ValueError("cannot build a lattice on an empty cloud")
         if j_min > j_max:
@@ -67,26 +72,32 @@ class CubeLattice:
         self.j_max = j_max
         self.ball_constant = 3.0 * math.sqrt(cloud.d)
         self.cubes: dict[int, dict[tuple[int, ...], Cube]] = {}
+        self._children: dict[CubeKey, list[CubeKey]] = {}
+        self._centers: dict[int, np.ndarray] = {}
         pts = cloud.points
         for j in range(j_min, j_max + 1):
             side = 2.0**-j
             cells = np.floor(pts / side).astype(np.int64)
-            order = np.lexsort(cells.T)
+            order = np.lexsort(cells.T[::-1])
             sorted_cells = cells[order]
-            starts = np.flatnonzero(np.r_[True, (sorted_cells[1:] != sorted_cells[:-1]).any(axis=1)])
+            new = np.r_[True, (sorted_cells[1:] != sorted_cells[:-1]).any(axis=1)]
+            starts = np.flatnonzero(new)
             groups = np.split(order, starts[1:])
-            dist = np.linalg.norm(pts - (cells + 0.5) * side, axis=1)
-            built = {}
-            for g in np.argsort(order[starts]):
-                cell, members = tuple(sorted_cells[starts[g]]), groups[g]
-                built[cell] = Cube(
-                    level=j,
-                    index=cell,
-                    members=members,
-                    center=pts[members[np.argmin(dist[members])]].copy(),
-                    weight=float(cloud.weights[members].sum()),
-                )
-            self.cubes[j] = built
+            keys = [(j, tuple(cell)) for cell in sorted_cells[starts].tolist()]
+            if j > j_min:
+                for key in keys:
+                    self._children.setdefault(self.parent_key(key), []).append(key)
+            # each group's first point nearest its cell's centre
+            dist = np.linalg.norm(pts - (cells + 0.5) * side, axis=1)[order]
+            hits = np.flatnonzero(dist == np.minimum.reduceat(dist, starts)[np.cumsum(new) - 1])
+            near = order[hits[np.searchsorted(hits, starts)]]
+            first = np.argsort(order[starts])
+            self._centers[j] = centers = pts[near[first]]
+            centers.flags.writeable = False
+            self.cubes[j] = {
+                keys[g][1]: Cube(j, keys[g][1], groups[g], center, float(cloud.weights[groups[g]].sum()))
+                for g, center in zip(first.tolist(), centers)
+            }
 
     # -- structure ---------------------------------------------------------
 
@@ -113,36 +124,28 @@ class CubeLattice:
         pk = self.parent_key(cube.key)
         return None if pk is None else self.get(pk)
 
-    @cached_property
-    def _child_map(self) -> dict[CubeKey, list[CubeKey]]:
-        cm: dict[CubeKey, list[CubeKey]] = {}
-        for j in range(self.j_min + 1, self.j_max + 1):
-            for cell in self.cubes[j]:
-                pk = (j - 1, tuple(c >> 1 for c in cell))
-                cm.setdefault(pk, []).append((j, cell))
-        return {key: sorted(kids) for key, kids in cm.items()}
-
     def child_keys(self, key: CubeKey) -> list[CubeKey]:
-        return list(self._child_map.get(key, ()))
+        return list(self._children.get(key, ()))
 
     def ball(self, cube: Cube, factor: float = 1.0) -> Ball:
         return Ball(cube.center, factor * self.ball_constant * cube.side)
 
     def level_balls(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Centres and radii of the balls B_Q of level j, in ``cubes[j]`` order."""
-        level = self.cubes[j].values()
-        return np.array([cube.center for cube in level]), np.full(len(level), self.ball_constant * 2.0**-j)
+        """Centres and radii of the balls B_Q of level j, in ``cubes[j]`` order; the centres are the
+        lattice's own read-only array."""
+        centers = self._centers[j]
+        return centers, np.full(len(centers), self.ball_constant * 2.0**-j)
 
     def descendants(self, key: CubeKey) -> list[CubeKey]:
         """Keys of all cubes contained in ``key`` (including itself), BFS order."""
         out = [key]
         for k in out:  # the list is the BFS queue: it grows while it is walked
-            out.extend(self._child_map.get(k, ()))
+            out.extend(self._children.get(k, ()))
         return out
 
     def key_of_point(self, point_index: int, level: int) -> CubeKey:
         side = 2.0**-level
-        cell = tuple(int(c) for c in np.floor(self.cloud.points[point_index] / side).astype(np.int64))
+        cell = tuple(np.floor(self.cloud.points[point_index] / side).astype(np.int64).tolist())
         return (level, cell)
 
     def contains_point(self, key: CubeKey, point_index: int) -> bool:
@@ -153,9 +156,8 @@ class CubeLattice:
         with open(path, "w") as fh:
             for cube in self.all_cubes():
                 pk = self.parent_key(cube.key)
-                record = {"level": cube.level, "cell_index": [int(c) for c in cube.index],
-                          "center": [float(c) for c in cube.center], "weight": cube.weight,
-                          "parent": None if pk is None else [pk[0], [int(c) for c in pk[1]]]}
+                record = {"level": cube.level, "cell_index": cube.index,
+                          "center": cube.center.tolist(), "weight": cube.weight, "parent": pk}
                 fh.write(json.dumps(record) + "\n")
 
 
@@ -257,8 +259,7 @@ def decompose_trees(lattice: CubeLattice, flags: Flags, n_stop: int, q0) -> Fore
     fired there), so a tree may have an empty leaf set. Every cube under q0
     lands in exactly one tree.
     """
-    if n_stop < 1:
-        raise ValueError("the stopping count must be >= 1")
+    _check_count("n_stop", n_stop, 1)
     root = _as_key(q0)
     trees: list[Tree] = []
     pending = [root]
@@ -353,6 +354,7 @@ def flagged_ancestry_counts(lattice: CubeLattice, q0, flags: Flags) -> np.ndarra
 
 def e_q_set(lattice: CubeLattice, q, n_threshold: int, flags: Flags) -> np.ndarray:
     """Member indices of ``q`` whose flagged-ancestry count reaches the threshold."""
+    _check_count("n_threshold", n_threshold, 1)
     counts = flagged_ancestry_counts(lattice, q, flags)
     members = lattice.get(_as_key(q)).members
     return members[counts[members] >= n_threshold]

@@ -298,10 +298,10 @@ def _row_norms(diff: np.ndarray) -> np.ndarray:
     return np.sqrt(functools.reduce(np.add, (diff * diff).T))
 
 
-def _check_count(name: str, value, least: int):
-    """ValueError unless ``value`` is an integer, not a bool, of at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+def _check_count(name: str, value, least: int | None = None):
+    """ValueError unless ``value`` is an integer, not a bool, of at least ``least`` when it is given."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or (least is not None and value < least):
+        raise ValueError(f"{name} must be an integer{'' if least is None else f' >= {least}'}, got {value!r}")
 
 
 def _ball_batches(cloud: RegularCloud, centers: np.ndarray, radii: np.ndarray, counts=None):
@@ -372,14 +372,16 @@ def projection_measure(
 ) -> float:
     """Outer estimate of the measure of the shadow of ``cloud ∩ ball`` on ``v``.
 
-    Projects the in-ball points to v-coordinates, bins them into half-open
+    Projects the in-ball points of positive weight (zero-weight points lie
+    outside the measure's support) to v-coordinates, bins them into half-open
     grid cells of side ``grid_resolution``, and returns occupied cells times
     cell volume. This is the one-call reference for the shadows that
     ``pbp_margin`` counts on one selection of the ball.
     """
     if grid_resolution < cloud.resolution:
         raise ValueError("grid_resolution must be at least the cloud resolution")
-    return _shadow(cloud.points[cloud.ball_indices(ball)], v.basis, grid_resolution)
+    idx = cloud.ball_indices(ball)
+    return _shadow(cloud.points[idx[cloud.weights[idx] > 0]], v.basis, grid_resolution)
 
 
 def _shadow(pts: np.ndarray, basis: np.ndarray, g: float) -> float:
@@ -428,8 +430,10 @@ def pbp_margin(
     Returns the candidate with the largest margin. A margin >= 0 certifies
     PBP on the ball at the sampled directions: every sampled V in
     B(V0, delta) has shadow at least delta r^n. A negative margin means no
-    candidate did. The ball's points are selected once per call; each
-    shadow equals ``projection_measure(cloud, V, ball, grid_resolution)``.
+    candidate did. The ball's points are selected once per call, and only
+    those of positive weight count: the PCA plane is theirs (the axis plane
+    when there are at most n), and each shadow equals
+    ``projection_measure(cloud, V, ball, grid_resolution)``.
     Each candidate's directions are one ``sample_in_ball`` batch (the law is
     stated there; Haar planes for delta >= 1), scored in order until the
     margin falls below the best so far. Their bases are fixed by the plane
@@ -442,8 +446,9 @@ def pbp_margin(
         raise ValueError("grid_resolution must be at least the cloud resolution")
     n = cloud.n
     idx = cloud.ball_indices(ball)
+    idx = idx[cloud.weights[idx] > 0]  # the measure's support
     pts = cloud.points[idx]
-    if len(idx) <= n or not cloud.weights[idx].any():
+    if len(idx) <= n:
         candidates = [Subspace.axis(cloud.d, *range(n))]
     else:
         candidates = [Subspace(_pca_frame(pts, cloud.weights[idx], n)[0])]

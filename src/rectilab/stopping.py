@@ -38,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grassmann import unit_ball_volume
+from .pointset import _check_count
 
 MAX_GENERATIONS = 40
 
@@ -83,10 +84,16 @@ class BallFamily:
 
 @dataclass
 class GridFunction:
-    """Nonnegative function sampled at the cell centres of a 2^depth grid."""
+    """Nonnegative function sampled at the cell centres of a 2^depth grid: ``values`` has shape
+    (2^depth,) * d for an integer depth >= 0."""
 
     values: np.ndarray
     depth: int
+
+    def __post_init__(self):
+        _check_count("depth", self.depth, 0)
+        if self.values.shape != (2**self.depth,) * self.values.ndim:
+            raise ValueError(f"values of shape {self.values.shape} do not fill a grid of depth {self.depth}")
 
     @property
     def d(self) -> int:
@@ -101,6 +108,7 @@ class GridFunction:
 
     @classmethod
     def from_balls(cls, family: BallFamily, depth: int) -> "GridFunction":
+        _check_count("depth", depth, 0)
         return cls._summed(_render(family, depth), family.weights, family.d, depth)
 
     @classmethod
@@ -680,6 +688,7 @@ def heavy_cubes(family: BallFamily, config: StoppingConfig, grid_depth: int) -> 
     reported alongside as ``hypothesis_mf_mass``. ``checks`` carries the keys
     ``CHECK_KEYS`` on every status.
     """
+    _check_count("grid_depth", grid_depth, 0)
     d = family.d
     n, m_target, gamma, c = config.N, config.M, config.gamma, config.c
     if config.guarantee:

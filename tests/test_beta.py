@@ -551,11 +551,11 @@ class TestPlanarValues:
         r2 = radii * radii
         ball = np.sort(rng.integers(len(sizes), size=k))
         thetas = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, k)
-        vals, offsets = bt._planar_values(xy, w, m, r2, ball, thetas)
+        vals, offsets, _ = bt._planar_values(xy, w, m, r2, ball, thetas)
         assert vals.shape == offsets.shape == (k,)
         for i, (b, theta) in enumerate(zip(ball, thetas)):
             pts, wb = balls[b]
-            one_val, one_offset = bt._planar_values(xy, w, m, r2, ball[i : i + 1], thetas[i : i + 1])
+            one_val, one_offset, _ = bt._planar_values(xy, w, m, r2, ball[i : i + 1], thetas[i : i + 1])
             assert one_val.tobytes() == vals[i : i + 1].tobytes()
             assert one_offset.tobytes() == offsets[i : i + 1].tobytes()
             ref_val, ref_offset = _one_ball_planar_values(pts, wb, radii[b], thetas[i : i + 1])
@@ -580,7 +580,7 @@ class TestPlanarValues:
             xy, wp, m = _padded_batch([(pts[shuffle], w[shuffle]), (other, rng.uniform(0.1, 1.0, len(other)))])
             thetas = rng.uniform(-math.pi, math.pi, 21)
             # the wider ball's row pads the tied ball's rows in the same call
-            got = bt._planar_values(xy, wp, m, np.ones(2), np.repeat([0, 1], [20, 1]), thetas)
+            got = bt._planar_values(xy, wp, m, np.ones(2), np.repeat([0, 1], [20, 1]), thetas)[:2]
             want = _one_ball_planar_values(pts[shuffle], w[shuffle], 1.0, thetas[:20])
             assert np.array(got)[:, :20].tobytes() == np.array(want).tobytes()
 

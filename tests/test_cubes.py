@@ -69,6 +69,13 @@ class TestBuildLattice:
         for cube in lat.all_cubes():
             assert tuple(cube.center) in pts
 
+    @pytest.mark.parametrize(
+        "j_min, j_max", [(0.0, 2), (0, 2.0), (True, 2), (0, np.float64(2))], ids=["float", "float", "bool", "numpy"]
+    )
+    def test_levels_are_integers(self, j_min, j_max):
+        with pytest.raises(ValueError, match="j_m(in|ax) must be an integer, got"):
+            cb.CubeLattice(ps.segment(1e-2), j_min, j_max)
+
     def test_empty_cloud_rejected(self):
         empty = ps.RegularCloud(np.empty((0, 2)), np.empty(0), 1, 0.1, validate=False)
         with pytest.raises(ValueError, match="empty cloud"):
@@ -151,6 +158,52 @@ def test_child_keys_sorted_and_descendants_breadth_first(cantor_lattice):
         frontier = [k for f in frontier for k in lat.child_keys(f)]
         order += frontier
     assert lat.descendants(root) == order
+
+
+class TestLatticeProperties:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        d=st.integers(min_value=1, max_value=3),
+        count=st.integers(min_value=1, max_value=150),
+        dead=st.integers(min_value=0, max_value=30),
+        spread=st.sampled_from([0.3, 2.0, 50.0]),
+        j_min=st.integers(min_value=0, max_value=3),
+        depth=st.integers(min_value=0, max_value=4),
+        n_stop=st.integers(min_value=1, max_value=3),
+        share=st.floats(min_value=0.0, max_value=1.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_levels_children_trees_and_counts(self, seed, d, count, dead, spread, j_min, depth, n_stop, share):
+        # signed coordinates, zero-weight points, clouds wider than the unit cube and j_min > 0
+        rng = np.random.default_rng(seed)
+        weights = np.r_[rng.uniform(0.5e-2, 2e-2, count), np.zeros(dead)]
+        cloud = ps.RegularCloud(rng.uniform(-spread, spread, (count + dead, d)), weights, 1, 2.0**-8, validate=False)
+        lat = cb.CubeLattice(cloud, j_min, j_min + depth)
+        for j in range(lat.j_min, lat.j_max + 1):
+            level = lat.cubes[j]
+            members = np.concatenate([cube.members for cube in level.values()])
+            assert np.array_equal(np.sort(members), np.arange(len(weights)))
+            assert sum(cube.weight for cube in level.values()) == pytest.approx(weights.sum(), rel=1e-12)
+            centers = lat.level_balls(j)[0]
+            assert not centers.flags.writeable
+            assert np.array_equal(centers, [cube.center for cube in level.values()])
+            below = list(lat.cubes.get(j + 1, {}))
+            for cell, cube in level.items():
+                assert len(cell) == d and all(type(c) is int for c in cell)
+                assert (np.floor(cloud.points[cube.members] / 2.0**-j) == cell).all()
+                kids = sorted((j + 1, c) for c in below if tuple(x >> 1 for x in c) == cell)
+                assert lat.child_keys(cube.key) == kids
+        flags = {cube.key: bool(rng.random() < share) for cube in lat.all_cubes()}
+        for top in lat.tops():
+            forest = cb.decompose_trees(lat, flags, n_stop, top)
+            for tree in forest.trees:
+                assert cb.validate_tree(tree, lat) == (True, None)
+            assert sorted(k for t in forest.trees for k in t.cubes) == sorted(lat.descendants(top.key))
+            counts = cb.flagged_ancestry_counts(lat, top, flags)
+            outside = np.setdiff1d(np.arange(len(weights)), top.members)
+            assert not counts[outside].any()
+            for i in top.members.tolist():
+                assert counts[i] == cb.big_count(lat, i, top, flags)
 
 
 def test_tree_query_shapes():
@@ -349,6 +402,12 @@ class TestDecomposeTrees:
         assert forest.trees[0].leaves == set()
         assert len(forest.trees[0].cubes) == len(segment_lattice)
 
+    @pytest.mark.parametrize("n_stop", [0, 1.5, 2.0, True])
+    def test_stopping_count_is_a_count(self, segment_lattice, n_stop):
+        flags = flags_on(segment_lattice, set())
+        with pytest.raises(ValueError, match="n_stop must be an integer >= 1"):
+            cb.decompose_trees(segment_lattice, flags, n_stop, (0, (0, 0)))
+
     def test_flag_only_at_root(self, segment_lattice):
         root = (0, (0, 0))
         forest = cb.decompose_trees(segment_lattice, flags_on(segment_lattice, {root}), 1, root)
@@ -463,6 +522,14 @@ class TestAncestryCounts:
     def test_no_flags(self, segment_lattice):
         assert cb.big_count(segment_lattice, 0, (0, (0, 0)), flags_on(segment_lattice, set())) == 0
         assert len(cb.e_q_set(segment_lattice, (0, (0, 0)), 1, flags_on(segment_lattice, set()))) == 0
+
+    @pytest.mark.parametrize("n", [-1, 0, 1.5, True])
+    def test_threshold_is_a_count(self, segment_lattice, n):
+        flags, root = flags_on(segment_lattice, set()), (0, (0, 0))
+        with pytest.raises(ValueError, match="n_threshold must be an integer >= 1"):
+            cb.e_q_set(segment_lattice, root, n, flags)
+        with pytest.raises(ValueError, match="n_threshold must be an integer >= 1"):
+            cb.packing_check(segment_lattice, flags, n, root)
 
     def test_all_flags_equals_depth(self, segment_lattice):
         lat = segment_lattice

@@ -371,6 +371,21 @@ class TestProjectionMeasure:
         ball = ps.Ball(np.zeros(2), 2.0)
         assert ps.projection_measure(cloud, Y_AXIS, ball, 1e-2) <= 1e-2
 
+    def test_zero_weight_points_cast_no_shadow(self):
+        # zero-weight points lie outside the measure's support: counted, the ones along x = 0.5
+        # would stretch the segment's y-axis shadow in B((0.5, 0), 0.3) from 0.01 to 0.29
+        seg = ps.segment(1e-2)
+        ys = np.linspace(-0.29, 0.29, 30)
+        pts = np.vstack([seg.points, np.c_[np.full(len(ys), 0.5), ys]])
+        cloud = ps.RegularCloud(pts, np.r_[seg.weights, np.zeros(len(ys))], 1, seg.resolution, validate=False)
+        ball = ps.Ball(np.array([0.5, 0.0]), 0.3)
+        assert ps.projection_measure(cloud, Y_AXIS, ball, 1e-2) == pytest.approx(1e-2)
+        for v in (X_AXIS, Y_AXIS):
+            assert ps.projection_measure(cloud, v, ball, 1e-2) == ps.projection_measure(seg, v, ball, 1e-2)
+        v0, margin = ps.pbp_margin(cloud, ball, 0.2, 16, np.random.default_rng(5))
+        ref_v0, ref = ps.pbp_margin(seg, ball, 0.2, 16, np.random.default_rng(5))
+        assert v0.basis.tobytes() == ref_v0.basis.tobytes() and margin == ref
+
     def test_four_corners_tiling_direction(self):
         cloud = ps.four_corners(4)
         v = Subspace(np.array([[2.0], [1.0]]) / math.sqrt(5.0))  # slope-1/2 shadow tiles
@@ -456,7 +471,8 @@ def pbp_reference(cloud, ball, delta, n_directions, rng, n_candidates=8, g=None)
     g = cloud.resolution if g is None else g
     n = cloud.n
     idx = _brute_ball(cloud.points, ball)
-    if len(idx) <= n or not cloud.weights[idx].any():
+    idx = idx[cloud.weights[idx] > 0]
+    if len(idx) <= n:
         v0 = Subspace.axis(cloud.d, *range(n))
     else:
         v0 = Subspace(ps._pca_frame(cloud.points[idx], cloud.weights[idx], n)[0])

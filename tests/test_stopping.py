@@ -95,6 +95,21 @@ def families(d, depth, count, profile, config=CONFIG):
 
 
 class TestGridRendering:
+    @pytest.mark.parametrize("depth", [-1, 2.5, True])
+    def test_depth_is_a_count(self, depth):
+        fam = sample_family(2, np.random.default_rng(0), 3)
+        with pytest.raises(ValueError, match="^depth must be an integer >= 0"):
+            st.GridFunction.from_balls(fam, depth)
+        with pytest.raises(ValueError, match="^grid_depth must be an integer >= 0"):
+            st.heavy_cubes(fam, CONFIG, depth)
+        with pytest.raises(ValueError, match="^depth must be an integer >= 0"):
+            st.GridFunction(np.zeros((2, 2)), depth)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (8, 4), (9,)])
+    def test_values_fill_the_grid(self, shape):
+        with pytest.raises(ValueError, match="do not fill a grid of depth 3"):
+            st.GridFunction(np.ones(shape), 3)
+
     @pytest.mark.parametrize("d,depth", [(1, 6), (2, 5), (3, 3)])
     def test_from_balls_and_volume_match_brute_force(self, d, depth):
         fam = sample_family(d, np.random.default_rng(d), 6)
