@@ -12,7 +12,8 @@ checkout), and hashes every output entry written exactly:
 - cantor-scan: the lattice (each cube's key, members, centre, weight and
   child keys), each beta result, the David report, every tree (top, cubes,
   leaves), the wgl sum, the packing check and the bytes of the files
-  ``export_jsonl`` and ``export_betas`` write;
+  ``save_cloud``, ``export_jsonl`` and ``export_betas`` write (the cloud's
+  CSV and JSON sidecar, the lattice's JSONL and the betas' CSV);
 - stopping-mix, per family: the status, heavy cubes, ``f_masses``, trace,
   checks and the ``exhaustive_verify`` verdict.
 
@@ -82,7 +83,7 @@ def entries(workload: str, seed: int):
                 yield f"{tag} tree {_canon(tree)}"
             yield f"{tag} wgl {_canon(out['wgl'])}"
             yield f"{tag} packing {_canon(out['packing'])}"
-            for name in ("lattice.jsonl", "betas.csv"):
+            for name in ("cloud.csv", "cloud.csv.json", "lattice.jsonl", "betas.csv"):
                 yield f"{tag} {name} {hashlib.sha256((Path(workdir) / name).read_bytes()).hexdigest()}"
         elif workload == "stopping-mix":
             for k, (res, verdict) in enumerate(out):

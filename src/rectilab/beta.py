@@ -34,15 +34,17 @@ from __future__ import annotations
 
 import csv
 import math
+import types
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from .cubes import CubeKey, CubeLattice, _as_key
 from .grassmann import AffinePlane, Subspace, _canonical_anchor
-from .pointset import Ball, RegularCloud, _ball_batches, _pca_frames, _row_norms
+from .pointset import _ROW_CHUNK, Ball, RegularCloud, _ball_batches, _pca_frames, _reprs, _row_norms
 
 METHODS = ("pca", "pca_refined", "grid_oracle")
 REFINE_ITERATIONS = 50
@@ -470,12 +472,22 @@ def beta_comparison(lattice: CubeLattice):
 
 
 def export_betas(betas: dict[CubeKey, BetaResult], path: str | Path, which: str = "beta1"):
-    """CSV rows: level, cell index, value, method, plane parameters: the basis, row-major, and the
-    canonical anchor, written from each result's arrays without building its ``AffinePlane``."""
+    """CSV rows in key order, the bytes ``csv.writer`` writes: level, cell index, value, method,
+    plane parameters: the basis, row-major, and the canonical anchor, written from each result's
+    arrays and its own ``_canonical_anchor`` without building its ``AffinePlane``. The floats are
+    formatted _ROW_CHUNK results at a time, and each distinct method is quoted once."""
+    items = sorted(betas.items())
+    line = csv.writer(types.SimpleNamespace(write=str)).writerow  # returns the line it writes
+    methods = {m: line([m, ""])[:-3] for m in {res.method for _, res in items}}  # less the ",\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["level", "cell_index", which, "method", "plane_direction", "plane_anchor"])
-        for (level, cell), res in sorted(betas.items()):
-            direction = " ".join(map(repr, res.basis.ravel().tolist()))
-            anchor = " ".join(map(repr, _canonical_anchor(res.basis, res.point).tolist()))
-            writer.writerow([level, " ".join(map(str, cell)), repr(res.value), res.method, direction, anchor])
+        fh.write(line(["level", "cell_index", which, "method", "plane_direction", "plane_anchor"]))
+        for lo in range(0, len(items), _ROW_CHUNK):
+            chunk = items[lo:lo + _ROW_CHUNK]
+            values = _reprs(np.array([res.value for _, res in chunk]))
+            planes = [a for _, res in chunk for a in (res.basis, _canonical_anchor(res.basis, res.point))]
+            texts = iter(_reprs(np.concatenate(planes, axis=None, dtype=float)))  # in order: basis, then anchor
+            fh.writelines(
+                f"{level},{' '.join(map(str, cell))},{value},{methods[res.method]},"
+                f"{' '.join(islice(texts, res.basis.size))},{' '.join(islice(texts, res.point.size))}\r\n"
+                for ((level, cell), res), value in zip(chunk, values)
+            )

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .pointset import BALL_CHUNK, Ball, RegularCloud, _check_count, _row_norms
+from .pointset import _ROW_CHUNK, BALL_CHUNK, Ball, RegularCloud, _check_count, _reprs, _row_norms
 
 CubeKey = tuple[int, tuple[int, ...]]
 Flags = Mapping[CubeKey, bool]
@@ -152,13 +152,20 @@ class CubeLattice:
         return self.key_of_point(point_index, key[0]) == key
 
     def export_jsonl(self, path: str | Path):
-        """One cube per line: level, cell index, centre, weight, parent."""
+        """One cube per line, level by level in ``cubes[j]`` order: level, cell index, centre,
+        weight and parent key (null at j_min), the bytes ``json.dumps`` writes for each record. The
+        centres are the level's array; the floats are formatted _ROW_CHUNK cubes at a time."""
         with open(path, "w") as fh:
-            for cube in self.all_cubes():
-                pk = self.parent_key(cube.key)
-                record = {"level": cube.level, "cell_index": cube.index,
-                          "center": cube.center.tolist(), "weight": cube.weight, "parent": pk}
-                fh.write(json.dumps(record) + "\n")
+            for j, level in self.cubes.items():
+                cells, weights = list(level), np.array([cube.weight for cube in level.values()])
+                for lo in range(0, len(cells), _ROW_CHUNK):
+                    part = slice(lo, lo + _ROW_CHUNK)
+                    centers = map(", ".join, _reprs(self._centers[j][part], json.dumps))
+                    for cell, center, weight in zip(cells[part], centers, _reprs(weights[part], json.dumps)):
+                        # the repr of a list of Python ints is its JSON
+                        parent = f"[{j - 1}, {[c >> 1 for c in cell]}]" if j > self.j_min else "null"
+                        fh.write(f'{{"level": {j}, "cell_index": {list(cell)}, "center": [{center}], '
+                                 f'"weight": {weight}, "parent": {parent}}}\n')
 
 
 @dataclass

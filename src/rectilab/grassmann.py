@@ -201,13 +201,6 @@ def sample_haar(d: int, n: int, rng: np.random.Generator) -> Subspace:
     return Subspace(np.linalg.qr(rng.standard_normal((d, n)))[0])  # rank n with probability 1
 
 
-def random_rotation(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed rotation matrix in O(d) (QR with sign fix)."""
-    g = rng.standard_normal((d, d))
-    q, r = np.linalg.qr(g)
-    return q * np.sign(np.diag(r))
-
-
 def _plane_basis(p: np.ndarray, k: int) -> np.ndarray:
     """Orthonormal basis of the range of the rank-k projection ``p``, fixed by ``p`` alone: the Q
     of a QR of p at k coordinate axes picked by column pivoting, R's diagonal positive."""

@@ -34,6 +34,8 @@ from .grassmann import GrassmannBall, Subspace, sample_haar, sample_in_ball
 
 # (ball, point) pairs that ``_ball_batches`` selects at once; bounds the memory of a batched scan
 BALL_CHUNK = 4096
+# rows that a file writer formats at once; bounds the memory of its text
+_ROW_CHUNK = 256
 
 
 class LipschitzViolationError(ValueError):
@@ -479,26 +481,32 @@ def graph_overlap(cloud: RegularCloud, graph_cloud: RegularCloud, ball: Ball) ->
     return float(cloud.weights[idx][dist <= tol].sum())
 
 
+def _reprs(a: np.ndarray, dumps=repr) -> list:
+    """``a.tolist()`` of a float64 array with each float replaced by its text in ``dumps`` of a
+    list: ``repr``, the shortest round-trip form, or ``json.dumps``. Each distinct bit pattern is
+    formatted once, in one ``dumps`` call, so -0.0 keeps its sign."""
+    bits, inv = np.unique(np.ravel(a).view(np.int64), return_inverse=True)
+    texts = dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
+    return np.array(texts, dtype=object)[inv].reshape(np.shape(a)).tolist()
+
+
 def save_cloud(cloud: RegularCloud, path: str | Path, seed: int | None = None):
-    """CSV with header x1..xd,weight plus a JSON sidecar of the metadata."""
+    """CSV with header x1..xd,weight plus a JSON sidecar of the metadata, numpy scalars written
+    as the Python scalars they hold. The sidecar's text is made first, so a metadata value that
+    JSON cannot hold raises TypeError before either file is written."""
     path = Path(path)
-    header = ",".join([f"x{i + 1}" for i in range(cloud.d)] + ["weight"])
-    # one row at a time, so no list of the whole cloud is held; repr is the
-    # shortest round-trip form of each float, so loading is exact
-    rows = map(np.ndarray.tolist, np.column_stack([cloud.points, cloud.weights]))
+    meta = {"n": cloud.n, "resolution": cloud.resolution, "generator": cloud.generator,
+            "params": cloud.params, "seed": seed, "density_constant": cloud.density_constant}
+    sidecar = json.dumps(meta, indent=2, sort_keys=True, default=np.generic.item)
+    # _ROW_CHUNK rows at a time, so neither a table nor a text of the whole cloud is held; repr
+    # is the shortest round-trip form of each float, so loading is exact. Unequal lengths (an
+    # unvalidated cloud) meet in some chunk, where column_stack raises
     with open(path, "w") as fh:
-        fh.write(header + "\r\n")
-        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
-    sidecar = {
-        "n": cloud.n,
-        "resolution": cloud.resolution,
-        "generator": cloud.generator,
-        "params": cloud.params,
-        "seed": seed,
-        "density_constant": cloud.density_constant,
-    }
-    with open(path.with_suffix(path.suffix + ".json"), "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
+        fh.write(",".join([f"x{i + 1}" for i in range(cloud.d)] + ["weight"]) + "\r\n")
+        for lo in range(0, max(len(cloud.points), len(cloud.weights)), _ROW_CHUNK):
+            rows = np.column_stack([cloud.points[lo:lo + _ROW_CHUNK], cloud.weights[lo:lo + _ROW_CHUNK]])
+            fh.write("\r\n".join(map(",".join, _reprs(rows))) + "\r\n")
+    path.with_suffix(path.suffix + ".json").write_text(sidecar)
 
 
 def load_cloud(path: str | Path) -> RegularCloud:

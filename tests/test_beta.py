@@ -1,6 +1,7 @@
 """Plane-approximation coefficients: oracles, method ordering, invariances."""
 
 import csv
+import io
 import math
 
 import numpy as np
@@ -10,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 from rectilab import beta as bt
 from rectilab import cubes as cb
 from rectilab import pointset as ps
-from rectilab.grassmann import AffinePlane, Subspace, random_rotation
+from rectilab.grassmann import AffinePlane, Subspace, _canonical_anchor
+
+from helpers import random_rotation
 
 
 def two_segments(h: float, res: float = 5e-3) -> ps.RegularCloud:
@@ -1176,3 +1179,54 @@ class TestPinnedRefinedValues:
                 assert not refined.degenerate
                 assert refined.value == pytest.approx(pinned, rel=1e-4)
                 assert refined.value <= fn(cloud, ball, "pca").value + 1e-12
+
+
+def _betas_oracle(betas, which) -> bytes:
+    """export_betas' bytes the result-at-a-time way: one ``csv.writer`` row per result."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["level", "cell_index", which, "method", "plane_direction", "plane_anchor"])
+    for (level, cell), res in sorted(betas.items()):
+        direction = " ".join(map(repr, res.basis.ravel().tolist()))
+        anchor = " ".join(map(repr, _canonical_anchor(res.basis, res.point).tolist()))
+        writer.writerow([level, " ".join(map(str, cell)), repr(res.value), res.method, direction, anchor])
+    return buf.getvalue().encode()
+
+
+def _made_betas(count, seed):
+    """``count`` results of mixed basis shapes (d x n of 2 x 1, 3 x 1, 3 x 2) and methods, among
+    them a comma and a quote; values hold -0.0, 0.0 and 5e-324, one value repeated on both sides
+    of each chunk boundary, and some results are degenerate."""
+    rng = np.random.default_rng(seed)
+    methods = ["pca", "pca_refined", 'odd, "quoted" method', "line\nbreak"]
+    out = {}
+    for i in range(count):
+        d, n = [(2, 1), (3, 1), (3, 2)][i % 3]
+        basis = np.linalg.qr(rng.standard_normal((d, n)))[0]
+        value = [0.0, -0.0, 5e-324, 0.25][i % 4] if i % 5 == 0 else float(rng.uniform(0.0, 1.0))
+        if abs(i - ps._ROW_CHUNK) <= 2:
+            value = 0.125
+        point = rng.standard_normal(d) * 10.0 ** rng.integers(-5, 5)
+        if i % 7 == 0:
+            out[(i % 4, (i, -i))] = bt.BetaResult(0.0, np.eye(d, n), point, methods[i % 4], degenerate=True)
+        else:
+            out[(i % 4, (i, -i))] = bt.BetaResult(value, basis, point, methods[i % 4])
+    return out
+
+
+@pytest.mark.parametrize(
+    "make, which",
+    [
+        (lambda: {}, "beta1"),  # the header alone
+        *((lambda c=c: _made_betas(c, c), "beta1") for c in (1, ps._ROW_CHUNK - 1, ps._ROW_CHUNK, ps._ROW_CHUNK + 1)),
+        (lambda: _made_betas(2 * ps._ROW_CHUNK + 9, 4), "beta_inf"),
+        (lambda: bt.beta_lattice(cb.CubeLattice(sparse_cloud(), 0, 3), "beta1"), "beta1"),  # degenerate balls
+        (lambda: bt.beta_lattice(cb.CubeLattice(ps.four_corners(3), 0, 3), "beta_inf"), "beta_inf"),
+    ],
+    ids=["empty", "made-1", "made-chunk-1", "made-chunk", "made-chunk+1", "made-beta_inf", "sparse", "four_corners"],
+)
+def test_export_betas_is_the_result_at_a_time_bytes(tmp_path, make, which):
+    betas = make()
+    path = tmp_path / "betas.csv"
+    bt.export_betas(betas, path, which)
+    assert path.read_bytes() == _betas_oracle(betas, which)

@@ -1,5 +1,8 @@
 """Lattice construction, tree axioms, stopping decomposition, ancestry counts."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -554,11 +557,45 @@ class TestAncestryCounts:
             )
             assert counts[int(i)] == brute == cb.big_count(lat, int(i), (0, (0, 0)), flag)
 
-    def test_export_jsonl(self, tmp_path, cantor_lattice):
-        path = tmp_path / "lattice.jsonl"
-        cantor_lattice.export_jsonl(path)
-        import json
 
-        lines = [json.loads(l) for l in path.read_text().splitlines()]
-        assert len(lines) == len(cantor_lattice)
-        assert all("level" in l and "weight" in l for l in lines)
+def _jsonl_oracle(lat) -> bytes:
+    """export_jsonl's bytes the cube-at-a-time way: one ``json.dumps`` record per line."""
+    return "".join(
+        json.dumps({"level": c.level, "cell_index": c.index, "center": c.center.tolist(),
+                    "weight": c.weight, "parent": lat.parent_key(c.key)}) + "\n"
+        for c in lat.all_cubes()
+    ).encode()
+
+
+def _grid_line(count, j_min):
+    """``count`` points on the finest grid of a 0.5-long segment, so level 10 holds ``count`` cubes,
+    one weight repeated on both sides of each chunk boundary."""
+    pts = np.c_[(np.arange(count) + 0.5) * 2.0**-10, np.full(count, 0.25)]
+    return cb.CubeLattice(ps.RegularCloud(pts, np.full(count, 2.0**-10), 1, 2.0**-10), j_min, 10)
+
+
+def _signed_zero_lattice():
+    """Centres at -0.0, 0.0 and 5e-324 on one axis, and weights of inf and nan."""
+    pts = np.array([[-0.0, 0.1], [0.0, 0.6], [5e-324, 0.9], [0.3, -0.0], [0.7, 0.0], [0.6, 0.4]])
+    weights = np.array([0.1, 0.1, math.inf, 0.1, math.nan, 5e-324])
+    return cb.CubeLattice(ps.RegularCloud(pts, weights, 1, 1e-3, validate=False), 0, 3)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: cb.CubeLattice(ps.four_corners(3), 0, 4),
+        *(lambda c=c: _grid_line(c, 0) for c in (1, ps._ROW_CHUNK - 1, ps._ROW_CHUNK, ps._ROW_CHUNK + 1)),
+        lambda: _grid_line(2 * ps._ROW_CHUNK + 5, 3),  # j_min > 0: top parents are null
+        lambda: cb.CubeLattice(_wide_cloud(1), 1, 6),
+        lambda: cb.CubeLattice(_wide_cloud(3), 2, 5),
+        _signed_zero_lattice,
+    ],
+    ids=["cantor", "line-1", "line-chunk-1", "line-chunk", "line-chunk+1", "line-jmin3", "d1", "d3", "zeros"],
+)
+def test_export_jsonl_is_the_cube_at_a_time_bytes(tmp_path, make):
+    lat = make()
+    path = tmp_path / "lattice.jsonl"
+    lat.export_jsonl(path)
+    assert path.read_bytes() == _jsonl_oracle(lat)
+    assert path.read_bytes().count(b"\n") == len(lat)

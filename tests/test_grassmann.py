@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from rectilab import grassmann as gr
 
+from helpers import random_rotation
+
 
 def line(theta: float) -> gr.Subspace:
     return gr.Subspace(np.array([[math.cos(theta)], [math.sin(theta)]]))
@@ -93,7 +95,7 @@ class TestHaar:
     def test_rotation_invariance_two_sample(self):
         rng = np.random.default_rng(6)
         d, n = 3, 1
-        g = gr.random_rotation(d, np.random.default_rng(99))
+        g = random_rotation(d, np.random.default_rng(99))
         v_ref = gr.Subspace.axis(d, 0)
         plain, rotated = [], []
         for _ in range(10_000):
@@ -178,7 +180,7 @@ class TestSampleInBall:
     def test_bases_are_fixed_by_the_plane(self, d, n):
         rng = np.random.default_rng(d * 10 + n + 4)
         v0 = gr.sample_haar(d, n, rng)
-        turned = gr.Subspace(v0.basis @ gr.random_rotation(n, rng))
+        turned = gr.Subspace(v0.basis @ random_rotation(n, rng))
         for delta in (0.0, 0.3):
             a = gr.sample_in_ball(gr.GrassmannBall(v0, delta), np.random.default_rng(5), 64)
             b = gr.sample_in_ball(gr.GrassmannBall(turned, delta), np.random.default_rng(5), 64)

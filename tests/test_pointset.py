@@ -1,5 +1,7 @@
 """Cloud generators, regularity scans, projection measures, overlap queries."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -9,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 from rectilab import beta as bt
 from rectilab import cubes as cb
 from rectilab import pointset as ps
-from rectilab.grassmann import GrassmannBall, Subspace, metric, random_rotation, sample_haar, sample_in_ball
+from rectilab.grassmann import GrassmannBall, Subspace, metric, sample_haar, sample_in_ball
+
+from helpers import random_rotation
 
 X_AXIS = Subspace.axis(2, 0)
 Y_AXIS = Subspace.axis(2, 1)
@@ -832,3 +836,68 @@ class TestIO:
             ps.RegularCloud(np.zeros((2, 2)), np.array([1.0, 1.0]), 1, 1.0)  # coincident points
         with pytest.raises(ValueError):
             ps.RegularCloud(np.array([[0.0, 0.0]]), np.array([0.0]), 1, 0.1)  # zero mass
+
+    @pytest.mark.parametrize("dumps", [repr, json.dumps])
+    def test_reprs_format_every_bit_pattern(self, dumps):
+        a = np.array([[0.0, -0.0, 5e-324], [-0.0, 0.1, 0.0], [math.inf, -math.inf, math.nan], [1e16, 1e-5, 0.1]])
+        assert ps._reprs(a, dumps) == [[dumps(x) for x in row] for row in a.tolist()]
+        assert ps._reprs(a[0], dumps) == list(map(dumps, a[0].tolist()))
+        assert ps._reprs(a[:0], dumps) == []
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "rows", [0, 1, ps._ROW_CHUNK - 1, ps._ROW_CHUNK, ps._ROW_CHUNK + 1, 2 * ps._ROW_CHUNK + 3]
+    )
+    def test_save_is_the_row_at_a_time_bytes(self, tmp_path, d, rows):
+        rng = np.random.default_rng(10 * rows + d)
+        specials = np.array([0.0, -0.0, 5e-324, -5e-324, 0.1, 1.0 / 3.0, 1e16, 1e-5, np.finfo(float).max])
+        points = np.where(
+            rng.random((rows, d)) < 0.3,
+            rng.choice(specials, (rows, d)),
+            rng.standard_normal((rows, d)) * 10.0 ** rng.integers(-300, 300, (rows, d)),
+        )
+        points[: rows // 2 * 2, 0] = np.resize([0.0, -0.0], rows // 2 * 2)  # both zeros in one column
+        # one value repeated on both sides of every chunk boundary
+        points[max(0, ps._ROW_CHUNK - 2):ps._ROW_CHUNK + 2, -1] = 0.1
+        weights = np.full(rows, 4.0**-7)
+        weights[::7] = 5e-324
+        cloud = ps.RegularCloud(points, weights, 1, 0.1, validate=False)
+        path = tmp_path / "cloud.csv"
+        ps.save_cloud(cloud, path)
+        header = ",".join([f"x{i + 1}" for i in range(d)] + ["weight"])
+        lines = [header] + [",".join(map(repr, row)) for row in np.column_stack([points, weights]).tolist()]
+        assert path.read_bytes() == "".join(line + "\r\n" for line in lines).encode()
+
+    @pytest.mark.parametrize("make", [ps.four_corners, ps.hrycak])
+    def test_numpy_scalar_metadata_round_trips(self, tmp_path, make):
+        cloud = make(np.int64(3))
+        path = tmp_path / "cloud.csv"
+        ps.save_cloud(cloud, path, seed=np.int64(5))
+        back = ps.load_cloud(path)
+        assert back.params == cloud.params and type(back.params[next(iter(back.params))]) is int
+        assert back.points.tobytes() == cloud.points.tobytes()
+        assert json.loads(path.with_suffix(".csv.json").read_text())["seed"] == 5
+
+    def test_unserialisable_metadata_writes_no_file(self, tmp_path):
+        path, sidecar = tmp_path / "cloud.csv", tmp_path / "cloud.csv.json"
+        cloud = ps.four_corners(2)
+        bad = dataclasses.replace(cloud, params={"k": {2}})
+        with pytest.raises(TypeError):
+            ps.save_cloud(bad, path)
+        assert not path.exists() and not sidecar.exists()
+        ps.save_cloud(cloud, path, seed=3)
+        pair = path.read_bytes(), sidecar.read_bytes()
+        with pytest.raises(TypeError):
+            ps.save_cloud(bad, path)
+        assert (path.read_bytes(), sidecar.read_bytes()) == pair  # the last good pair is left whole
+        assert ps.load_cloud(path).params == {"k": 2}
+
+    @pytest.mark.parametrize(
+        "rows, weights", [(ps._ROW_CHUNK, ps._ROW_CHUNK + 1), (2 * ps._ROW_CHUNK, ps._ROW_CHUNK), (5, 4)]
+    )
+    def test_unequal_lengths_raise_without_a_sidecar(self, tmp_path, rows, weights):
+        points = np.random.default_rng(0).random((rows, 2))
+        cloud = ps.RegularCloud(points, np.ones(weights), 1, 0.1, validate=False)
+        with pytest.raises(ValueError):
+            ps.save_cloud(cloud, tmp_path / "cloud.csv")
+        assert not (tmp_path / "cloud.csv.json").exists()
