@@ -1,4 +1,4 @@
-"""SHA-256 of every output of the benchmark passes, one digest per workload.
+"""SHA-256 of every output of the benchmark passes, per workload and per kind of output.
 
     python3 scripts/output_digest.py [--root CHECKOUT] [--seeds 1 2 3]
 
@@ -20,11 +20,20 @@ checkout), and hashes every output entry written exactly:
 Floats are written as ``float.hex``, integers (numpy's too) as Python ints
 and arrays as their dtype, shape and bytes, so two checkouts print the same
 digest only if every entry is equal bit for bit.
+
+Each workload prints its total line, ``<workload>: <count> entries, sha256
+<hex>``, over all its entries in order, then one indented line of the same
+form per kind of entry, in order of first appearance: ``cube``, ``beta``,
+``david``, ``tree``, ``wgl``, ``packing`` and each written file on
+cantor-scan, ``family`` on stopping-mix, and on graph-refine the cloud's
+name before each of ``cube``, ``beta``, ``margins``, ``overlap`` and
+``regularity``. Diffing two runs then names the kind of output that moved.
 """
 
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import sys
 import tempfile
 from pathlib import Path
@@ -55,18 +64,20 @@ def _canon(x) -> str:
     raise TypeError(f"no canonical form for {type(x).__name__}")
 
 
-def _lattice(tag, lat):
+def _lattice(lat):
     for cube in lat.all_cubes():
         fields = (cube.key, cube.members, cube.center, cube.weight, lat.child_keys(cube.key))
-        yield f"{tag} cube {' '.join(map(_canon, fields))}"
+        yield "cube", " ".join(map(_canon, fields))
 
 
-def _betas(tag, betas):
+def _betas(betas):
     for key, res in sorted(betas.items()):
-        yield f"{tag} beta {' '.join(map(_canon, (key, res.value, res.method, res.degenerate, res.basis, res.point)))}"
+        yield "beta", " ".join(map(_canon, (key, res.value, res.method, res.degenerate, res.basis, res.point)))
 
 
 def entries(workload: str, seed: int):
+    """(kind, text) of every output entry of one pass; the entry's line is
+    ``<workload> <seed> <kind> <text>``."""
     import inputs
     import tracing
     import workloads
@@ -74,28 +85,25 @@ def entries(workload: str, seed: int):
     with tempfile.TemporaryDirectory() as workdir:
         wl = workloads.WORKLOADS[workload](inputs.MAKERS[workload](seed), seed, Path(workdir))
         out = wl.run_pass(tracing.NullTracer())[2]
-        tag = f"{workload} {seed}"
         if workload == "cantor-scan":
-            yield from _lattice(tag, out["lattice"])
-            yield from _betas(tag, out["betas"])
-            yield f"{tag} david {_canon(out['david'])}"
+            yield from _lattice(out["lattice"])
+            yield from _betas(out["betas"])
+            yield "david", _canon(out["david"])
             for tree in out["forest"].trees:
-                yield f"{tag} tree {_canon(tree)}"
-            yield f"{tag} wgl {_canon(out['wgl'])}"
-            yield f"{tag} packing {_canon(out['packing'])}"
+                yield "tree", _canon(tree)
+            yield "wgl", _canon(out["wgl"])
+            yield "packing", _canon(out["packing"])
             for name in ("cloud.csv", "cloud.csv.json", "lattice.jsonl", "betas.csv"):
-                yield f"{tag} {name} {hashlib.sha256((Path(workdir) / name).read_bytes()).hexdigest()}"
+                yield name, hashlib.sha256((Path(workdir) / name).read_bytes()).hexdigest()
         elif workload == "stopping-mix":
             for k, (res, verdict) in enumerate(out):
                 fields = (res.status, res.heavy, res.f_masses, res.trace, res.checks, verdict)
-                yield f"{tag} family {k} {' '.join(map(_canon, fields))}"
+                yield "family", f"{k} {' '.join(map(_canon, fields))}"
         else:
             for name, res in out.items():
-                yield from _lattice(f"{tag} {name}", res["lattice"])
-                yield from _betas(f"{tag} {name}", res["betas"])
-                yield f"{tag} {name} margins {_canon(res['margins'])}"
-                yield f"{tag} {name} overlap {_canon(res['overlap'])}"
-                yield f"{tag} {name} regularity {_canon(res['regularity'])}"
+                scalars = [(kind, _canon(res[kind])) for kind in ("margins", "overlap", "regularity")]
+                for kind, text in itertools.chain(_lattice(res["lattice"]), _betas(res["betas"]), scalars):
+                    yield f"{name} {kind}", text
 
 
 def main() -> None:
@@ -109,12 +117,16 @@ def main() -> None:
     if Path(rectilab.__file__).resolve().parent != (args.root / "src" / "rectilab").resolve():
         sys.exit(f"rectilab loads from {rectilab.__file__}, not from {args.root / 'src'}")
     for workload in WORKLOADS:
-        digest, count = hashlib.sha256(), 0
+        total, kinds = [hashlib.sha256(), 0], {}
         for seed in args.seeds:
-            for line in entries(workload, seed):
-                digest.update(line.encode() + b"\n")
-                count += 1
-        print(f"{workload}: {count} entries, sha256 {digest.hexdigest()}")
+            for kind, text in entries(workload, seed):
+                line = f"{workload} {seed} {kind} {text}\n".encode()
+                for tally in (total, kinds.setdefault(kind, [hashlib.sha256(), 0])):
+                    tally[0].update(line)
+                    tally[1] += 1
+        print(f"{workload}: {total[1]} entries, sha256 {total[0].hexdigest()}")
+        for kind, (digest, count) in kinds.items():
+            print(f"  {kind}: {count} entries, sha256 {digest.hexdigest()}")
 
 
 if __name__ == "__main__":

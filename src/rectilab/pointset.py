@@ -56,8 +56,8 @@ class Ball:
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        if not np.all(np.isfinite(self.center)):
-            raise ValueError(f"ball center must be finite, got {self.center}")
+        if self.center.ndim != 1 or not np.all(np.isfinite(self.center)):
+            raise ValueError(f"ball center must be one finite point, a 1-D array, got {self.center}")
         if not (0.0 <= self.radius < math.inf):
             raise ValueError(f"ball radius must be finite and nonnegative, got {self.radius}")
 
@@ -70,10 +70,12 @@ class Ball:
 class RegularCloud:
     """Weighted points approximating H^n on a set at a stated resolution.
 
-    Invariants (checked on construction unless ``validate=False``): finite
-    points, total weight positive and finite, no two points closer than
-    resolution/4, and every weight inside
+    Invariants (checked on construction unless ``validate=False``): an integer
+    n with 0 < n < d, finite positive resolution and density_constant, one
+    weight per point (a 1-D array), finite points, total weight positive and
+    finite, no two points closer than resolution/4, and every weight inside
     [resolution^n / density_constant, density_constant * resolution^n].
+    The parameters are checked before the k-d tree is built.
 
     The cloud owns one lazily built k-d tree over ``points`` (the spacing
     check builds it), so its arrays must not be mutated in place.
@@ -97,8 +99,13 @@ class RegularCloud:
             self._check()
 
     def _check(self):
-        if len(self.points) != len(self.weights):
-            raise ValueError("points and weights must have equal length")
+        if self.weights.shape != self.points.shape[:1]:
+            raise ValueError(f"weights of shape {self.weights.shape} for {len(self.points)} points; need one per point")
+        _check_count("n", self.n, 1)
+        if self.n >= self.d:
+            raise ValueError(f"n must be below the ambient dimension d = {self.d}, got {self.n}")
+        _check_positive("resolution", self.resolution)
+        _check_positive("density_constant", self.density_constant)
         bad = np.flatnonzero(~np.isfinite(self.points).all(axis=1))
         if bad.size:
             raise ValueError(f"point {bad[0]} is not finite: {self.points[bad[0]]}")
@@ -234,6 +241,7 @@ def hrycak(m: int) -> RegularCloud:
 
 def segment(resolution: float = 1e-3) -> RegularCloud:
     """Unit-density unit segment on the x-axis, sampled at cell centres."""
+    _check_positive("resolution", resolution)
     cells = max(1, round(1.0 / resolution))
     h = 1.0 / cells
     xs = (np.arange(cells) + 0.5) * h
@@ -243,6 +251,7 @@ def segment(resolution: float = 1e-3) -> RegularCloud:
 
 def circle(resolution: float = 2e-3) -> RegularCloud:
     """Unit circle centred at the origin, arclength weights."""
+    _check_positive("resolution", resolution)
     count = max(8, round(2.0 * math.pi / resolution))
     theta = 2.0 * math.pi * np.arange(count) / count
     pts = np.column_stack([np.cos(theta), np.sin(theta)])
@@ -270,6 +279,8 @@ def lipschitz_graph_cloud(f, v: Subspace, lipschitz_bound: float, resolution: fl
     mesh = np.meshgrid(*([ticks] * n), indexing="ij")
     coords = np.stack([m.ravel() for m in mesh], axis=-1)  # (N, n)
     values = np.array([np.atleast_1d(np.asarray(f(t), dtype=float)) for t in coords])
+    if values.shape != (len(coords), d - n):
+        raise ValueError(f"f must return d - n = {d - n} coordinates per point, got values of shape {values.shape[1:]}")
 
     vals_grid = values.reshape((cells,) * n + (d - n,))
     grad_sq = np.zeros(len(coords))
@@ -306,6 +317,12 @@ def _check_count(name: str, value, least: int | None = None):
         raise ValueError(f"{name} must be an integer{'' if least is None else f' >= {least}'}, got {value!r}")
 
 
+def _check_positive(name: str, value):
+    """ValueError unless ``value`` is finite and positive (NaN is not)."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 def _ball_batches(cloud: RegularCloud, centers: np.ndarray, radii: np.ndarray, counts=None):
     """``balls_indices`` over runs of consecutive balls of about BALL_CHUNK pairs each, planned
     by the point counts at radii (1 + 1e-12), from a count-only tree query unless ``counts``
@@ -335,9 +352,11 @@ def estimate_regularity(cloud: RegularCloud, trials: int, rng: np.random.Generat
     ``_ball_batches`` runs, planned by the outer counts, in stably descending
     order of their upper bounds; after each run the bar rises to the worst
     ratio summed so far, and the scan stops before the first run whose
-    leading upper bound is below the bar (less 1e-9). Every ball left
-    unsummed is beaten strictly by a summed one, and each mass is one sum per
-    ball, so the report is the one that summing every ball gives.
+    leading upper bound is below the bar (less 1e-9). The runs are
+    consecutive, so the summed balls are a prefix of that order, and the
+    first of equal ratios is the least draw index among them. Every ball
+    left unsummed is beaten strictly by a summed one, and each mass is one
+    sum per ball, so the report is the one that summing every ball gives.
     """
     _check_count("trials", trials, 1)
     r_lo = 4.0 * cloud.resolution
@@ -352,19 +371,18 @@ def estimate_regularity(cloud: RegularCloud, trials: int, rng: np.random.Generat
     upper, bar = np.maximum(hi / rn, rn / lo), np.maximum(lo / rn, rn / hi).max()
     keep = np.flatnonzero(upper >= bar * slack)
     keep = keep[np.argsort(-upper[keep], kind="stable")]
-    drawn, ratios = [], []
+    ratios = []
     for first, ptr, sel in _ball_batches(cloud, centers[keep], radii[keep], near[1][keep]):
         run = keep[first : first + len(ptr) - 1]
         # one sum per ball, not np.add.reduceat: a ball's mass rounds as ball_mass rounds it
         masses = np.array([part.sum() for part in np.split(w[sel], ptr[1:-1])])
-        drawn.append(run)
         ratios.append(np.maximum(masses / rn[run], rn[run] / masses))
         bar = max(bar, ratios[-1].max())
         if first + len(run) == len(keep) or upper[keep[first + len(run)]] < bar * slack:
             break
-    drawn, ratios = np.concatenate(drawn), np.concatenate(ratios)
+    ratios = np.concatenate(ratios)  # the runs are consecutive: the balls keep[:len(ratios)]
     worst = ratios.max()
-    k = drawn[ratios == worst].min()  # the first of equal ratios, and the first ball when none exceeds 1
+    k = keep[: len(ratios)][ratios == worst].min()  # the first of equal ratios; ball 0 when none exceeds 1
     worst, k = (float(worst), k) if worst > 1.0 else (1.0, 0)
     return RegularityReport(C0_estimate=worst, worst_ball=Ball(centers[k], float(radii[k])), samples=trials)
 
@@ -493,17 +511,19 @@ def _reprs(a: np.ndarray, dumps=repr) -> list:
 def save_cloud(cloud: RegularCloud, path: str | Path, seed: int | None = None):
     """CSV with header x1..xd,weight plus a JSON sidecar of the metadata, numpy scalars written
     as the Python scalars they hold. The sidecar's text is made first, so a metadata value that
-    JSON cannot hold raises TypeError before either file is written."""
+    JSON cannot hold raises TypeError, and weights that are not one per point (an unvalidated
+    cloud) raise ValueError, before either file is written."""
     path = Path(path)
+    if cloud.weights.shape != cloud.points.shape[:1]:
+        raise ValueError(f"weights of shape {cloud.weights.shape} for {len(cloud.points)} points; need one per point")
     meta = {"n": cloud.n, "resolution": cloud.resolution, "generator": cloud.generator,
             "params": cloud.params, "seed": seed, "density_constant": cloud.density_constant}
     sidecar = json.dumps(meta, indent=2, sort_keys=True, default=np.generic.item)
     # _ROW_CHUNK rows at a time, so neither a table nor a text of the whole cloud is held; repr
-    # is the shortest round-trip form of each float, so loading is exact. Unequal lengths (an
-    # unvalidated cloud) meet in some chunk, where column_stack raises
+    # is the shortest round-trip form of each float, so loading is exact
     with open(path, "w") as fh:
         fh.write(",".join([f"x{i + 1}" for i in range(cloud.d)] + ["weight"]) + "\r\n")
-        for lo in range(0, max(len(cloud.points), len(cloud.weights)), _ROW_CHUNK):
+        for lo in range(0, len(cloud.points), _ROW_CHUNK):
             rows = np.column_stack([cloud.points[lo:lo + _ROW_CHUNK], cloud.weights[lo:lo + _ROW_CHUNK]])
             fh.write("\r\n".join(map(",".join, _reprs(rows))) + "\r\n")
     path.with_suffix(path.suffix + ".json").write_text(sidecar)

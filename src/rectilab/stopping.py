@@ -13,20 +13,22 @@ high-level mass at high density.
 reference. ``heavy_cubes`` reads Mf only through {Mf >= N}, from
 ``_level_set``: it bounds each radius' disk sums by dyadic block sums, sums
 exactly from row prefix sums at the few cells the bound leaves undecided,
-and takes that radius' FFT average only when a cell lies within the
-rounding band of N or the direct sums would cost more than the transform.
-``scipy.fft`` loads at the first transform.
+and takes that radius' FFT average (``_average``, which transforms f and the
+kernel afresh) only when a cell lies within the rounding band of N or the
+direct sums would cost more than the transform. ``scipy.fft`` loads at the
+first transform.
 
 ``heavy_cubes`` renders each ball once, and that one rendering gives f, the
-balls' grid volumes and the per-system functions f_i on {f >= N_w}, the only
-cells where they can reach N_w. It drives the recursion through two stage
-functions: ``_select_system`` (one batched ``locate_all`` pass over the
-visible balls, their assignment to systems and pigeonholing) and
-``_generations`` (the threshold loop; ``_generation_cubes`` reads each
-generation's cubes from the weight map, walking every weighted cube up to
-its start). Both measure cubes with the helpers ``_contained_mass`` (mass of
-the balls inside a cube) and ``_high_mass`` (high-level mass on the grid
-cells of a cube, located by ``_cell_window``).
+balls' grid volumes, the visible balls (those rendered not None) and the
+per-system functions f_i on {f >= N_w}, the only cells where they can reach
+N_w. It drives the recursion through two stage functions: ``_select_system``
+(one batched ``locate_all`` pass over the visible balls, their assignment to
+systems and pigeonholing) and ``_generations`` (the threshold loop;
+``_generation_cubes`` reads each generation's cubes from the weight map,
+walking every weighted cube up to its start). Both measure cubes with the
+helpers ``_contained_mass`` (mass of the balls inside a cube) and
+``_high_mass`` (mass of f_i on the grid cells of a cube, located by
+``_cell_window``, where f_i is positive: f_i is kept only on {f_i >= N_w}).
 """
 
 from __future__ import annotations
@@ -304,22 +306,18 @@ def _padded(n: int, m: int, d: int) -> tuple[int, ...]:
     return (fft.next_fast_len(n + m - 1, real=True),) * d
 
 
-def _average(f: GridFunction, kernel: np.ndarray, held: dict) -> np.ndarray:
+def _average(f: GridFunction, kernel: np.ndarray) -> np.ndarray:
     """Average of f over the kernel's cells around every cell centre, cells
     beyond the unit cube counting as zeros: the "same" part of the linear
-    convolution, padded to a fast length. ``held`` maps one padded shape to
-    f's transform at that shape, so radii that pad alike share it."""
+    convolution, padded to a fast length, from one new transform of each."""
     from scipy import fft
     n, m = f.values.shape[0], kernel.shape[0]
     shape = _padded(n, m, f.d)
-    if shape not in held:
-        held.clear()  # free the old spectrum before making the new one
-        held[shape] = fft.rfftn(f.values, shape)
     spec = fft.rfftn(kernel, shape)
     # numpy's complex product can round differently into a fresh array;
     # written into an rfftn output, it equals the product of two rfftn
     # temporaries bit for bit
-    full = fft.irfftn(np.multiply(held[shape], spec, out=spec), shape)
+    full = fft.irfftn(np.multiply(fft.rfftn(f.values, shape), spec, out=spec), shape)
     return full[(slice((m - 1) // 2, (m - 1) // 2 + n),) * f.d] / kernel.sum()
 
 
@@ -340,10 +338,9 @@ def maximal_function(f: GridFunction) -> GridFunction:
     """
     _check_nonnegative(f)
     best = f.values.copy()  # radius 2^-(depth+1): the cell itself
-    held: dict = {}
     for k in range(f.depth, -1, -1):
         # best >= 0, so negative FFT round-off never wins
-        np.maximum(best, _average(f, _ball_kernel(f.d, f.depth, 2.0**-k), held), out=best)
+        np.maximum(best, _average(f, _ball_kernel(f.d, f.depth, 2.0**-k)), out=best)
     return GridFunction(best, f.depth)
 
 
@@ -428,7 +425,6 @@ def _level_set(f: GridFunction, level: float) -> np.ndarray:
     np.cumsum(f.values.reshape(-1, n), axis=1, out=prefix[:, 1:])
     band = 1e-12 * top + np.finfo(float).eps * prefix[:, -1].max()
     blocks = f.values
-    held: dict = {}
     for k in range(f.depth, -1, -1):
         kernel = _ball_kernel(d, f.depth, 2.0**-k)
         ksum = kernel.sum()
@@ -448,7 +444,7 @@ def _level_set(f: GridFunction, level: float) -> np.ndarray:
             if not np.any(np.abs(avg - level) <= band):
                 out.flat[undecided[avg > level]] = True
                 continue
-        out |= _average(f, kernel, held) >= level
+        out |= _average(f, kernel) >= level
     return out
 
 
@@ -556,21 +552,24 @@ def _contained_mass(centers, radii, masses, lo, hi) -> float:
     return float(masses[inside].sum())
 
 
-def _high_mass(fi: GridFunction, high: np.ndarray, lo, hi) -> float:
-    """Mass of ``fi`` on the cells of the box [lo, hi) that lie in ``high``."""
+def _high_mass(fi: GridFunction, lo, hi) -> float:
+    """Mass of ``fi`` on the cells of the box [lo, hi) where it is positive. ``heavy_cubes``
+    stores f_i only where f_i >= N_w > 0, so these are the box's cells of {f_i >= N_w}."""
     window = _cell_window(lo, hi, fi.depth)
     if window is None:
         return 0.0
-    return float(fi.values[window][high[window]].sum() * fi.cell_volume)
+    values = fi.values[window]
+    return float(values[values > 0].sum() * fi.cell_volume)
 
 
-def _select_system(family: BallFamily, systems: AdjacentSystems, rendered, visible, f, n_working):
-    """Locate the visible balls in one pass and take theta_i, the mass of f_i on
-    {f_i >= n_working}, for each system i. Adding nonnegative weights is monotone
-    in every rounding, so f_i <= f: f_i is summed in ball order on {f >= n_working}
-    alone. Returns the first i of largest theta_i, all theta_i, the flat cells of
-    {f_i >= n_working} with f_i there, and i's ball indices and located cubes."""
-    balls = np.flatnonzero(visible)
+def _select_system(family: BallFamily, systems: AdjacentSystems, rendered, f, n_working):
+    """Locate the visible balls (``rendered`` not None) in one pass and take theta_i,
+    the mass of f_i on {f_i >= n_working}, for each system i. Adding nonnegative
+    weights is monotone in every rounding, so f_i <= f: f_i is summed in ball order
+    on {f >= n_working} alone. Returns the first i of largest theta_i, all theta_i,
+    the flat cells of {f_i >= n_working} with f_i there, and i's ball indices and
+    located cubes."""
+    balls = np.flatnonzero([cells is not None for cells in rendered])
     levels, owners, cells, _ = systems.locate_all(family.centers[balls], family.radii[balls])
     high = np.flatnonzero(f.values >= n_working)
     sums = np.zeros((len(systems), high.size))
@@ -588,8 +587,9 @@ def _select_system(family: BallFamily, systems: AdjacentSystems, rendered, visib
     return i, thetas, high[kept[i]], sums[i, kept[i]], balls[mine], located
 
 
-def _generations(systems, balls, located, ball_masses, fi, high, theta, n_working, config):
-    """Threshold loop over the selected system's balls, located cubes and grid masses.
+def _generations(systems, balls, located, ball_masses, fi, theta, n_working, config):
+    """Threshold loop over the selected system's balls, located cubes and grid masses;
+    ``fi`` is f_i on {f_i >= n_working} and zero elsewhere.
 
     Generation k stops at N_k = floor(n_working / 2^k) below the previous
     generation's light cubes; a cube is heavy when the balls inside it have
@@ -625,7 +625,7 @@ def _generations(systems, balls, located, ball_masses, fi, high, theta, n_workin
         heavy_mass = light_mass = 0.0
         for cube in cubes:
             lo, hi = systems.bounds(cube)
-            hm = _high_mass(fi, high, lo, hi)
+            hm = _high_mass(fi, lo, hi)
             if _contained_mass(balls.centers, balls.radii, ball_masses, lo, hi) > m_target * cube.volume(d):
                 heavy.append(cube)
                 heavy_mass += hm
@@ -704,9 +704,7 @@ def heavy_cubes(family: BallFamily, config: StoppingConfig, grid_depth: int) -> 
     conclusion_floor = c * 2.0 ** (-2 * (gamma + 1)) * n**-gamma
 
     cell_counts = np.array([0.0 if cells is None else float(cells[1].sum()) for cells in rendered])
-    grid_volumes = cell_counts * f.cell_volume
-    visible = grid_volumes > 0
-    ball_masses = family.weights * grid_volumes
+    ball_masses = family.weights * (cell_counts * f.cell_volume)
 
     hyp_mf_mass = float(f.values[_level_set(f, n)].sum() * f.cell_volume)
 
@@ -715,7 +713,7 @@ def heavy_cubes(family: BallFamily, config: StoppingConfig, grid_depth: int) -> 
     trace: dict = {
         "systems": len(systems),
         "grid_depth": grid_depth,
-        "invisible_balls": int((~visible).sum()),
+        "invisible_balls": rendered.count(None),
         "generations": [],
     }
 
@@ -730,7 +728,7 @@ def heavy_cubes(family: BallFamily, config: StoppingConfig, grid_depth: int) -> 
         return HeavyCubesResult("early_exit", [cube], masses, trace, checks, config, grid_depth)
 
     n_working = n / len(systems)
-    istar, thetas, cells, vals, idx, located = _select_system(family, systems, rendered, visible, f, n_working)
+    istar, thetas, cells, vals, idx, located = _select_system(family, systems, rendered, f, n_working)
     trace["selected_system"] = istar
     trace["theta"] = theta = thetas[istar]
     checks["hypothesis_working_ok"] = theta >= c * n**-gamma
@@ -739,10 +737,9 @@ def heavy_cubes(family: BallFamily, config: StoppingConfig, grid_depth: int) -> 
 
     fi = GridFunction(np.zeros_like(f.values), grid_depth)  # f_i on {f_i >= N_w}, zero elsewhere
     fi.values.flat[cells] = vals
-    high = fi.values >= n_working
     balls = BallFamily(family.centers[idx], family.radii[idx], family.weights[idx])
     heavy, trace["generations"], loop_checks = _generations(
-        systems, balls, located, ball_masses[idx], fi, high, theta, n_working, config
+        systems, balls, located, ball_masses[idx], fi, theta, n_working, config
     )
     checks.update(loop_checks)
     if heavy is None:

@@ -126,6 +126,19 @@ class TestLipschitzGraph:
         cloud = ps.lipschitz_graph_cloud(lambda t: [0.3], Subspace.axis(3, 0, 1), 0.5, 0.6)
         assert len(cloud.points) == 4 and cloud.total_weight == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("v, value", [(X_AXIS, [0.0, 0.0]), (Subspace.axis(3, 0), [0.0])])
+    def test_wrong_number_of_coordinates_is_named(self, v, value):
+        with pytest.raises(ValueError, match=f"f must return d - n = {v.d - v.n} coordinates per point"):
+            ps.lipschitz_graph_cloud(lambda t: value, v, 0.5, 0.1)
+
+
+class TestGeneratorResolution:
+    @pytest.mark.parametrize("make", [ps.segment, ps.circle])
+    @pytest.mark.parametrize("resolution", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_resolution_is_named(self, make, resolution):
+        with pytest.raises(ValueError, match="resolution must be finite and positive"):
+            make(resolution)
+
 
 class TestEstimateRegularity:
     def test_segment_closed_form_bound(self):
@@ -652,6 +665,11 @@ class TestBallValidation:
         with pytest.raises(ValueError, match="center"):
             ps.Ball(np.array([0.5, bad]), 1.0)
 
+    @pytest.mark.parametrize("center", [np.zeros((2, 2)), np.zeros((1, 2)), 0.5])
+    def test_center_must_be_one_point(self, center):
+        with pytest.raises(ValueError, match="ball center must be one finite point, a 1-D array"):
+            ps.Ball(center, 1.0)
+
     @pytest.mark.parametrize(
         "query",
         [
@@ -893,11 +911,46 @@ class TestIO:
         assert ps.load_cloud(path).params == {"k": 2}
 
     @pytest.mark.parametrize(
-        "rows, weights", [(ps._ROW_CHUNK, ps._ROW_CHUNK + 1), (2 * ps._ROW_CHUNK, ps._ROW_CHUNK), (5, 4)]
+        "rows, weights",
+        [(ps._ROW_CHUNK, ps._ROW_CHUNK + 1), (ps._ROW_CHUNK, 300), (2 * ps._ROW_CHUNK, ps._ROW_CHUNK), (5, 4)],
     )
     def test_unequal_lengths_raise_without_a_sidecar(self, tmp_path, rows, weights):
+        """No file at all: the weight count is checked before the CSV is opened."""
         points = np.random.default_rng(0).random((rows, 2))
         cloud = ps.RegularCloud(points, np.ones(weights), 1, 0.1, validate=False)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"weights of shape \\({weights},\\) for {rows} points; need one per point"):
             ps.save_cloud(cloud, tmp_path / "cloud.csv")
-        assert not (tmp_path / "cloud.csv.json").exists()
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestCloudParameters:
+    """A validated cloud names a bad parameter before it builds its k-d tree."""
+
+    @pytest.fixture(autouse=True)
+    def no_tree(self, monkeypatch):
+        monkeypatch.setattr(ps.RegularCloud, "tree", property(lambda cloud: pytest.fail("the tree was built")))
+
+    @pytest.mark.parametrize("resolution", [math.nan, 0.0, -1.0, math.inf])
+    def test_resolution(self, resolution):
+        with pytest.raises(ValueError, match="resolution must be finite and positive"):
+            ps.RegularCloud(np.zeros((1, 2)), np.ones(1), 1, resolution)
+
+    @pytest.mark.parametrize("n", [5, 2])
+    def test_n_below_d(self, n):
+        with pytest.raises(ValueError, match=f"n must be below the ambient dimension d = 2, got {n}"):
+            ps.RegularCloud(np.zeros((1, 2)), np.ones(1), n, 1.0)
+
+    @pytest.mark.parametrize("n", [0, -1, 1.0, True])
+    def test_n_positive_integer(self, n):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            ps.RegularCloud(np.zeros((1, 2)), np.ones(1), n, 1.0)
+
+    @pytest.mark.parametrize("density_constant", [0.0, -8.0, math.nan, math.inf])
+    def test_density_constant(self, density_constant):
+        with pytest.raises(ValueError, match="density_constant must be finite and positive"):
+            ps.RegularCloud(np.zeros((1, 2)), np.ones(1), 1, 1.0, density_constant=density_constant)
+
+    @pytest.mark.parametrize("weights", [np.ones((2, 1)), np.ones((2, 2)), 1.0, np.ones(3)])
+    def test_weights_one_per_point(self, weights):
+        with pytest.raises(ValueError, match="need one per point"):
+            ps.RegularCloud(np.array([[0.0, 0.0], [1.0, 0.0]]), weights, 1, 1.0)

@@ -388,8 +388,8 @@ class TestPrunedMaximal:
     def test_transforms_only_at_fallback_radii(self, d, depth, monkeypatch):
         """Cells planted at reach 1 and 2 whose averages equal the level there,
         over a background whose averages stay far below it: those two radii
-        take the transform, one of f for their shared padded shape and one
-        kernel each; the kept radii after them decide directly, and none is
+        take the transform, one of the kernel and one of f each, though they
+        pad alike; the kept radii after them decide directly, and none is
         transformed at or past the first radius whose sum f / sum K is below
         the level."""
         rng = np.random.default_rng(60 + d)
@@ -403,10 +403,8 @@ class TestPrunedMaximal:
         for k in (depth, depth - 1):
             width = 2 ** (depth - k + 1) + 1
             shape = (scipy.fft.next_fast_len(n + width - 1, real=True),) * d
-            if not expected or expected[-1][1] != shape:
-                expected.append(("f", shape))
-            expected.append((kernel_cells(d, depth, k), shape))
-        assert sum(key == "f" for key, _ in expected) == 1  # the two radii pad alike
+            expected += [(kernel_cells(d, depth, k), shape), ("f", shape)]
+        assert expected[1][1] == expected[3][1]  # the two radii pad alike
         kept = [k for k in range(depth, -1, -1) if f.values.sum() >= level * kernel_cells(d, depth, k)]
         assert len(kept) > 2  # radii past the fallbacks are kept, and decided without a transform
         assert self.counted_transforms(f, level, monkeypatch) == expected
@@ -631,14 +629,30 @@ class TestHeavyCubes:
         assert sorted(rendered) == sorted(balls)
         assert sorted(located) == sorted(visible) and calls == [len(visible)]
 
+    @pytest.mark.parametrize("d,depth", [(1, 10), (2, 7), (3, 5)])
+    def test_invisible_balls_hold_no_cell_centre(self, d, depth):
+        """``trace["invisible_balls"]`` is the number of balls that hold no cell
+        centre, counted over every centre of the grid: here the two balls added
+        around cell corners, as every drawn radius is at least 4 cells."""
+        fam = st.random_family(d, np.random.default_rng(3), profile="peaked", config=CONFIG, grid_depth=depth)
+        h = 2.0**-depth
+        fam = st.BallFamily(
+            np.vstack([fam.centers, np.full((1, d), 0.5), np.full((1, d), 0.25)]),
+            np.append(fam.radii, [h / 4, h / 3]),
+            np.append(fam.weights, [1.0, 50.0]),
+        )
+        centres = (np.indices((2**depth,) * d).reshape(d, -1).T + 0.5) * h
+        empty = sum(not np.any(((centres - c) ** 2).sum(axis=1) <= r**2) for c, r in zip(fam.centers, fam.radii))
+        assert empty == 2
+        assert st.heavy_cubes(fam, CONFIG, depth).trace["invisible_balls"] == empty
+
     @staticmethod
     def selection(fam, config, depth):
         """``_select_system`` on the family as ``heavy_cubes`` calls it."""
         systems = st.AdjacentSystems(fam.d)
         rendered = st._render(fam, depth)
         f = st.GridFunction._summed(rendered, fam.weights, fam.d, depth)
-        visible = np.array([cells is not None for cells in rendered])
-        return st._select_system(fam, systems, rendered, visible, f, config.N / len(systems))
+        return st._select_system(fam, systems, rendered, f, config.N / len(systems))
 
     def test_tie_goes_to_the_first_system(self):
         """Two equal disjoint balls located in systems 1 and 0, the system-1 ball first in
@@ -758,7 +772,7 @@ class TestGenerations:
         located = [st.SystemCube(0, 0, (0,)), st.SystemCube(0, 3, (3,))]
         fi = st.GridFunction(np.zeros(16), 4)
         config = st.StoppingConfig(N=2.0, M=1.0, guarantee=guarantee)
-        args = (systems, balls, located, np.zeros(2), fi, fi.values > 0, 1.0, 8.0, config)
+        args = (systems, balls, located, np.zeros(2), fi, 1.0, 8.0, config)
         if guarantee:
             with pytest.raises(st.ConfigurationError, match="promised generation bound"):
                 st._generations(*args)
