@@ -198,6 +198,7 @@ def four_corners(k: int) -> RegularCloud:
     4^k points at the centres of the generation-k corner squares (side
     4^-k), each carrying weight 4^-k; total mass 1.
     """
+    _check_count("k", k)
     if not 1 <= k <= 8:
         raise ValueError("generation k must be in 1..8")
     offsets = np.array([[0.0, 0.0]])
@@ -220,6 +221,7 @@ def hrycak(m: int) -> RegularCloud:
     endpoints). The result is m^m segments of length m^-m, sampled at their
     midpoints: m^m points of weight m^-m each.
     """
+    _check_count("m", m)
     if not 2 <= m <= 5:
         raise ValueError("m must be in 2..5")
     angle_step = 2.0 * math.pi / m

@@ -23,12 +23,15 @@ balls' grid volumes, the visible balls (those rendered not None) and the
 per-system functions f_i on {f >= N_w}, the only cells where they can reach
 N_w. It drives the recursion through two stage functions: ``_select_system``
 (one batched ``locate_all`` pass over the visible balls, their assignment to
-systems and pigeonholing) and ``_generations`` (the threshold loop;
-``_generation_cubes`` reads each generation's cubes from the weight map,
-walking every weighted cube up to its start). Both measure cubes with the
-helpers ``_contained_mass`` (mass of the balls inside a cube) and
-``_high_mass`` (mass of f_i on the grid cells of a cube, located by
-``_cell_window``, where f_i is positive: f_i is kept only on {f_i >= N_w}).
+systems, pigeonholing, and the selected system's weight map, which
+``_cube_weights`` adds up from the integer (level, system, cell) rows, the
+ancestor k levels up having the cell ``cell >> k``) and ``_generations`` (the
+threshold loop; ``_generation_cubes`` reads each generation's cubes from the
+weight map, shifting every weighted cube's cell up to its start). Both
+measure cubes with the helpers ``_contained_mass`` (mass of the balls inside
+a cube) and ``_high_mass`` (mass of f_i on the grid cells of a cube, located
+by ``_cell_window``, where f_i is positive: f_i is kept only on
+{f_i >= N_w}). Results hold cubes as ``SystemCube``s.
 """
 
 from __future__ import annotations
@@ -212,23 +215,14 @@ class AdjacentSystems:
         lo = shift + np.array(cube.cell, dtype=float) * cube.side
         return lo, lo + cube.side
 
-    def parent(self, cube: SystemCube) -> SystemCube:
-        return SystemCube(cube.system, cube.level - 1, tuple(c >> 1 for c in cube.cell))
-
-    def locate(self, center, radius) -> tuple[SystemCube, float]:
-        """Smallest system cube containing the ball, with the achieved ratio.
-
-        The returned cube R satisfies B ⊂ R and |R| <= covering_constant *
-        |B|; the second return value is the achieved |R| / |B|.
-        """
-        levels, owners, cells, ratios = self.locate_all(np.atleast_2d(center), [radius])
-        return _system_cubes(levels, owners, cells)[0], float(ratios[0])
-
     def locate_all(self, centers, radii):
-        """``locate`` of B balls at once: integer arrays of the levels, systems and
-        (B, d) cells of their cubes, and the ratios. Levels run from the largest
-        k_max down to 0 with all 2^d systems side by side, so each ball keeps its
-        first fitting (level, system). Radii below 2^-60 would overflow the cells."""
+        """The smallest system cube R of each of B balls: integer arrays of the
+        levels, systems and (B, d) cells of the cubes, and the ratios |R| / |B|.
+        Each R contains its ball B and has |R| <= covering_constant * |B|. Levels
+        run from the largest k_max down to 0 with all 2^d systems side by side,
+        so each ball keeps its first fitting (level, system); the ancestor k
+        levels up has the cell ``cell >> k``. Radii below 2^-60 would overflow
+        the cells."""
         centers, radii = np.asarray(centers, dtype=float), np.asarray(radii, dtype=float)
         if centers.ndim != 2 or centers.shape[1] != self.d or radii.shape != centers.shape[:1]:
             raise ValueError(f"need centers (B, {self.d}) and radii (B,), got shapes {centers.shape}, {radii.shape}")
@@ -258,36 +252,25 @@ class AdjacentSystems:
             raise AssertionError("one-third-shift covering failed; unreachable for admissible balls")
         return levels, owners, cells, ratios
 
-    def related_cubes(self, radius, located: SystemCube) -> list[SystemCube]:
-        """All cubes of the located system containing B with comparable volume:
-        ``located`` and its ancestors, which contain B as ``located`` does."""
-        ball_volume = unit_ball_volume(self.d) * radius**self.d
-        out = []
-        cube = located
-        while cube.volume(self.d) <= self.covering_constant * ball_volume + 1e-15:
-            out.append(cube)
-            if cube.level == 0:
-                break
-            cube = self.parent(cube)
-        return out
-
-
-def _system_cubes(levels, owners, cells) -> list[SystemCube]:
-    """The ``SystemCube``s of ``locate_all``'s arrays."""
-    return [SystemCube(*cube) for cube in zip(owners.tolist(), levels.tolist(), map(tuple, cells.tolist()))]
-
 
 def weight_profile(family: BallFamily, systems: AdjacentSystems) -> dict[SystemCube, float]:
     """Cube weights: each ball contributes to the comparable-volume cubes of
-    its assigned system (one assignment per ball, from one ``locate_all``)."""
-    return _cube_weights(family, _system_cubes(*systems.locate_all(family.centers, family.radii)[:3]), systems)
+    its assigned system, by ``_cube_weights`` on the rows of one ``locate_all``."""
+    return _cube_weights(family.radii, family.weights, *systems.locate_all(family.centers, family.radii)[:3], systems)
 
 
-def _cube_weights(family: BallFamily, located: list[SystemCube], systems: AdjacentSystems):
-    out: dict[SystemCube, float] = {}
-    for r, w, cube in zip(family.radii, family.weights, located):
-        for rel in systems.related_cubes(r, cube):
-            out[rel] = out.get(rel, 0.0) + float(w)
+def _cube_weights(radii, weights, levels, owners, cells, systems: AdjacentSystems) -> dict[SystemCube, float]:
+    """Each ball's weight added, in ball order, to its located cube (level, system, cell) and
+    to the ancestors ``cell >> k`` up the chain while the cube volume stays at most
+    covering_constant |B|: all the cubes of that system that contain B with comparable volume."""
+    d, out = systems.d, {}
+    for r, w, level, system, cell in zip(radii, weights, levels.tolist(), owners.tolist(), cells.tolist()):
+        bound = systems.covering_constant * (unit_ball_volume(d) * r**d) + 1e-15
+        for k in range(level + 1):
+            if (2.0 ** (k - level)) ** d > bound:
+                break
+            cube = SystemCube(system, level - k, tuple(c >> k for c in cell))
+            out[cube] = out.get(cube, 0.0) + float(w)
     return out
 
 
@@ -520,20 +503,22 @@ class HeavyCubesResult:
     grid_depth: int
 
 
-def _generation_cubes(starts, weights, systems, threshold):
+def _generation_cubes(starts, weights, threshold):
     """Weighted cubes where the chain sum from their start first reaches ``threshold``.
 
-    A cube's start is its level-0 ancestor in generation 1 (``starts`` None),
-    else its ancestor-or-self in ``starts`` (the previous generation's light
-    cubes), whose own weight is then left out: it already reached the previous,
-    larger threshold, so returned cubes lie strictly inside their starts. A
-    cube under no start is never returned. Sorted by (level, cell).
+    A cube's chain climbs its ancestors, the cell shifted right one bit per
+    level, to its start: its level-0 ancestor in generation 1 (``starts``
+    None), else its ancestor-or-self in ``starts`` (the previous generation's
+    light cubes), whose own weight is then left out: it already reached the
+    previous, larger threshold, so returned cubes lie strictly inside their
+    starts. A cube under no start is never returned. Sorted by (level, cell).
     """
     out = []
     for cube in weights:
         chain = [cube]
         while chain[-1].level > 0 and (starts is None or chain[-1] not in starts):
-            chain.append(systems.parent(chain[-1]))
+            top = chain[-1]
+            chain.append(SystemCube(top.system, top.level - 1, tuple(c >> 1 for c in top.cell)))
         if starts is not None and chain.pop() not in starts:
             continue
         before = acc = 0.0
@@ -567,8 +552,8 @@ def _select_system(family: BallFamily, systems: AdjacentSystems, rendered, f, n_
     the mass of f_i on {f_i >= n_working}, for each system i. Adding nonnegative
     weights is monotone in every rounding, so f_i <= f: f_i is summed in ball order
     on {f >= n_working} alone. Returns the first i of largest theta_i, all theta_i,
-    the flat cells of {f_i >= n_working} with f_i there, and i's ball indices and
-    located cubes."""
+    the flat cells of {f_i >= n_working} with f_i there, i's ball indices and the
+    weight map of i's balls, built from their ``locate_all`` rows."""
     balls = np.flatnonzero([cells is not None for cells in rendered])
     levels, owners, cells, _ = systems.locate_all(family.centers[balls], family.radii[balls])
     high = np.flatnonzero(f.values >= n_working)
@@ -583,12 +568,13 @@ def _select_system(family: BallFamily, systems: AdjacentSystems, rendered, f, n_
     thetas = [float(row[keep].sum() * f.cell_volume) for row, keep in zip(sums, kept)]
     i = int(np.argmax(thetas))
     mine = owners == i
-    located = _system_cubes(levels[mine], owners[mine], cells[mine])
-    return i, thetas, high[kept[i]], sums[i, kept[i]], balls[mine], located
+    rows = balls[mine]
+    wmap = _cube_weights(family.radii[rows], family.weights[rows], levels[mine], owners[mine], cells[mine], systems)
+    return i, thetas, high[kept[i]], sums[i, kept[i]], rows, wmap
 
 
-def _generations(systems, balls, located, ball_masses, fi, theta, n_working, config):
-    """Threshold loop over the selected system's balls, located cubes and grid masses;
+def _generations(systems, balls, wmap, ball_masses, fi, theta, n_working, config):
+    """Threshold loop over the selected system's balls, weight map and grid masses;
     ``fi`` is f_i on {f_i >= n_working} and zero elsewhere.
 
     Generation k stops at N_k = floor(n_working / 2^k) below the previous
@@ -598,7 +584,6 @@ def _generations(systems, balls, located, ball_masses, fi, theta, n_working, con
     generation records and the loop's checks.
     """
     d, m_target = balls.d, config.M
-    wmap = _cube_weights(balls, located, systems)
     mass_constant = relation_constant(d)
     records: list[dict] = []
     checks: dict = {"mass_law_violations": [], "coverage_ok": True}
@@ -611,7 +596,7 @@ def _generations(systems, balls, located, ball_masses, fi, theta, n_working, con
         n_k = math.floor(n_working / 2.0**generation)
         if n_k < 1:
             break
-        cubes = _generation_cubes(starts, wmap, systems, n_k)
+        cubes = _generation_cubes(starts, wmap, n_k)
         if not cubes:
             break
         threshold_product *= n_k
@@ -728,7 +713,7 @@ def heavy_cubes(family: BallFamily, config: StoppingConfig, grid_depth: int) -> 
         return HeavyCubesResult("early_exit", [cube], masses, trace, checks, config, grid_depth)
 
     n_working = n / len(systems)
-    istar, thetas, cells, vals, idx, located = _select_system(family, systems, rendered, f, n_working)
+    istar, thetas, cells, vals, idx, wmap = _select_system(family, systems, rendered, f, n_working)
     trace["selected_system"] = istar
     trace["theta"] = theta = thetas[istar]
     checks["hypothesis_working_ok"] = theta >= c * n**-gamma
@@ -739,7 +724,7 @@ def heavy_cubes(family: BallFamily, config: StoppingConfig, grid_depth: int) -> 
     fi.values.flat[cells] = vals
     balls = BallFamily(family.centers[idx], family.radii[idx], family.weights[idx])
     heavy, trace["generations"], loop_checks = _generations(
-        systems, balls, located, ball_masses[idx], fi, theta, n_working, config
+        systems, balls, wmap, ball_masses[idx], fi, theta, n_working, config
     )
     checks.update(loop_checks)
     if heavy is None:
@@ -845,8 +830,14 @@ def random_family(
     recursion), ``mixed`` (either, by coin flip).
 
     Radii are drawn from [4 * 2^-grid_depth, 0.2], so ``grid_depth`` must be
-    at least 5; a smaller depth raises ``ValueError`` before any draw.
+    an integer of at least 5. A bad ``d``, ``max_balls`` (an integer >= 2),
+    ``grid_depth`` or ``profile`` raises ``ValueError`` before any draw.
     """
+    _check_count("d", d, 1)
+    _check_count("max_balls", max_balls, 2)
+    _check_count("grid_depth", grid_depth)
+    if profile not in ("bulk", "peaked", "mixed"):
+        raise ValueError(f"profile must be 'bulk', 'peaked' or 'mixed', got {profile!r}")
     if grid_depth < 5:
         raise ValueError(
             f"grid_depth must be >= 5, got {grid_depth}: the smallest radius 4 * 2^-grid_depth "

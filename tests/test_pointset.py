@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,6 +56,11 @@ class TestFourCorners:
         a, b = ps.four_corners(3), ps.four_corners(3)
         assert np.array_equal(a.points, b.points) and np.array_equal(a.weights, b.weights)
 
+    @pytest.mark.parametrize("k", [True, 3.0])
+    def test_generation_is_an_integer(self, k):
+        with pytest.raises(ValueError, match=f"^k must be an integer, got {k!r}"):
+            ps.four_corners(k)
+
 
 class TestHrycak:
     def test_m2_four_segments(self):
@@ -88,6 +95,10 @@ class TestHrycak:
             ps.hrycak(1)
         with pytest.raises(ValueError):
             ps.hrycak(6)
+
+    def test_m_is_an_integer(self):
+        with pytest.raises(ValueError, match="^m must be an integer, got "):
+            ps.hrycak(np.float64(3))
 
 
 class TestLipschitzGraph:
@@ -140,6 +151,27 @@ class TestGeneratorResolution:
             make(resolution)
 
 
+def exact_regularity(cloud):
+    """The supremum of max(mass / r^n, r^n / mass) over the closed balls centred
+    at points of positive weight, r in [4 resolution, r_hi] with r_hi as in
+    ``estimate_regularity``. A centre's mass is constant on each interval
+    between the radii where it steps (its sorted distances, inside the range),
+    so mass / r^n peaks at each interval's left end and r^n / mass tends to
+    its supremum at the right end."""
+    r_lo = 4.0 * cloud.resolution
+    r_hi = max(cloud.diameter, r_lo * (1.0 + 1e-9))
+    worst = 1.0
+    for x in cloud.points[cloud.weights > 0]:
+        dist = ps._row_norms(cloud.points - x)
+        order = np.argsort(dist, kind="stable")
+        dist, mass = dist[order], np.cumsum(cloud.weights[order])
+        ends = np.unique(np.r_[r_lo, dist[(dist > r_lo) & (dist < r_hi)], r_hi])
+        at = mass[np.searchsorted(dist, ends, side="right") - 1]  # the mass at each end
+        rn = ends**cloud.n
+        worst = max(worst, (at / rn).max(), (rn[1:] / at[:-1]).max())
+    return worst
+
+
 class TestEstimateRegularity:
     def test_segment_closed_form_bound(self):
         # oracle: mass of B(x, r) on a cell-centred segment is h*(odd count),
@@ -174,6 +206,29 @@ class TestEstimateRegularity:
                     worst = max(worst, nxt / masses[i])
         assert worst <= 10.0
         assert rep.C0_estimate <= worst + 1e-9
+
+    @pytest.mark.parametrize(
+        "make, exact",
+        [
+            (lambda: ps.segment(1e-2), 2.25),
+            (lambda: ps.four_corners(3), 3.0),
+            (lambda: ps.circle(0.05), math.pi),
+            (lambda: ps.hrycak(3), 2.4247),
+            (lambda: ps.lipschitz_graph_cloud(lambda t: 0.25 * np.sin(2.0 * np.pi * t[0]), X_AXIS, 1.6, 2.0**-7), 2.9400),
+            (lambda: ps.lipschitz_graph_cloud(
+                lambda t: 0.2 * np.sin(2.0 * np.pi * t[0]) * np.cos(2.0 * np.pi * t[1]), Subspace.axis(3, 0, 1), 1.8, 2.0**-4
+            ), 4.1058),
+        ],
+        ids=["segment", "four-corners", "circle", "hrycak", "curve", "surface"],
+    )
+    def test_bounded_by_the_exact_supremum(self, make, exact):
+        """No estimate exceeds the supremum over every ball it can draw, whose
+        value on each cloud is pinned to 4 decimals here."""
+        cloud = make()
+        sup = exact_regularity(cloud)
+        assert sup == pytest.approx(exact, rel=1e-4)
+        for seed in range(5):
+            assert ps.estimate_regularity(cloud, 2000, np.random.default_rng(seed)).C0_estimate <= sup * (1 + 1e-12)
 
     def test_planar_disc_interior_density(self):
         v = Subspace.axis(3, 0, 1)
@@ -795,7 +850,45 @@ class TestParentValues:
         assert got == expected
 
 
+# coordinate offsets that write in every form: signed zeros, subnormals and 17-digit reprs
+SPECIAL_OFFSETS = [-0.0, 0.0, 5e-324, -5e-324, 2.0**-1030, 0.1 + 0.2 - 0.3, 0.1 / 3.0, -1.0 / 9.0]
+
+
+@st.composite
+def valid_clouds(draw):
+    """Valid clouds in d = 2 and 3: distinct integer cells offset by at most 1/8
+    per coordinate (offsets of cell 0 stand alone, so -0.0 survives), so points
+    are at least 3/4 apart, resolution in [1/2, 2], weights inside the density
+    band and metadata that JSON holds."""
+    d = draw(st.integers(2, 3))
+    n = draw(st.integers(1, d - 1))
+    cells = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * d), min_size=1, max_size=12, unique=True))
+    offset = st.one_of(st.sampled_from(SPECIAL_OFFSETS), st.floats(-0.125, 0.125))
+    points = np.array([[c + draw(offset) if c else draw(offset) for c in cell] for cell in cells])
+    resolution = draw(st.floats(0.5, 2.0))
+    density_constant = draw(st.floats(8.0, 16.0))
+    scale = st.floats(1.0 / 7.9, 7.9)
+    weights = np.array([draw(scale) * resolution**n for _ in cells])
+    params = {"a": draw(offset), "k": draw(st.integers(-(2**60), 2**60))}
+    generator = draw(st.text(max_size=8))
+    return ps.RegularCloud(points, weights, n, resolution, density_constant, generator, params)
+
+
 class TestIO:
+    @given(cloud=valid_clouds(), seed=st.none() | st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_is_bitwise(self, cloud, seed):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cloud.csv"
+            ps.save_cloud(cloud, path, seed=seed)
+            back = ps.load_cloud(path)
+            assert json.loads(path.with_suffix(".csv.json").read_text())["seed"] == seed
+        assert back.points.shape == cloud.points.shape
+        assert back.points.tobytes() == cloud.points.tobytes()
+        assert back.weights.tobytes() == cloud.weights.tobytes()
+        meta = lambda c: (c.n, c.resolution.hex(), c.density_constant.hex(), c.generator, repr(c.params))  # noqa: E731
+        assert meta(back) == meta(cloud)
+
     def test_round_trip(self, tmp_path):
         cloud = ps.four_corners(3)
         path = tmp_path / "cloud.csv"

@@ -66,6 +66,15 @@ def brute_locate(center, radius):
     raise AssertionError("no system cube holds the ball")
 
 
+def located(systems, centers, radii):
+    """``locate_all``'s rows as (SystemCube, ratio) pairs, in ``brute_locate``'s form."""
+    levels, owners, cells, ratios = systems.locate_all(np.atleast_2d(centers), np.atleast_1d(radii))
+    return [
+        (st.SystemCube(system, level, tuple(cell)), ratio)
+        for level, system, cell, ratio in zip(levels.tolist(), owners.tolist(), cells.tolist(), ratios.tolist())
+    ]
+
+
 def oracle_balls(d, rng, count):
     """Seeded balls in the unit cube; a quarter with radii at exact powers of two,
     a fifth of the coordinates tangent to a face (c - r = 0 or c + r = 1), a
@@ -176,7 +185,7 @@ class TestAdjacentSystems:
         for _ in range(200):
             radius = math.exp(rng.uniform(math.log(1e-3), math.log(0.5)))
             center = rng.uniform(radius, 1.0 - radius, size=d)
-            cube, ratio = systems.locate(center, radius)
+            [(cube, ratio)] = located(systems, center, radius)
             lo, hi = cube_bounds(cube, d)
             assert np.all(center - radius >= lo - 1e-15) and np.all(center + radius <= hi + 1e-15)
             ball_volume = math.pi ** (d / 2) / math.gamma(d / 2 + 1) * radius**d
@@ -185,7 +194,7 @@ class TestAdjacentSystems:
 
     def test_locate_rejects_ball_outside_unit_cube(self):
         with pytest.raises(ValueError):
-            st.AdjacentSystems(2).locate(np.array([0.05, 0.5]), 0.1)
+            located(st.AdjacentSystems(2), [0.05, 0.5], 0.1)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_batched_locate_matches_brute_force(self, d):
@@ -199,8 +208,8 @@ class TestAdjacentSystems:
             assert (owners[b], levels[b], tuple(cells[b])) == (cube.system, cube.level, cube.cell)
             assert ratios[b] == ratio
         assert set(owners.tolist()) == set(range(2**d))
-        for b in range(0, len(radii), 97):
-            assert systems.locate(centers[b], radii[b]) == brute_locate(centers[b], radii[b])
+        for b in range(0, len(radii), 97):  # one ball at a time
+            assert located(systems, centers[b], radii[b]) == [brute_locate(centers[b], radii[b])]
 
     def test_locate_all_of_no_balls(self):
         levels, owners, cells, ratios = st.AdjacentSystems(2).locate_all(np.zeros((0, 2)), np.zeros(0))
@@ -227,37 +236,25 @@ class TestAdjacentSystems:
     )
     def test_locate_names_bad_ball(self, center, radius, match):
         with pytest.raises(ValueError, match=match):
-            st.AdjacentSystems(2).locate(np.array(center), radius)
+            located(st.AdjacentSystems(2), center, radius)
 
     def test_weight_profile_rejects_family_of_other_dimension(self):
         fam = st.BallFamily(np.full((2, 3), 0.5), np.array([0.1, 0.2]), np.ones(2))
         with pytest.raises(ValueError, match=r"centers \(B, 2\)"):
             st.weight_profile(fam, st.AdjacentSystems(2))
 
-
-class TestMaximalFunction:
-    @pytest.mark.parametrize("d,depth", [(1, 8), (2, 5), (3, 3)])
-    def test_dominates_f(self, d, depth):
-        f = st.GridFunction.from_balls(sample_family(d, np.random.default_rng(20 + d), 5), depth)
-        assert np.all(st.maximal_function(f).values >= f.values)
-
-    @pytest.mark.parametrize("d,depth", [(1, 8), (2, 5), (3, 3)])
-    def test_monotone_in_f(self, d, depth):
-        rng = np.random.default_rng(30 + d)
-        shape = (2**depth,) * d
-        for _ in range(5):
-            f = rng.uniform(0.0, 2.0, shape) * (rng.random(shape) < 0.3)
-            g = f + rng.uniform(0.0, 1.0, shape) * (rng.random(shape) < 0.5)
-            mf = st.maximal_function(st.GridFunction(f, depth)).values
-            mg = st.maximal_function(st.GridFunction(g, depth)).values
-            # the averages come from FFTs, hence the rounding allowance
-            assert np.all(mf <= mg + 1e-12 * g.max())
-
-    def test_rejects_negative_grid(self):
-        values = np.zeros((8, 8))
-        values[3, 4] = -1e-9
-        with pytest.raises(ValueError):
-            st.maximal_function(st.GridFunction(values, 3))
+    @given(d=hs.integers(1, 4), count=hs.integers(1, 24), seed=hs.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_weight_profile_equals_the_definition(self, d, count, seed):
+        """On ``oracle_balls`` families, the weight map equals the one built from
+        ``brute_locate``, cell arithmetic and the volume bound, float for float and
+        in the same key order."""
+        rng = np.random.default_rng(seed)
+        centers, radii = oracle_balls(d, rng, count)
+        fam = st.BallFamily(centers, radii, rng.uniform(0.0, 2.0, size=count))
+        wmap = st.weight_profile(fam, st.AdjacentSystems(d))
+        expected = brute_weights(fam.centers, fam.radii, fam.weights)
+        assert wmap == expected and list(wmap) == list(expected)
 
 
 def kernel_cells(d, depth, k):
@@ -316,6 +313,32 @@ def grids_and_levels(draw):
         level = planted_band(f, k, centre, float(draw(hs.integers(1, 3))))
         return st.GridFunction(f, depth), level
     return st.GridFunction(f, depth), draw(hs.floats(0.0, 1.0)) * float(f.max())
+
+
+class TestMaximalFunction:
+    @given(grid_level=grids_and_levels())
+    @settings(max_examples=100, deadline=None)
+    def test_dominates_f(self, grid_level):
+        f, _ = grid_level
+        assert np.all(st.maximal_function(f).values >= f.values)
+
+    @pytest.mark.parametrize("d,depth", [(1, 8), (2, 5), (3, 3)])
+    def test_monotone_in_f(self, d, depth):
+        rng = np.random.default_rng(30 + d)
+        shape = (2**depth,) * d
+        for _ in range(5):
+            f = rng.uniform(0.0, 2.0, shape) * (rng.random(shape) < 0.3)
+            g = f + rng.uniform(0.0, 1.0, shape) * (rng.random(shape) < 0.5)
+            mf = st.maximal_function(st.GridFunction(f, depth)).values
+            mg = st.maximal_function(st.GridFunction(g, depth)).values
+            # the averages come from FFTs, hence the rounding allowance
+            assert np.all(mf <= mg + 1e-12 * g.max())
+
+    def test_rejects_negative_grid(self):
+        values = np.zeros((8, 8))
+        values[3, 4] = -1e-9
+        with pytest.raises(ValueError):
+            st.maximal_function(st.GridFunction(values, 3))
 
 
 def convolution_maximal(f):
@@ -673,9 +696,9 @@ class TestHeavyCubes:
         result = st.heavy_cubes(fam, CONFIG, 6)
         assert result.status == "vacuous" and result.heavy == [] and result.trace["theta"] == 0.0
         assert result.trace["selected_system"] == 0
-        i, thetas, cells, values, balls, located = self.selection(fam, CONFIG, 6)
+        i, thetas, cells, values, balls, wmap = self.selection(fam, CONFIG, 6)
         assert (i, thetas, cells.size, values.size) == (0, [0.0] * 4, 0, 0)
-        assert balls.tolist() == [0] and located == [st.AdjacentSystems(2).locate(fam.centers[0], 0.2)[0]]
+        assert balls.tolist() == [0] and wmap == brute_weights(fam.centers, fam.radii, fam.weights)
 
 
 def ancestors(cube):
@@ -684,6 +707,21 @@ def ancestors(cube):
         st.SystemCube(cube.system, level, tuple(c >> (cube.level - level) for c in cube.cell))
         for level in range(cube.level + 1)
     ]
+
+
+def brute_weights(centers, radii, weights):
+    """The weight map from its definition: each ball's weight, in ball order, on
+    its ``brute_locate`` cube and on every ancestor of volume at most 24^d /
+    |unit ball| times the ball's volume."""
+    out = {}
+    for center, radius, weight in zip(centers, radii, weights):
+        d = len(center)
+        unit = math.pi ** (d / 2) / math.gamma(d / 2 + 1)
+        for cube in reversed(ancestors(brute_locate(center, radius)[0])):
+            if 2.0 ** (-cube.level * d) > 24.0**d / unit * (unit * radius**d) + 1e-15:
+                break
+            out[cube] = out.get(cube, 0.0) + float(weight)
+    return out
 
 
 def stopping_rule(wmap, starts, threshold):
@@ -708,20 +746,17 @@ class TestGenerations:
         generation's cubes, and that each lies strictly inside a light cube of the one before."""
         records = multi_generation_runs = 0
         for d, depth in [(1, 10), (2, 7), (3, 5)]:
-            systems = st.AdjacentSystems(d)
             for fam in families(d, depth, 12, "peaked"):
                 result = st.heavy_cubes(fam, CONFIG, depth)
                 gens = result.trace["generations"]
                 if not gens:
                     continue
-                wmap = {}
-                for c, r, w in zip(fam.centers, fam.radii, fam.weights):
-                    if st.grid_ball_volume(c, r, depth, d) == 0.0:
-                        continue
-                    cube, _ = brute_locate(c, r)
-                    if cube.system == result.trace["selected_system"]:
-                        for rel in systems.related_cubes(r, cube):
-                            wmap[rel] = wmap.get(rel, 0.0) + float(w)
+                mine = [
+                    b for b, (c, r) in enumerate(zip(fam.centers, fam.radii))
+                    if st.grid_ball_volume(c, r, depth, d) > 0.0
+                    and brute_locate(c, r)[0].system == result.trace["selected_system"]
+                ]
+                wmap = brute_weights(fam.centers[mine], fam.radii[mine], fam.weights[mine])
                 starts = None
                 for record in gens:
                     cubes = sorted(record["heavy"] + record["light"], key=lambda c: (c.level, c.cell))
@@ -747,11 +782,10 @@ class TestGenerations:
             b: 1.0, cube(0, 3, 4): 2.0, cube(0, 3, 5): 1.0,
             c: 10.0,
         }
-        systems = st.AdjacentSystems(1)
         assert cube(0, 2, 2) not in wmap
-        assert st._generation_cubes(None, wmap, systems, 3.0) == [a, c, cube(0, 3, 4)]
-        assert st._generation_cubes({a, b}, wmap, systems, 3.0) == [cube(0, 3, 0)]
-        assert st._generation_cubes({b}, wmap, systems, 3.5) == []
+        assert st._generation_cubes(None, wmap, 3.0) == [a, c, cube(0, 3, 4)]
+        assert st._generation_cubes({a, b}, wmap, 3.0) == [cube(0, 3, 0)]
+        assert st._generation_cubes({b}, wmap, 3.5) == []
 
     @pytest.mark.parametrize("seed", [1000, 1001, 1002])
     def test_recursion_descends_to_heavy_cubes(self, seed):
@@ -766,13 +800,15 @@ class TestGenerations:
     @pytest.mark.parametrize("guarantee", [False, True])
     def test_guarantee_mode_past_gamma_plus_one_generations(self, guarantee):
         """Hand-built inputs that reach a second generation without heavy mass:
-        guarantee mode names the broken promise with ``ConfigurationError``."""
+        guarantee mode names the broken promise with ``ConfigurationError``. The
+        balls' rows, level 0 cell 0 and level 3 cell 3 of system 0, are set by hand."""
         systems = st.AdjacentSystems(1)
         balls = st.BallFamily(np.array([[0.5], [0.5]]), np.array([0.2, 0.01]), np.array([5.0, 3.0]))
-        located = [st.SystemCube(0, 0, (0,)), st.SystemCube(0, 3, (3,))]
+        wmap = st._cube_weights(balls.radii, balls.weights, np.array([0, 3]), np.zeros(2, int), np.array([[0], [3]]), systems)
+        assert wmap == {st.SystemCube(0, 0, (0,)): 5.0, st.SystemCube(0, 3, (3,)): 3.0}
         fi = st.GridFunction(np.zeros(16), 4)
         config = st.StoppingConfig(N=2.0, M=1.0, guarantee=guarantee)
-        args = (systems, balls, located, np.zeros(2), fi, 1.0, 8.0, config)
+        args = (systems, balls, wmap, np.zeros(2), fi, 1.0, 8.0, config)
         if guarantee:
             with pytest.raises(st.ConfigurationError, match="promised generation bound"):
                 st._generations(*args)
@@ -938,6 +974,24 @@ class TestRandomFamily:
     def test_rejects_depth_below_five(self, d):
         with pytest.raises(ValueError, match="grid_depth must be >= 5"):
             st.random_family(d, np.random.default_rng(0), config=CONFIG, grid_depth=4)
+
+    @pytest.mark.parametrize(
+        "kwargs,match",
+        [
+            ({"profile": "hot"}, "^profile must be 'bulk', 'peaked' or 'mixed', got 'hot'"),
+            ({"grid_depth": 7.5}, "^grid_depth must be an integer, got 7.5"),
+            ({"max_balls": 2.5}, "^max_balls must be an integer >= 2, got 2.5"),
+            ({"max_balls": 1}, "^max_balls must be an integer >= 2, got 1"),
+            ({"d": 0}, "^d must be an integer >= 1, got 0"),
+        ],
+        ids=["profile", "grid_depth", "max_balls-float", "max_balls-1", "d-0"],
+    )
+    def test_bad_argument_is_named_before_any_draw(self, kwargs, match):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=match):
+            st.random_family(**{"d": 2, "rng": rng, "config": CONFIG, **kwargs})
+        assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_depth_five_works(self, d):
