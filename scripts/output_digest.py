@@ -1,6 +1,7 @@
 """SHA-256 of every output of the benchmark passes, per workload and per kind of output.
 
-    python3 scripts/output_digest.py [--root CHECKOUT] [--seeds 1 2 3]
+    python3 scripts/output_digest.py [--root CHECKOUT] [--seeds 1 2 3] [--dump FILE]
+    python3 scripts/output_digest.py --compare A B
 
 Runs one untimed pass of each workload of ``perfbench/workloads.py`` at each
 seed, on the ``src/`` and ``perfbench/`` of CHECKOUT (default: this
@@ -28,12 +29,32 @@ form per kind of entry, in order of first appearance: ``cube``, ``beta``,
 cantor-scan, ``family`` on stopping-mix, and on graph-refine the cloud's
 name before each of ``cube``, ``beta``, ``margins``, ``overlap`` and
 ``regularity``. Diffing two runs then names the kind of output that moved.
+
+``--dump FILE`` also writes every entry to FILE, one per line: workload,
+seed, kind and text, tab-separated. ``--compare A B`` reads two such files
+and prints, per workload and kind, how many entries differ, the largest
+absolute and relative change of the floats of the differing entries that
+hold as many floats on both sides, and the first differing entry's seed
+and key: the cube key for ``cube`` and ``beta`` entries, else ``#i`` for
+the kind's i-th entry at that seed. It exits 1 when any entry differs.
+
+A digest is specific to one machine and one numpy build. numpy picks its
+SIMD kernels at run time, and they can round differently and break
+``argsort`` ties in another order: with the AVX-512 kernels disabled
+(``NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"``) the same
+checkout printed other graph-refine ``curve beta``, ``surface beta`` and
+``surface regularity`` digests at seed 1, and the same cantor-scan and
+stopping-mix digests. So two digests or dumps compare only when one machine
+and one numpy build made both, as CI's base-against-head step does within
+each leg.
 """
 
 import argparse
 import dataclasses
 import hashlib
 import itertools
+import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -106,27 +127,83 @@ def entries(workload: str, seed: int):
                     yield f"{name} {kind}", text
 
 
+def _floats(text: str):
+    """Every float of an entry's text, in order, array elements included: each ``float.hex`` and
+    each float array's dtype, shape and bytes as ``_canon`` writes them."""
+    import numpy as np
+
+    hexed = r"(?<![\w'])(-?0x[0-9a-f.]+p[+-]\d+|-?inf|nan)(?![\w'])"
+    found = re.findall(hexed + r"|([<>]f\d+)\([\d, ]*\)([0-9a-f]*)", text)
+    parts = [np.frombuffer(bytes.fromhex(data), dtype) if dtype else [float.fromhex(x)] for x, dtype, data in found]
+    return np.concatenate(parts).astype(float) if parts else np.empty(0)
+
+
+def _read_dump(path: Path) -> dict:
+    """{(workload, kind): {(seed, key): text}} of a ``--dump`` file, in file order."""
+    groups, seen = {}, {}
+    with open(path) as fh:
+        for line in fh:
+            workload, seed, kind, text = line.rstrip("\n").split("\t")
+            i = seen[workload, seed, kind] = seen.get((workload, seed, kind), -1) + 1
+            key = re.match(r"\[-?\d+, \[[-\d, ]*\]\]", text)  # a cube key leads cube and beta entries
+            groups.setdefault((workload, kind), {})[seed, key.group() if key else f"#{i}"] = text
+    return groups
+
+
+def compare(path_a: Path, path_b: Path) -> bool:
+    """Print, per workload and kind, how two dumps differ; True when every entry is equal."""
+    import numpy as np
+
+    a_groups, b_groups = _read_dump(path_a), _read_dump(path_b)
+    equal = True
+    for group in dict.fromkeys([*a_groups, *b_groups]):
+        a, b = a_groups.get(group, {}), b_groups.get(group, {})
+        keys = list(dict.fromkeys([*a, *b]))
+        differ = [key for key in keys if a.get(key) != b.get(key)]
+        line = f"{group[0]} {group[1]}: {len(differ)} of {len(keys)} entries differ"
+        if differ:
+            equal, largest = False, np.zeros(2)
+            for key in differ:
+                fa, fb = (_floats(side.get(key, "")) for side in (a, b))
+                if len(fa) == len(fb) and len(fa):
+                    same = (fa == fb) | (np.isnan(fa) & np.isnan(fb))
+                    with np.errstate(invalid="ignore", over="ignore"):
+                        change = np.where(same, 0.0, np.abs(fa - fb))
+                        rel = np.where(same, 0.0, change / np.maximum(np.abs(fa), np.abs(fb)))
+                    largest = np.fmax(largest, [change.max(), rel.max()])
+            line += f"; largest float change {largest[0]:.3g} absolute, {largest[1]:.3g} relative"
+            line += f"; first at seed {differ[0][0]} key {differ[0][1]}"
+        print(line)
+    return equal
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    parser.add_argument("--dump", type=Path, help="also write every entry to this file, one per line")
+    parser.add_argument("--compare", type=Path, nargs=2, metavar=("A", "B"), help="compare two dump files")
     args = parser.parse_args()
+    if args.compare:
+        sys.exit(0 if compare(*args.compare) else 1)
     sys.path[:0] = [str(args.root / "src"), str(args.root / "perfbench")]
     import rectilab
 
     if Path(rectilab.__file__).resolve().parent != (args.root / "src" / "rectilab").resolve():
         sys.exit(f"rectilab loads from {rectilab.__file__}, not from {args.root / 'src'}")
-    for workload in WORKLOADS:
-        total, kinds = [hashlib.sha256(), 0], {}
-        for seed in args.seeds:
-            for kind, text in entries(workload, seed):
-                line = f"{workload} {seed} {kind} {text}\n".encode()
-                for tally in (total, kinds.setdefault(kind, [hashlib.sha256(), 0])):
-                    tally[0].update(line)
-                    tally[1] += 1
-        print(f"{workload}: {total[1]} entries, sha256 {total[0].hexdigest()}")
-        for kind, (digest, count) in kinds.items():
-            print(f"  {kind}: {count} entries, sha256 {digest.hexdigest()}")
+    with open(args.dump or os.devnull, "w") as dump:
+        for workload in WORKLOADS:
+            total, kinds = [hashlib.sha256(), 0], {}
+            for seed in args.seeds:
+                for kind, text in entries(workload, seed):
+                    dump.write(f"{workload}\t{seed}\t{kind}\t{text}\n")
+                    line = f"{workload} {seed} {kind} {text}\n".encode()
+                    for tally in (total, kinds.setdefault(kind, [hashlib.sha256(), 0])):
+                        tally[0].update(line)
+                        tally[1] += 1
+            print(f"{workload}: {total[1]} entries, sha256 {total[0].hexdigest()}")
+            for kind, (digest, count) in kinds.items():
+                print(f"  {kind}: {count} entries, sha256 {digest.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -209,19 +209,22 @@ def _planar_refine(pts, w, ptr, r, theta0):
 
 def _planar_lockstep(pts, w, start, m, r, theta0):
     """``_planar_refine`` on the balls of points pts[start[b]:start[b] + m[b]]. Each ball scores the
-    65 start angles around theta0[b] that its ``_start_bounds`` keep (a dropped angle scores above the
-    least), then turns exactly (``_sweep``) about the weighted-median point and its two neighbours
-    along the normal while the value strictly falls (an optimal L1 line passes through a weighted
-    median). A pivot's turn depends on the pivot alone and scored no lower than the current value when
-    it was first swept, so only new pivots are turned, and a ball stops when none is new. The balls go
-    in lockstep on a ``_padded`` layout: one ``_sweep`` turns every active ball's new pivots and one
-    ``_planar_values`` call scores the turns and gives each row's pivots from the sort that scored it,
-    so the next step turns about the pivots of each ball's best row. Pads change no bit there (both
-    sort stably), the scoring sort puts them last so they never pivot, and each ball takes the first
-    least of its own rows, so a ball's result does not depend on the rest of its batch."""
+    ones that its ``_start_bounds`` keep (a dropped angle scores above the least) of 64 distinct
+    start angles: theta0[b] first, so it wins ties, then theta0[b] plus the 63 nonzero steps of
+    pi/64 in (-pi/2, pi/2). It then turns exactly (``_sweep``) about the weighted-median point and
+    its two neighbours along the normal while the value strictly falls (an optimal L1 line passes
+    through a weighted median). A pivot's turn depends on the pivot alone and scored no lower than
+    the current value when it was first swept, so only new pivots are turned, and a ball stops when
+    none is new. The balls go in lockstep on a ``_padded`` layout: one ``_sweep`` turns every active
+    ball's new pivots and one ``_planar_values`` call scores the turns and gives each row's pivots
+    from the sort that scored it, so the next step turns about the pivots of each ball's best row.
+    Pads change no bit there (both sort stably), the scoring sort puts them last so they never
+    pivot, and each ball takes the first least of its own rows, so a ball's result does not depend
+    on the rest of its batch."""
     xy, w = _padded(pts, w, start, m)
     r2 = r * r
-    thetas = np.c_[theta0, theta0[:, None] + np.linspace(-np.pi / 2, np.pi / 2, 64, endpoint=False)]
+    fan = np.linspace(-np.pi / 2, np.pi / 2, 64, endpoint=False)
+    thetas = np.c_[theta0, theta0[:, None] + fan[fan != 0.0]]
     lower, upper = _start_bounds(xy, w, m, r2, thetas)
     ball, k = np.nonzero(lower <= upper[:, None])
     kept = thetas[ball, k]

@@ -4,11 +4,14 @@ Cubes are ambient half-open dyadic grid cells intersected with a cloud;
 cube centres snap to cloud points and every cube carries the ball
 B_Q = B(c_Q, C * side) with C = 3 * sqrt(d), which makes the balls nested
 along parent links. Cubes are identified by (level, cell index) keys with
-Python int cells, and flags are mappings from those keys to bools. A lattice
-lists every cube's children, in key order, when it is built, and the tree
-walkers read those lists. Functions that take a root cube accept a ``Cube``
-or its key. The David scan finds each cube's nearest non-member by k-nearest
-neighbours and settles each level's least distance with one small ball query.
+Python int cells, and flags are mappings from those keys to bools. The
+lattice answers structure in keys: a key's parent key (its cells halved),
+its child keys, the key of a point's cube at a level, and ``get`` turns a
+key into its cube. A lattice lists every cube's children, in key order,
+when it is built, and the tree walkers read those lists. Functions that
+take a root cube accept a ``Cube`` or its key. The David scan finds each
+cube's nearest non-member by k-nearest neighbours and settles each level's
+least distance with one small ball query.
 """
 
 from __future__ import annotations
@@ -54,8 +57,10 @@ class CubeLattice:
     order. Key cells are Python ints. The same pass appends each cube to its
     parent's child list, so the lists come out in key order, and keeps the
     level's centres as one read-only array, which ``level_balls`` returns and
-    each cube's ``center`` is a row of. The ball constant C guarantees B_Q
-    inside B_parent.
+    each cube's ``center`` is a row of. ``ball`` gives one cube's B_Q and
+    ``level_balls`` a level's; a caller that wants a multiple of B_Q, as
+    ``beta_comparison`` wants 2 B_Q, scales the radii itself. The ball
+    constant C guarantees B_Q inside B_parent.
     """
 
     def __init__(self, cloud: RegularCloud, j_min: int, j_max: int):
@@ -120,15 +125,11 @@ class CubeLattice:
             return None
         return (j - 1, tuple(c >> 1 for c in cell))
 
-    def parent(self, cube: Cube) -> Cube | None:
-        pk = self.parent_key(cube.key)
-        return None if pk is None else self.get(pk)
-
     def child_keys(self, key: CubeKey) -> list[CubeKey]:
         return list(self._children.get(key, ()))
 
-    def ball(self, cube: Cube, factor: float = 1.0) -> Ball:
-        return Ball(cube.center, factor * self.ball_constant * cube.side)
+    def ball(self, cube: Cube) -> Ball:
+        return Ball(cube.center, self.ball_constant * cube.side)
 
     def level_balls(self, j: int) -> tuple[np.ndarray, np.ndarray]:
         """Centres and radii of the balls B_Q of level j, in ``cubes[j]`` order; the centres are the
@@ -147,9 +148,6 @@ class CubeLattice:
         side = 2.0**-level
         cell = tuple(np.floor(self.cloud.points[point_index] / side).astype(np.int64).tolist())
         return (level, cell)
-
-    def contains_point(self, key: CubeKey, point_index: int) -> bool:
-        return self.key_of_point(point_index, key[0]) == key
 
     def export_jsonl(self, path: str | Path):
         """One cube per line, level by level in ``cubes[j]`` order: level, cell index, centre,
@@ -336,7 +334,7 @@ def _is_ancestor(ancestor: CubeKey, key: CubeKey) -> bool:
 def big_count(lattice: CubeLattice, point_index: int, q, flags: Flags) -> int:
     """Number of flagged cubes between the point and ``q`` (inclusive)."""
     root = _as_key(q)
-    if not lattice.contains_point(root, point_index):
+    if lattice.key_of_point(point_index, root[0]) != root:
         raise ValueError("the point does not lie in the given cube")
     count = 0
     for j in range(root[0], lattice.j_max + 1):

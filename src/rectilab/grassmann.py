@@ -176,15 +176,10 @@ def containment_residual(v: Subspace, w: Subspace) -> float:
 
 
 def orthogonal_complement(v: Subspace) -> Subspace:
-    """The (d-n)-dimensional orthogonal complement of ``v``."""
-    d, n = v.d, v.n
-    if n == 0:
-        return Subspace.full(d)
-    if n == d:
-        return Subspace.zero(d)
-    # Columns of U beyond the first n span the complement.
-    u, _, _ = np.linalg.svd(v.basis, full_matrices=True)
-    return Subspace(u[:, n:])
+    """The (d-n)-dimensional orthogonal complement of ``v``, with the basis that ``_plane_basis``
+    fixes from I - P_V: two bases of ``v`` give the same complement up to rounding, and the
+    complement of the axis subspace of axes a_1 < ... < a_n is the other axes in ascending order."""
+    return Subspace(_plane_basis(np.eye(v.d) - v.projection_matrix, v.d - v.n))
 
 
 def sample_haar(d: int, n: int, rng: np.random.Generator) -> Subspace:

@@ -61,8 +61,9 @@ class TestBuildLattice:
         lat = cantor_lattice
         c = lat.ball_constant
         for cube in lat.all_cubes():
-            parent = lat.parent(cube)
-            if parent is not None:
+            key = lat.parent_key(cube.key)
+            if key is not None:
+                parent = lat.get(key)
                 gap = np.linalg.norm(cube.center - parent.center)
                 assert gap + c * cube.side <= c * parent.side + 1e-12
 

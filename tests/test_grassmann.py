@@ -1,5 +1,6 @@
 """Subspace geometry: projections, metrics, Haar sampling, plane surgery."""
 
+import itertools
 import math
 
 import numpy as np
@@ -195,6 +196,36 @@ class TestSampleInBall:
             q = gr._plane_basis(proj, k)
             assert np.abs(q.T @ q - np.eye(k)).max() <= 1e-15
             assert np.abs(q @ q.T - proj).max() <= 1e-15
+
+
+class TestOrthogonalComplement:
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([(d, n) for d in range(2, 6) for n in range(1, d + 1)]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_fixed_by_the_subspace(self, seed, dims):
+        # two orthonormal bases of one subspace give one complement, to rounding; it is
+        # orthonormal and orthogonal to the subspace
+        d, n = dims
+        rng = np.random.default_rng(seed)
+        v = gr.sample_haar(d, n, rng)
+        c = gr.orthogonal_complement(v).basis
+        turned = gr.orthogonal_complement(gr.Subspace(v.basis @ random_rotation(n, rng))).basis
+        assert c.shape == turned.shape == (d, d - n)
+        assert np.abs(c - turned).max(initial=0.0) <= 1e-12
+        assert np.abs(c.T @ c - np.eye(d - n)).max(initial=0.0) <= 1e-12
+        assert np.abs(v.basis.T @ c).max(initial=0.0) <= 1e-12
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_axis_subspaces_give_the_other_axes(self, d):
+        # bit for bit, in ascending order; for the leading axes, which the graph clouds use, these
+        # are the bytes the complement has always had
+        for n in range(d + 1):
+            for axes in itertools.combinations(range(d), n):
+                c = gr.Subspace.axis(d, *axes).complement().basis
+                assert c.shape == (d, d - n)
+                assert c.tobytes() == np.eye(d)[:, [a for a in range(d) if a not in axes]].tobytes()
 
 
 class TestNearestSubspaceIn:

@@ -15,7 +15,7 @@ from rectilab import cubes as cb
 from rectilab import pointset as ps
 from rectilab.grassmann import GrassmannBall, Subspace, metric, sample_haar, sample_in_ball
 
-from helpers import random_rotation
+from helpers import exact_regularity, random_rotation
 
 X_AXIS = Subspace.axis(2, 0)
 Y_AXIS = Subspace.axis(2, 1)
@@ -149,27 +149,6 @@ class TestGeneratorResolution:
     def test_bad_resolution_is_named(self, make, resolution):
         with pytest.raises(ValueError, match="resolution must be finite and positive"):
             make(resolution)
-
-
-def exact_regularity(cloud):
-    """The supremum of max(mass / r^n, r^n / mass) over the closed balls centred
-    at points of positive weight, r in [4 resolution, r_hi] with r_hi as in
-    ``estimate_regularity``. A centre's mass is constant on each interval
-    between the radii where it steps (its sorted distances, inside the range),
-    so mass / r^n peaks at each interval's left end and r^n / mass tends to
-    its supremum at the right end."""
-    r_lo = 4.0 * cloud.resolution
-    r_hi = max(cloud.diameter, r_lo * (1.0 + 1e-9))
-    worst = 1.0
-    for x in cloud.points[cloud.weights > 0]:
-        dist = ps._row_norms(cloud.points - x)
-        order = np.argsort(dist, kind="stable")
-        dist, mass = dist[order], np.cumsum(cloud.weights[order])
-        ends = np.unique(np.r_[r_lo, dist[(dist > r_lo) & (dist < r_hi)], r_hi])
-        at = mass[np.searchsorted(dist, ends, side="right") - 1]  # the mass at each end
-        rn = ends**cloud.n
-        worst = max(worst, (at / rn).max(), (rn[1:] / at[:-1]).max())
-    return worst
 
 
 class TestEstimateRegularity:
