@@ -34,8 +34,9 @@ name before each of ``cube``, ``beta``, ``margins``, ``overlap`` and
 seed, kind and text, tab-separated. ``--compare A B`` reads two such files
 and prints, per workload and kind, how many entries differ, the largest
 absolute and relative change of the floats of the differing entries that
-hold as many floats on both sides, and the first differing entry's seed
-and key: the cube key for ``cube`` and ``beta`` entries, else ``#i`` for
+hold as many floats on both sides, how many differing entries have no
+floats to pair (on one side only, an array of another shape, or a file's
+hash), and the first differing entry's seed and key: the cube key for ``cube`` and ``beta`` entries, else ``#i`` for
 the kind's i-th entry at that seed. It exits 1 when any entry differs.
 
 A digest is specific to one machine and one numpy build. numpy picks its
@@ -162,16 +163,20 @@ def compare(path_a: Path, path_b: Path) -> bool:
         differ = [key for key in keys if a.get(key) != b.get(key)]
         line = f"{group[0]} {group[1]}: {len(differ)} of {len(keys)} entries differ"
         if differ:
-            equal, largest = False, np.zeros(2)
+            equal, largest, paired = False, np.zeros(2), 0
             for key in differ:
                 fa, fb = (_floats(side.get(key, "")) for side in (a, b))
                 if len(fa) == len(fb) and len(fa):
+                    paired += 1
                     same = (fa == fb) | (np.isnan(fa) & np.isnan(fb))
                     with np.errstate(invalid="ignore", over="ignore"):
                         change = np.where(same, 0.0, np.abs(fa - fb))
                         rel = np.where(same, 0.0, change / np.maximum(np.abs(fa), np.abs(fb)))
                     largest = np.fmax(largest, [change.max(), rel.max()])
-            line += f"; largest float change {largest[0]:.3g} absolute, {largest[1]:.3g} relative"
+            if paired:
+                line += f"; largest float change {largest[0]:.3g} absolute, {largest[1]:.3g} relative"
+            if paired < len(differ):
+                line += f"; {len(differ) - paired} without floats to pair"
             line += f"; first at seed {differ[0][0]} key {differ[0][1]}"
         print(line)
     return equal
