@@ -1,6 +1,7 @@
 """SHA-256 of every output of the benchmark passes, per workload and per kind of output.
 
     python3 scripts/output_digest.py [--root CHECKOUT] [--seeds 1 2 3] [--dump FILE]
+    python3 scripts/output_digest.py --corpus stopping [--root CHECKOUT] [--dump FILE]
     python3 scripts/output_digest.py --compare A B
 
 Runs one untimed pass of each workload of ``perfbench/workloads.py`` at each
@@ -30,6 +31,15 @@ cantor-scan, ``family`` on stopping-mix, and on graph-refine the cloud's
 name before each of ``cube``, ``beta``, ``margins``, ``overlap`` and
 ``regularity``. Diffing two runs then names the kind of output that moved.
 
+``--corpus stopping`` hashes the named stopping corpus in place of the
+workloads: ``random_family`` at (d, depth) = (1, 10), (2, 7) and (3, 5),
+profiles ``peaked`` and ``mixed``, seeds 0-199 (``default_rng(seed)``) and
+``StoppingConfig(N=40, M=2)``, 1,200 runs of ``heavy_cubes``. Each run's
+entry holds the status, heavy cubes, ``f_masses``, trace, checks, the
+``exhaustive_verify`` verdict and the ``weight_profile`` dict; its kind is
+``d=<d> <profile>``. After the digest lines it prints the count of each
+status.
+
 ``--dump FILE`` also writes every entry to FILE, one per line: workload,
 seed, kind and text, tab-separated. ``--compare A B`` reads two such files
 and prints, per workload and kind, how many entries differ, the largest
@@ -51,6 +61,7 @@ each leg.
 """
 
 import argparse
+import collections
 import dataclasses
 import hashlib
 import itertools
@@ -182,10 +193,43 @@ def compare(path_a: Path, path_b: Path) -> bool:
     return equal
 
 
+def stopping_corpus(statuses: collections.Counter):
+    """(seed, kind, text) of every run of the named stopping corpus, counting each status in ``statuses``."""
+    import numpy as np
+    from rectilab import stopping as st
+
+    config = st.StoppingConfig(N=40, M=2)
+    for d, depth in ((1, 10), (2, 7), (3, 5)):
+        systems = st.AdjacentSystems(d)
+        for profile in ("peaked", "mixed"):
+            for seed in range(200):
+                fam = st.random_family(d, np.random.default_rng(seed), profile=profile, config=config, grid_depth=depth)
+                res = st.heavy_cubes(fam, config, depth)
+                statuses[res.status] += 1
+                verdict, weights = st.exhaustive_verify(fam, config, res), st.weight_profile(fam, systems)
+                fields = (res.status, res.heavy, res.f_masses, res.trace, res.checks, verdict, weights)
+                yield seed, f"d={d} {profile}", " ".join(map(_canon, fields))
+
+
+def report(name: str, items, dump) -> None:
+    """Print the total and per-kind digests of (seed, kind, text) items, writing each item to ``dump``."""
+    total, kinds = [hashlib.sha256(), 0], {}
+    for seed, kind, text in items:
+        dump.write(f"{name}\t{seed}\t{kind}\t{text}\n")
+        line = f"{name} {seed} {kind} {text}\n".encode()
+        for tally in (total, kinds.setdefault(kind, [hashlib.sha256(), 0])):
+            tally[0].update(line)
+            tally[1] += 1
+    print(f"{name}: {total[1]} entries, sha256 {total[0].hexdigest()}")
+    for kind, (digest, count) in kinds.items():
+        print(f"  {kind}: {count} entries, sha256 {digest.hexdigest()}")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    parser.add_argument("--corpus", choices=("stopping",), help="hash the named corpus in place of the workloads")
     parser.add_argument("--dump", type=Path, help="also write every entry to this file, one per line")
     parser.add_argument("--compare", type=Path, nargs=2, metavar=("A", "B"), help="compare two dump files")
     args = parser.parse_args()
@@ -197,18 +241,13 @@ def main() -> None:
     if Path(rectilab.__file__).resolve().parent != (args.root / "src" / "rectilab").resolve():
         sys.exit(f"rectilab loads from {rectilab.__file__}, not from {args.root / 'src'}")
     with open(args.dump or os.devnull, "w") as dump:
+        if args.corpus:
+            statuses = collections.Counter()
+            report("stopping-corpus", stopping_corpus(statuses), dump)
+            print("  statuses: " + ", ".join(f"{count} {status}" for status, count in sorted(statuses.items())))
+            return
         for workload in WORKLOADS:
-            total, kinds = [hashlib.sha256(), 0], {}
-            for seed in args.seeds:
-                for kind, text in entries(workload, seed):
-                    dump.write(f"{workload}\t{seed}\t{kind}\t{text}\n")
-                    line = f"{workload} {seed} {kind} {text}\n".encode()
-                    for tally in (total, kinds.setdefault(kind, [hashlib.sha256(), 0])):
-                        tally[0].update(line)
-                        tally[1] += 1
-            print(f"{workload}: {total[1]} entries, sha256 {total[0].hexdigest()}")
-            for kind, (digest, count) in kinds.items():
-                print(f"  {kind}: {count} entries, sha256 {digest.hexdigest()}")
+            report(workload, ((seed, *entry) for seed in args.seeds for entry in entries(workload, seed)), dump)
 
 
 if __name__ == "__main__":

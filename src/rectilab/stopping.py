@@ -11,12 +11,13 @@ high-level mass at high density.
 
 ``maximal_function`` takes one FFT convolution per radius and is the
 reference. ``heavy_cubes`` reads Mf only through {Mf >= N}, from
-``_level_set``: it bounds each radius' disk sums by dyadic block sums, sums
-exactly from row prefix sums at the few cells the bound leaves undecided,
-and takes that radius' FFT average (``_average``, which transforms f and the
-kernel afresh) only when a cell lies within the rounding band of N or the
-direct sums would cost more than the transform. ``scipy.fft`` loads at the
-first transform.
+``_level_set``: at the small radii it takes the cells that could reach N
+from the few cells of {f >= N - band} dilated by the kernel, at the others
+it bounds the disk sums by dyadic block sums; it sums exactly from row
+prefix sums at the cells either bound leaves undecided, and takes that
+radius' FFT average (``_average``, which transforms f and the kernel afresh)
+only when a cell lies within the rounding band of N or the direct sums would
+cost more than the transform. ``scipy.fft`` loads at the first transform.
 
 ``heavy_cubes`` renders each ball once, and that one rendering gives f, the
 balls' grid volumes, the visible balls (those rendered not None) and the
@@ -32,11 +33,19 @@ measure cubes with the helpers ``_contained_mass`` (mass of the balls inside
 a cube) and ``_high_mass`` (mass of f_i on the grid cells of a cube, located
 by ``_cell_window``, where f_i is positive: f_i is kept only on
 {f_i >= N_w}). Results hold cubes as ``SystemCube``s.
+
+``exhaustive_verify``, the brute-force oracle of a run, shares neither the
+renderer nor the disjointness test with ``heavy_cubes``: it counts each
+ball's cells itself (``_ball_cell_counts``, one row of the last axis at a
+time over all balls) and decides disjointness on exact integer bounds
+(``_integer_disjoint``), so a fault in ``_cells_in_ball`` or
+``_pairwise_disjoint`` does not pass both.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -371,17 +380,46 @@ def _disk_sums(prefix: np.ndarray, cells: np.ndarray, kernel: np.ndarray) -> np.
     return np.where(valid, runs, 0.0).sum(axis=1)
 
 
+def _dilated(cells: tuple, kernel: np.ndarray, n: int) -> np.ndarray:
+    """Mask of the cells of the n^d grid within the kernel's offsets of any of ``cells``, a tuple
+    of index arrays, one per axis. It is marked on the grid padded by the kernel's reach, where
+    a cell's flat index plus an offset's never wraps past an edge."""
+    m, d = kernel.shape[0], kernel.ndim
+    shape = (n + m - 1,) * d
+    mask = np.zeros(shape, dtype=bool)
+    mask.flat[np.ravel_multi_index(cells, shape)[:, None] + np.ravel_multi_index(np.nonzero(kernel), shape)] = True
+    return mask[(slice((m - 1) // 2, (m - 1) // 2 + n),) * d]
+
+
 def _level_set(f: GridFunction, level: float) -> np.ndarray:
     """The cells where ``maximal_function(f) >= level``, deciding most radii without a transform.
 
     An average of f never exceeds max f, so when max f < level (1 - 1e-9)
     the set is empty; and no radius from the first with sum f < level sum K
     (1 - 1e-9) on reaches ``level``, for sum K grows with r. The radii run
-    smallest first. At reach R = 2^(depth - k) cells, the sums of f over
-    dyadic blocks of side R bound each cell's disk sum by the sum over the
-    3^d blocks around its block. Cells outside the set whose bound reaches
-    (level - band) sum K are undecided; a radius without any makes no
-    transform. Otherwise ``_disk_sums`` gives their exact disk sums from
+    smallest first, and each takes its undecided cells from one of two
+    bounds. An average over a disk never exceeds the largest cell in it, and
+    an average that reaches ``level`` in the transform is at least level -
+    band exactly, so such a cell has a cell of H = {f >= level - band} in
+    its disk (H is taken with a relative slack of 1e-12, so that rounding
+    level - band drops none of its cells). While |H| sum K is below a
+    sixteenth of the grid's cells, the cells outside the set within the
+    kernel's offsets of H (``_dilated``) are undecided. Past that, at reach
+    R = 2^(depth - k) cells, the sums of f over dyadic blocks of side R
+    bound each cell's disk sum by the sum over the 3^d blocks around its
+    block, and the cells outside the set whose bound reaches (level - band)
+    sum K are undecided. Either bound leaves every cell whose average
+    reaches ``level`` undecided or in the set, so both lead to the set of
+    the reference, and they differ at most in the choice between direct sums
+    and the transform below. On the benchmark's d = 2 families (depth 9)
+    the reach-1 block bound scans all 262,144 cells to leave 10-56
+    undecided, where H holds 85-977 cells: ``_level_set`` took 32.9 ms over
+    the seven with the block bound alone, and 21.2, 20.9, 22.5, 25.1 and
+    29.5 ms with the dilation below 1/8, 1/16, 1/32, 1/64 and 1/128 of the
+    cells (medians of 15 rounds, one thread); the seven d = 1 families
+    (depth 14) took 2.4 and 2.7 ms with the block bound alone and at 1/16.
+    A radius without undecided cells makes no transform. Otherwise
+    ``_disk_sums`` gives their exact disk sums from
     prefix sums along the last axis, one run per kernel row, and a cell joins
     the set when its average clears ``level`` by more than the band. If an
     average lies within the band, or the runs outnumber the cells of the
@@ -407,6 +445,8 @@ def _level_set(f: GridFunction, level: float) -> np.ndarray:
     prefix = np.zeros((n ** (d - 1), n + 1))
     np.cumsum(f.values.reshape(-1, n), axis=1, out=prefix[:, 1:])
     band = 1e-12 * top + np.finfo(float).eps * prefix[:, -1].max()
+    # the slack keeps every cell of {f >= level - band} that the rounded product could drop
+    hot = np.unravel_index(np.flatnonzero(f.values >= (level - band) * (1 - 1e-12)), f.values.shape)
     blocks = f.values
     for k in range(f.depth, -1, -1):
         kernel = _ball_kernel(d, f.depth, 2.0**-k)
@@ -414,11 +454,15 @@ def _level_set(f: GridFunction, level: float) -> np.ndarray:
         if total < level * ksum * (1 - 1e-9):
             break
         reach = 2 ** (f.depth - k)
-        blocks = _halve(blocks) if reach > 1 else blocks
-        nb = n // reach
-        # a cell's disk lies in the 3^d blocks of side reach around its own
-        near = _box3(blocks) >= (level - band) * ksum
-        undecided = np.flatnonzero(near.reshape((nb, 1) * d) & ~out.reshape((nb, reach) * d))
+        if hot[0].size * ksum < out.size / 16:
+            undecided = np.flatnonzero(_dilated(hot, kernel, n) & ~out)
+        else:
+            nb = n // reach
+            while blocks.shape[0] > nb:
+                blocks = _halve(blocks)
+            # a cell's disk lies in the 3^d blocks of side reach around its own
+            near = _box3(blocks) >= (level - band) * ksum
+            undecided = np.flatnonzero(near.reshape((nb, 1) * d) & ~out.reshape((nb, reach) * d))
         if not undecided.size:
             continue
         runs = undecided.size * int(kernel[..., reach].sum())  # one per nonempty kernel row
@@ -752,12 +796,69 @@ def _pairwise_disjoint(cubes: list[SystemCube], systems: AdjacentSystems) -> boo
     return True
 
 
+def _integer_disjoint(cubes: list[SystemCube]) -> bool:
+    """Whether no two cubes share an interior point, on exact integers: the system shifts are
+    thirds, so the bounds times 3 2^L, L the deepest level, are integers, and cubes whose faces
+    touch are disjoint."""
+    top = max((cube.level for cube in cubes), default=0)
+    boxes = []
+    for cube in cubes:
+        side = 3 << (top - cube.level)
+        boxes.append(([(((cube.system >> j) & 1) << top) + c * side for j, c in enumerate(cube.cell)], side))
+    return not any(
+        all(max(x, y) < min(x + side_a, y + side_b) for x, y in zip(lo_a, lo_b))
+        for (lo_a, side_a), (lo_b, side_b) in itertools.combinations(boxes, 2)
+    )
+
+
+def _ball_cell_counts(centers: np.ndarray, radii: np.ndarray, depth: int) -> np.ndarray:
+    """The number of grid cells whose centres lie in each ball, by the rule of ``_cells_in_ball``
+    but counted apart from it: cell i is in when sum_j ((i_j + 1/2) h - c_j)^2 <= r^2, summed in
+    axis order, inside the window ceil((c - r)/h - 1/2) .. floor((c + r)/h - 1/2) clipped to the
+    grid. The count runs one row of the last axis at a time, over all balls at once: a square root
+    estimates each row's interval, whose ends then move cell by cell until the rule holds at them
+    and fails just past them (the cells of a row that pass form one interval)."""
+    h, (count, d) = 2.0**-depth, centers.shape
+    lo = np.maximum(np.ceil((centers - radii[:, None]) / h - 0.5), 0).astype(np.int64)
+    hi = np.minimum(np.floor((centers + radii[:, None]) / h - 0.5), 2**depth - 1).astype(np.int64)
+    ball, s = np.arange(count), np.zeros(count)  # each row's ball and sum over the leading axes
+    for j in range(d - 1):
+        k = np.maximum(hi[ball, j] - lo[ball, j] + 1, 0)
+        ball, s = np.repeat(ball, k), np.repeat(s, k)
+        i = lo[ball, j] + np.arange(ball.size) - np.repeat(np.cumsum(k) - k, k)
+        s = s + ((i + 0.5) * h - centers[ball, j]) ** 2
+    # r^2 by the scalar power, as ``radius**2`` rounds; numpy's array square can round otherwise
+    c, r2 = centers[ball, -1], np.array([r**2 for r in radii.tolist()])[ball]
+    first, last = lo[ball, -1], hi[ball, -1]
+    half = np.sqrt(np.maximum(r2 - s, 0.0))
+    a = np.clip(np.ceil((c - half) / h - 0.5), first, last + 1).astype(np.int64)
+    z = np.clip(np.floor((c + half) / h - 0.5), first - 1, last).astype(np.int64)
+
+    def inside(i):
+        return s + ((i + 0.5) * h - c) ** 2 <= r2
+
+    while (step := (a <= z) & ~inside(a)).any():
+        a += step
+    while (step := (z >= a) & ~inside(z)).any():
+        z -= step
+    while (step := (a > first) & inside(a - 1)).any():
+        a -= step
+    while (step := (z < last) & inside(z + 1)).any():
+        z += step
+    return np.bincount(ball, np.maximum(z - a + 1, 0), count)
+
+
 def exhaustive_verify(family: BallFamily, config: StoppingConfig, result: HeavyCubesResult) -> dict:
     """Independent re-check of a stopping run against brute-force enumeration.
 
-    Returned cubes: recomputes each norm by direct summation and confirms the
-    density and retention inequalities, pairwise disjointness, and that each
-    cube belongs to one of the 2^d systems (else "identity", and no other check).
+    Every ball's grid volume comes from the oracle's own cell count
+    (``_ball_cell_counts``), not from the renderer ``heavy_cubes`` uses, and a
+    cube's norm adds w_B |B|_grid over the balls inside it in ball order, one
+    addition after another. Returned cubes: recomputes each norm and confirms
+    the density and retention inequalities, pairwise disjointness on exact
+    integer bounds (``_integer_disjoint``, where cubes whose faces touch are
+    disjoint), and that each cube belongs to one of the 2^d systems (else
+    "identity", and no other check).
     ``exhausted`` runs return no cubes; each generation record k must have the
     threshold floor(N / 2^d / 2^k) ("threshold"), heavy high-level mass below
     2^-k theta, so no reason to stop there ("stop"), and heavy cubes whose balls
@@ -767,19 +868,15 @@ def exhaustive_verify(family: BallFamily, config: StoppingConfig, result: HeavyC
     if result.status == "vacuous":
         return out
     systems = AdjacentSystems(family.d)
-    gvols = np.array(
-        [grid_ball_volume(c, r, result.grid_depth, family.d) for c, r in zip(family.centers, family.radii)]
+    masses = family.weights * (
+        _ball_cell_counts(family.centers, family.radii, result.grid_depth) * 2.0 ** (-result.grid_depth * family.d)
     )
+    low, high = family.centers - family.radii[:, None], family.centers + family.radii[:, None]
 
     def norm_of(cube):
         lo, hi = systems.bounds(cube)
-        norm = 0.0
-        for i in range(len(family)):
-            if np.all(family.centers[i] - family.radii[i] >= lo - 1e-15) and np.all(
-                family.centers[i] + family.radii[i] <= hi + 1e-15
-            ):
-                norm += float(family.weights[i] * gvols[i])
-        return norm
+        inside = np.all(low >= lo - 1e-15, axis=1) & np.all(high <= hi + 1e-15, axis=1)
+        return float(np.cumsum(np.r_[0.0, masses[inside]])[-1])  # added in ball order
 
     if result.status == "exhausted":
         n_working = config.N / len(systems)
@@ -809,7 +906,7 @@ def exhaustive_verify(family: BallFamily, config: StoppingConfig, result: HeavyC
             total += norm
         if total < conclusion_floor:
             out["failures"].append(("retention", total, conclusion_floor))
-        if not _pairwise_disjoint(genuine, systems):
+        if not _integer_disjoint(genuine):
             out["failures"].append(("disjoint",))
     out["ok"] = not out["failures"]
     return out

@@ -433,6 +433,25 @@ class TestPrunedMaximal:
         assert self.counted_transforms(f, level, monkeypatch) == expected
         assert np.array_equal(st._level_set(f, level), st.maximal_function(f).values >= level)
 
+    @pytest.mark.parametrize(
+        "d,depth,seed,dilated,blocks",
+        [(1, 12, 2, 3, 2), (2, 7, 3, 2, 1), (2, 8, 0, 2, 2), (3, 6, 3, 1, 2), (3, 5, 3, 0, 3)],
+    )
+    def test_small_radii_bound_from_the_cells_near_the_level(self, d, depth, seed, dilated, blocks, monkeypatch):
+        """On peaked families at level N, the smallest kept radii take their undecided
+        cells from H = {f >= N - band} dilated by the kernel, while |H| sum K stays below a
+        sixteenth of the grid's cells, and the larger ones from the 3^d block bound (all of
+        them on the last, depth-5 grid): each path's count of radii, and the set of the
+        reference either way."""
+        fam = st.random_family(d, np.random.default_rng(seed), profile="peaked", config=CONFIG, grid_depth=depth)
+        f = st.GridFunction.from_balls(fam, depth)
+        calls = []
+        for name in ("_dilated", "_box3"):
+            run = getattr(st, name)
+            monkeypatch.setattr(st, name, lambda *args, name=name, run=run: calls.append(name) or run(*args))
+        assert np.array_equal(st._level_set(f, CONFIG.N), st.maximal_function(f).values >= CONFIG.N)
+        assert calls == ["_dilated"] * dilated + ["_box3"] * blocks
+
     @pytest.mark.parametrize("d,depth", [(1, 10), (2, 6), (3, 4)])
     def test_no_transform_above_max_f(self, d, depth, monkeypatch):
         """A level above max f makes no transform, though sum f alone would keep radii."""
@@ -901,6 +920,89 @@ class TestExhaustiveVerify:
         fam, result = found
         tampered = dataclasses.replace(result, heavy=result.heavy + [result.heavy[0]])
         assert self.names(st.exhaustive_verify(fam, CONFIG, tampered)) == ["disjoint"]
+
+    @pytest.mark.parametrize("seed,status", [(6, "heavy_found"), (0, "early_exit")])
+    def test_renderer_one_cell_short_fails(self, seed, status, monkeypatch):
+        """A renderer that drops one cell of every ball moves each run's masses; the
+        oracle counts its own cells, so it names the moved norms."""
+        cells_in_ball = st._cells_in_ball
+
+        def one_short(*args):
+            cells = cells_in_ball(*args)
+            if cells is None:
+                return None
+            window, inside = cells[0], cells[1].copy()
+            inside.flat[np.flatnonzero(inside)[0]] = False
+            return (window, inside) if inside.any() else None
+
+        monkeypatch.setattr(st, "_cells_in_ball", one_short)
+        fam = st.random_family(1, np.random.default_rng(seed), profile="peaked", config=CONFIG, grid_depth=10)
+        result = st.heavy_cubes(fam, CONFIG, 10)
+        assert result.status == status
+        assert "norm" in self.names(st.exhaustive_verify(fam, CONFIG, result))
+
+    @staticmethod
+    @hs.composite
+    def balls_on_grid(draw):
+        """A grid of depth 0..10 in d = 1..4 and up to five balls: coordinates on cell
+        faces or centres (multiples of h/2) or drawn past the grid's edges; radii below a
+        cell, at multiples of h/2, at sqrt(k) h/2 (cell centres on the sphere when the
+        centre is on the half grid) or drawn up to 1.5."""
+        d = draw(hs.integers(1, 4))
+        depth = draw(hs.integers(0, {1: 10, 2: 6, 3: 4, 4: 3}[d]))
+        h = 2.0**-depth
+        coordinate = hs.one_of(hs.integers(0, 2 ** (depth + 1)).map(lambda k: k * h / 2), hs.floats(-0.25, 1.25))
+        radius = hs.one_of(
+            hs.floats(1e-6 * h, h, exclude_max=True),
+            hs.integers(1, 2 ** (depth + 2)).map(lambda k: k * h / 2),
+            hs.integers(1, 4 ** (depth + 2)).map(lambda k: math.sqrt(k) * h / 2),
+            hs.floats(1e-3, 1.5),
+        )
+        count = draw(hs.integers(1, 5))
+        centers = np.array([[draw(coordinate) for _ in range(d)] for _ in range(count)])
+        return centers, np.array([draw(radius) for _ in range(count)]), depth
+
+    @given(balls=balls_on_grid())
+    @settings(max_examples=300, deadline=None)
+    def test_own_cell_counts_equal_grid_ball_volume(self, balls):
+        centers, radii, depth = balls
+        d = centers.shape[1]
+        expected = [st.grid_ball_volume(c, r, depth, d) for c, r in zip(centers, radii)]
+        assert np.array_equal(st._ball_cell_counts(centers, radii, depth) * 2.0 ** (-depth * d), expected)
+
+    @pytest.mark.parametrize(
+        "other,disjoint",
+        [
+            (st.SystemCube(3, 1, (1, 0)), True),  # [5/6, 4/3] x [1/3, 5/6]: the face x = 5/6
+            (st.SystemCube(3, 2, (2, -1)), True),  # [5/6, 13/12] x [1/12, 1/3]: the face x = 5/6
+            (st.SystemCube(1, 1, (1, 1)), True),  # [5/6, 4/3] x [1/2, 1]: the corner (5/6, 1/2)
+            (st.SystemCube(3, 1, (0, 0)), False),
+            (st.SystemCube(2, 2, (3, 0)), False),
+        ],
+    )
+    def test_integer_disjointness_of_two_systems(self, other, disjoint):
+        """Cube (1, 1, (0, 0)) of the x-shifted system is [1/3, 5/6] x [0, 1/2]; faces and
+        corners that touch leave cubes disjoint, overlaps do not, as the float test says."""
+        cubes = [st.SystemCube(1, 1, (0, 0)), other]
+        assert st._integer_disjoint(cubes) is disjoint
+        assert st._pairwise_disjoint(cubes, st.AdjacentSystems(2)) is disjoint
+
+    @given(
+        d=hs.integers(1, 3),
+        cubes=hs.lists(
+            hs.tuples(hs.integers(0, 7), hs.integers(0, 5), hs.lists(hs.integers(0, 63), min_size=3)), max_size=6
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_integer_disjointness_agrees_with_float_test(self, d, cubes):
+        """Cubes of every system at levels 0..5 with cells -1 .. 2^(level+1) - 2, near one
+        another: the exact test and ``_pairwise_disjoint`` agree (an overlap here is at
+        least 2^-5 / 3 wide, far above the float test's 1e-15 allowance)."""
+        cubes = [
+            st.SystemCube(system % 2**d, level, tuple(c % 2 ** (level + 1) - 1 for c in cell[:d]))
+            for system, level, cell in cubes
+        ]
+        assert st._integer_disjoint(cubes) == st._pairwise_disjoint(cubes, st.AdjacentSystems(d))
 
     @pytest.fixture(scope="class")
     def exhausted(self):
