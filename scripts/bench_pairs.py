@@ -1,15 +1,15 @@
 """Alternating runs of the benchmark at a base and a head revision, summarised in one JSON file.
 
     python3 scripts/bench_pairs.py --base REV [--head REV] --workload W [W ...] --pairs K
-        --out BENCH_<n>.json [--seconds S] [--trace 0|1] [--seeds S1 ... SK]
+        --out BENCH_<n>.json [--trace 0|1] [--seeds S1 ... SK]
 
 Exports the committed files of both revisions (the head defaults to HEAD) with
 ``git archive`` into a temporary directory, so each side runs its own
 ``perfbench/run.py`` on its own ``src/``, unchanged. Pair i runs at the i-th
 seed of ``--seeds`` (default 1..K): the base first in even pairs, the head
-first in odd ones, one run at a time. ``--seconds`` defaults to
-``run_seconds`` of the head's ``BENCHMARK.json``. A run's result is the JSON
-object on the last line of its output.
+first in odd ones, one run at a time, each for ``run_seconds`` of the head's
+``BENCHMARK.json``. A run's result is the JSON object on the last line of its
+output.
 
 The file holds both revisions and their SHAs, the seeds, the run length, the
 environment (Python, numpy and scipy versions, the BLAS thread variables and
@@ -95,7 +95,6 @@ def main() -> int:
     parser.add_argument("--workload", required=True, nargs="+", choices=("cantor-scan", "graph-refine", "stopping-mix"))
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--out", type=Path, required=True, help="the JSON file to write")
-    parser.add_argument("--seconds", type=float, help="run length (default: run_seconds of the head's BENCHMARK.json)")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--seeds", type=int, nargs="+", help="one seed per pair (default 1..K)")
     args = parser.parse_args()
@@ -107,7 +106,7 @@ def main() -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         checkouts = {side: export(sha, Path(tmp) / side) for side, sha in shas.items()}
-        seconds = args.seconds or json.loads((checkouts["head"] / "BENCHMARK.json").read_text())["run_seconds"]
+        seconds = json.loads((checkouts["head"] / "BENCHMARK.json").read_text())["run_seconds"]
         report = {
             **{side: {"rev": rev, "sha": shas[side]} for side, rev in revs.items()},
             "seeds": seeds, "seconds": seconds, "trace": args.trace, "environment": environment(),

@@ -419,13 +419,12 @@ def _level_set(f: GridFunction, level: float) -> np.ndarray:
     cells (medians of 15 rounds, one thread); the seven d = 1 families
     (depth 14) took 2.4 and 2.7 ms with the block bound alone and at 1/16.
     A radius without undecided cells makes no transform. Otherwise
-    ``_disk_sums`` gives their exact disk sums from
-    prefix sums along the last axis, one run per kernel row, and a cell joins
-    the set when its average clears ``level`` by more than the band. If an
-    average lies within the band, or the runs outnumber the cells of the
-    radius' padded transform, the radius takes ``maximal_function``'s FFT
-    average instead, so the set equals ``maximal_function(f).values >=
-    level`` bit for bit.
+    ``_disk_sums`` gives their exact disk sums from prefix sums along the
+    last axis, one run per kernel row, and a cell joins the set when its
+    average clears ``level`` by more than the band. If an average lies
+    within the band, or the runs outnumber the cells of the radius' padded
+    transform, the radius takes ``maximal_function``'s FFT average instead,
+    so the set equals ``maximal_function(f).values >= level`` bit for bit.
 
     The band is 1e-12 max f + eps P, with eps the double epsilon and P the
     largest row sum of f. The first term covers the transform's error (about
@@ -445,7 +444,6 @@ def _level_set(f: GridFunction, level: float) -> np.ndarray:
     prefix = np.zeros((n ** (d - 1), n + 1))
     np.cumsum(f.values.reshape(-1, n), axis=1, out=prefix[:, 1:])
     band = 1e-12 * top + np.finfo(float).eps * prefix[:, -1].max()
-    # the slack keeps every cell of {f >= level - band} that the rounded product could drop
     hot = np.unravel_index(np.flatnonzero(f.values >= (level - band) * (1 - 1e-12)), f.values.shape)
     blocks = f.values
     for k in range(f.depth, -1, -1):

@@ -990,7 +990,7 @@ class TestExhaustiveVerify:
     @given(
         d=hs.integers(1, 3),
         cubes=hs.lists(
-            hs.tuples(hs.integers(0, 7), hs.integers(0, 5), hs.lists(hs.integers(0, 63), min_size=3)), max_size=6
+            hs.tuples(hs.integers(0, 7), hs.integers(0, 5), hs.tuples(*[hs.integers(0, 63)] * 3)), max_size=6
         ),
     )
     @settings(max_examples=300, deadline=None)
