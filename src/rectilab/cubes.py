@@ -145,6 +145,9 @@ class CubeLattice:
         return out
 
     def key_of_point(self, point_index: int, level: int) -> CubeKey:
+        _check_count("point_index", point_index, 0)
+        if point_index >= len(self.cloud.points):
+            raise ValueError(f"point_index must be below the cloud's {len(self.cloud.points)} points, got {point_index}")
         side = 2.0**-level
         cell = tuple(np.floor(self.cloud.points[point_index] / side).astype(np.int64).tolist())
         return (level, cell)
@@ -287,37 +290,41 @@ def decompose_trees(lattice: CubeLattice, flags: Flags, n_stop: int, q0) -> Fore
 
 
 def validate_tree(tree: Tree, lattice: CubeLattice):
-    """Check the three tree axioms and the leaf characterisation.
+    """Check the tree axioms and the leaf characterisation.
 
     Returns (True, None) or (False, witness); the witness names the broken
-    axiom and the offending cubes.
+    axiom and the offending cubes:
+
+    - ``("top", top, key)``: every member lies in the top;
+    - ``("consistency", key, parent, top)``: every member but the top has its
+      parent in the tree or the top as its parent, so by induction anything
+      between two members is a member;
+    - ``("children", key, missing)``: a member has all its children in the
+      tree or none;
+    - ``("leaves", key)``: the leaves are exactly the members with children in
+      the lattice and none in the tree; cubes at the lattice bottom may end a
+      tree without being leaves (the finite lattice truncates them; only fired
+      stopping cubes are leaves).
+
+    Consistency, children and unmarked leaves are checked in one pass over
+    the members, so when a tree breaks two axioms either may be named.
     """
     top = tree.top
     for key in tree.cubes:
         if not _is_ancestor(top, key):
             return False, ("top", top, key)
-    # consistency: anything sandwiched between two members is a member
     for key in tree.cubes:
-        walk = lattice.parent_key(key)
-        while walk is not None and walk != top and _is_ancestor(top, walk):
-            if walk not in tree.cubes:
-                return False, ("consistency", key, walk, top)
-            walk = lattice.parent_key(walk)
-    for key in tree.cubes:
+        parent = lattice.parent_key(key)
+        if key != top and parent != top and parent not in tree.cubes:
+            return False, ("consistency", key, parent, top)
         children = lattice.child_keys(key)
         inside = [c for c in children if c in tree.cubes]
         if inside and len(inside) != len(children):
-            missing = next(c for c in children if c not in tree.cubes)
-            return False, ("children", key, missing)
-    # leaves are exactly the members with no child in the tree, except that
-    # cubes at the lattice bottom may end a tree without being leaves (the
-    # finite lattice truncates them; only fired stopping cubes are leaves)
+            return False, ("children", key, next(c for c in children if c not in tree.cubes))
+        if children and not inside and key not in tree.leaves:
+            return False, ("leaves", key)
     for key in tree.leaves:
         if key not in tree.cubes or any(c in tree.cubes for c in lattice.child_keys(key)):
-            return False, ("leaves", key)
-    for key in tree.cubes:
-        children = lattice.child_keys(key)
-        if children and not any(c in tree.cubes for c in children) and key not in tree.leaves:
             return False, ("leaves", key)
     return True, None
 

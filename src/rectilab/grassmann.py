@@ -273,8 +273,11 @@ def annihilating_plane(z: np.ndarray, v: Subspace, delta: float) -> Subspace:
 
     Requires |proj_v(z)| <= (delta/4)|z|. The returned plane v' satisfies
     proj_{v'}(z) = 0 up to 1e-10 |z| and metric(v, v') < delta: the basis
-    direction aligned with proj_v(z) is rotated away from z inside the
-    2-plane spanned by the projection and its orthogonal complement part.
+    direction u aligned with proj_v(z) is rotated away from z inside the
+    2-plane spanned by the projection and its orthogonal complement part,
+    and the rest of the basis is the part of v orthogonal to u, from
+    ``_plane_basis(P_v - u u^T, n - 1)``; the columns are orthonormal by
+    construction, as both parts are orthogonal to z.
     """
     z = np.asarray(z, dtype=float)
     norm_z = float(np.linalg.norm(z))
@@ -295,24 +298,7 @@ def annihilating_plane(z: np.ndarray, v: Subspace, delta: float) -> Subspace:
     u = pz / norm_pz
     w = qz / norm_qz
     u_new = (norm_qz * u - norm_pz * w) / norm_z
-    # Complete u_new with the part of v orthogonal to u (which is already
-    # orthogonal to z).
-    coeff = v.basis.T @ u  # (n,)
-    rest = v.basis - np.outer(u, coeff)  # columns spanning v minus the u line
-    cols = [u_new]
-    if v.n > 1:
-        q = orthonormalize_or_trim(rest, v.n - 1)
-        cols.extend(q.T)
-    vp = Subspace(orthonormalize(np.column_stack(cols)))
-    return vp
-
-
-def orthonormalize_or_trim(m: np.ndarray, rank: int) -> np.ndarray:
-    """First ``rank`` left singular vectors of ``m`` (robust partial basis)."""
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    if rank and s[rank - 1] <= 1e-12:
-        raise DegenerateInputError("matrix does not have the requested rank")
-    return u[:, :rank]
+    return Subspace(np.column_stack([u_new, _plane_basis(v.projection_matrix - np.outer(u, u), v.n - 1)]))
 
 
 def fubini_sample(

@@ -20,7 +20,7 @@ only when a cell lies within the rounding band of N or the direct sums would
 cost more than the transform. ``scipy.fft`` loads at the first transform.
 
 ``heavy_cubes`` renders each ball once, and that one rendering gives f, the
-balls' grid volumes, the visible balls (those rendered not None) and the
+balls' grid volumes, the visible balls (those whose mask holds a cell) and the
 per-system functions f_i on {f >= N_w}, the only cells where they can reach
 N_w. It drives the recursion through two stage functions: ``_select_system``
 (one batched ``locate_all`` pass over the visible balls, their assignment to
@@ -129,42 +129,38 @@ class GridFunction:
     def _summed(cls, rendered, weights, d: int, depth: int) -> "GridFunction":
         """Sum of weight times indicator over rendered balls, added in the given order."""
         g = cls(np.zeros((2**depth,) * d), depth)
-        for cells, w in zip(rendered, weights):
-            if cells is not None:
-                window, inside = cells
-                g.values[window][inside] += w
+        for (window, inside), w in zip(rendered, weights):
+            g.values[window][inside] += w
         return g
 
 
 def _cells_in_ball(center, radius, depth, d):
-    """The ball's bounding window of grid cells and the mask of the cells in
-    that window whose centres lie in the ball, or None when there are none."""
+    """The ball's bounding window of grid cells, clipped to the grid, and the mask of the cells in
+    that window whose centres x satisfy sum_j (x_j - c_j)^2 <= r * r. A ball that holds no cell
+    centre has an empty window or an all-False mask."""
     h = 2.0**-depth
     size = 2**depth
     window = []
     for j in range(d):
         lo = max(0, int(math.ceil((center[j] - radius) / h - 0.5)))
         hi = min(size - 1, int(math.floor((center[j] + radius) / h - 0.5)))
-        if lo > hi:
-            return None
-        window.append(slice(lo, hi + 1))
+        window.append(slice(lo, max(lo, hi + 1)))
     # the outer sum adds the per-axis squared offsets in axis order, so it
     # rounds as sum_j (x_j - c_j)^2 does
     sq = [((np.arange(sl.start, sl.stop) + 0.5) * h - center[j]) ** 2 for j, sl in enumerate(window)]
-    inside = functools.reduce(np.add.outer, sq) <= radius**2
-    if not inside.any():
-        return None
-    return tuple(window), inside
+    return tuple(window), functools.reduce(np.add.outer, sq) <= radius * radius
 
 
 def _render(family: BallFamily, depth: int) -> list:
-    """``_cells_in_ball`` of every ball, in index order."""
+    """``_cells_in_ball`` of every ball, in index order: one (window, mask) pair per ball, the
+    mask all False (or empty) for a ball that holds no cell centre."""
     return [_cells_in_ball(c, r, depth, family.d) for c, r in zip(family.centers, family.radii)]
 
 
 def grid_ball_volume(center, radius, depth, d) -> float:
-    cells = _cells_in_ball(center, radius, depth, d)
-    return 0.0 if cells is None else float(cells[1].sum()) * 2.0 ** (-depth * d)
+    """Volume of the grid cells of depth ``depth`` whose centres x lie in the ball, that is
+    sum_j (x_j - c_j)^2 <= r * r (r squared as a product, not a power); 0.0 when there are none."""
+    return float(_cells_in_ball(center, radius, depth, d)[1].sum()) * 2.0 ** (-depth * d)
 
 
 def _cell_window(lo, hi, depth):
@@ -590,13 +586,13 @@ def _high_mass(fi: GridFunction, lo, hi) -> float:
 
 
 def _select_system(family: BallFamily, systems: AdjacentSystems, rendered, f, n_working):
-    """Locate the visible balls (``rendered`` not None) in one pass and take theta_i,
-    the mass of f_i on {f_i >= n_working}, for each system i. Adding nonnegative
-    weights is monotone in every rounding, so f_i <= f: f_i is summed in ball order
-    on {f >= n_working} alone. Returns the first i of largest theta_i, all theta_i,
+    """Locate the visible balls, those whose rendered mask holds a cell, in one pass and
+    take theta_i, the mass of f_i on {f_i >= n_working}, for each system i. Adding
+    nonnegative weights is monotone in every rounding, so f_i <= f: f_i is summed in
+    ball order on {f >= n_working} alone. Returns the first i of largest theta_i, all theta_i,
     the flat cells of {f_i >= n_working} with f_i there, i's ball indices and the
     weight map of i's balls, built from their ``locate_all`` rows."""
-    balls = np.flatnonzero([cells is not None for cells in rendered])
+    balls = np.flatnonzero([inside.any() for _, inside in rendered])
     levels, owners, cells, _ = systems.locate_all(family.centers[balls], family.radii[balls])
     high = np.flatnonzero(f.values >= n_working)
     sums = np.zeros((len(systems), high.size))
@@ -730,7 +726,7 @@ def heavy_cubes(family: BallFamily, config: StoppingConfig, grid_depth: int) -> 
     f = GridFunction._summed(rendered, family.weights, d, grid_depth)
     conclusion_floor = c * 2.0 ** (-2 * (gamma + 1)) * n**-gamma
 
-    cell_counts = np.array([0.0 if cells is None else float(cells[1].sum()) for cells in rendered])
+    cell_counts = np.array([float(inside.sum()) for _, inside in rendered])
     ball_masses = family.weights * (cell_counts * f.cell_volume)
 
     hyp_mf_mass = float(f.values[_level_set(f, n)].sum() * f.cell_volume)
@@ -740,7 +736,7 @@ def heavy_cubes(family: BallFamily, config: StoppingConfig, grid_depth: int) -> 
     trace: dict = {
         "systems": len(systems),
         "grid_depth": grid_depth,
-        "invisible_balls": rendered.count(None),
+        "invisible_balls": int(np.count_nonzero(cell_counts == 0)),
         "generations": [],
     }
 
@@ -811,8 +807,8 @@ def _integer_disjoint(cubes: list[SystemCube]) -> bool:
 
 def _ball_cell_counts(centers: np.ndarray, radii: np.ndarray, depth: int) -> np.ndarray:
     """The number of grid cells whose centres lie in each ball, by the rule of ``_cells_in_ball``
-    but counted apart from it: cell i is in when sum_j ((i_j + 1/2) h - c_j)^2 <= r^2, summed in
-    axis order, inside the window ceil((c - r)/h - 1/2) .. floor((c + r)/h - 1/2) clipped to the
+    but counted apart from it: cell i is in when sum_j ((i_j + 1/2) h - c_j)^2 <= r * r, summed
+    in axis order, inside the window ceil((c - r)/h - 1/2) .. floor((c + r)/h - 1/2) clipped to the
     grid. The count runs one row of the last axis at a time, over all balls at once: a square root
     estimates each row's interval, whose ends then move cell by cell until the rule holds at them
     and fails just past them (the cells of a row that pass form one interval)."""
@@ -825,8 +821,7 @@ def _ball_cell_counts(centers: np.ndarray, radii: np.ndarray, depth: int) -> np.
         ball, s = np.repeat(ball, k), np.repeat(s, k)
         i = lo[ball, j] + np.arange(ball.size) - np.repeat(np.cumsum(k) - k, k)
         s = s + ((i + 0.5) * h - centers[ball, j]) ** 2
-    # r^2 by the scalar power, as ``radius**2`` rounds; numpy's array square can round otherwise
-    c, r2 = centers[ball, -1], np.array([r**2 for r in radii.tolist()])[ball]
+    c, r2 = centers[ball, -1], (radii * radii)[ball]
     first, last = lo[ball, -1], hi[ball, -1]
     half = np.sqrt(np.maximum(r2 - s, 0.0))
     a = np.clip(np.ceil((c - half) / h - 0.5), first, last + 1).astype(np.int64)

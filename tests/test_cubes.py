@@ -513,6 +513,21 @@ class TestValidateTree:
         ok, witness = cb.validate_tree(tree, lat)
         assert not ok and witness[0] == "consistency"
 
+    def test_missing_link_is_named_below_the_gap(self, cantor_lattice):
+        """On the chain top -> B -> C -> D with B missing, the witness is C, the member whose
+        parent is missing, whatever the order the members were added in. The top and C's
+        children are leaves, so the tree breaks no other axiom."""
+        lat, rng = cantor_lattice, np.random.default_rng(12)
+        for _ in range(20):
+            i = int(rng.integers(len(lat.cloud.points)))
+            top, b, c, d = (lat.key_of_point(i, j) for j in range(4))
+            kids = lat.child_keys(c)
+            assert d in kids
+            members = [top, c, *kids]
+            rng.shuffle(members)
+            tree = cb.Tree(top=top, cubes=set(members), leaves={top, *kids})
+            assert cb.validate_tree(tree, lat) == (False, ("consistency", c, b, top))
+
     def test_one_child_without_sibling(self, segment_lattice):
         lat = segment_lattice
         root = (0, (0, 0))
@@ -526,6 +541,14 @@ class TestAncestryCounts:
     def test_no_flags(self, segment_lattice):
         assert cb.big_count(segment_lattice, 0, (0, (0, 0)), flags_on(segment_lattice, set())) == 0
         assert len(cb.e_q_set(segment_lattice, (0, (0, 0)), 1, flags_on(segment_lattice, set()))) == 0
+
+    @pytest.mark.parametrize("index", [-1, 100, 1.5, True])
+    def test_point_index_is_a_point_of_the_cloud(self, index):
+        lat = cb.CubeLattice(ps.segment(1e-2), 0, 4)
+        assert len(lat.cloud.points) == 100
+        message = "point_index must be (an integer >= 0|below the cloud's 100 points)"
+        with pytest.raises(ValueError, match=message):
+            cb.big_count(lat, index, (0, (0, 0)), flags_on(lat, set()))
 
     @pytest.mark.parametrize("n", [-1, 0, 1.5, True])
     def test_threshold_is_a_count(self, segment_lattice, n):

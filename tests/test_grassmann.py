@@ -301,7 +301,10 @@ class TestAnnihilatingPlane:
         assert abs(float(b @ z)) < 1e-12
 
     def test_randomized_contract(self):
-        rng = np.random.default_rng(9)
+        """The plane annihilates z, stays within delta of v and contains V ∩ proj_V(z)⊥: for
+        random y, x = P_V y - (u . P_V y) u with u = proj_V(z)/|proj_V(z)| lies in it. P_V
+        comes from v's own basis."""
+        rng, ys = np.random.default_rng(9), np.random.default_rng(19)
         done = 0
         while done < 1000:
             d = int(rng.integers(2, 5))
@@ -317,6 +320,12 @@ class TestAnnihilatingPlane:
             assert residual <= 1e-10 * np.linalg.norm(z)
             assert gr.metric(v, out) < delta
             assert gr.metric(v, out) <= 4.0 * ratio + 1e-12
+            if n > 1:  # for n = 1, V ∩ proj_V(z)⊥ is {0}
+                pv = v.basis @ v.basis.T
+                u = pv @ z / np.linalg.norm(pv @ z)
+                for y in ys.standard_normal((3, d)):
+                    x = pv @ y - (u @ (pv @ y)) * u
+                    assert np.linalg.norm(x - out.basis @ (out.basis.T @ x)) <= 1e-12 * np.linalg.norm(x)
             done += 1
 
     def test_precondition_error_names_ratio(self):

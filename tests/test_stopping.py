@@ -27,7 +27,7 @@ def brute_cells(center, radius, depth):
     mask = np.zeros((size,) * d, dtype=bool)
     for cell in np.ndindex(*mask.shape):
         x = (np.array(cell) + 0.5) * h
-        mask[cell] = sum((x[j] - center[j]) ** 2 for j in range(d)) <= radius**2
+        mask[cell] = sum((x[j] - center[j]) ** 2 for j in range(d)) <= radius * radius
     return mask
 
 
@@ -137,7 +137,8 @@ class TestGridRendering:
     def test_cells_in_ball_match_meshgrid(self, d):
         """Window and mask equal a meshgrid sum of squared offsets, on random
         balls and on balls centred at cell centres with radii of whole cells,
-        whose spheres pass through cell centres."""
+        whose spheres pass through cell centres; a ball that holds no cell
+        centre gets an empty window or an all-False mask."""
         rng = np.random.default_rng(50 + d)
         balls = []
         for _ in range(100):
@@ -152,14 +153,13 @@ class TestGridRendering:
             hi = np.clip(np.floor((center + radius) / h - 0.5), 0, 2**depth - 1).astype(int)
             mesh = np.meshgrid(*[(np.arange(a, b + 1) + 0.5) * h for a, b in zip(lo, hi)], indexing="ij")
             dist2 = sum((m - center[j]) ** 2 for j, m in enumerate(mesh))
-            on_sphere += int(np.count_nonzero(dist2 == radius**2))
-            cells = st._cells_in_ball(center, radius, depth, d)
-            if cells is None:
-                assert not (np.all(lo <= hi) and np.any(dist2 <= radius**2))
+            on_sphere += int(np.count_nonzero(dist2 == radius * radius))
+            window, inside = st._cells_in_ball(center, radius, depth, d)
+            if not inside.any():
+                assert not (np.all(lo <= hi) and np.any(dist2 <= radius * radius))
                 continue
-            window, inside = cells
             assert window == tuple(slice(a, b + 1) for a, b in zip(lo, hi))
-            assert np.array_equal(inside, dist2 <= radius**2)
+            assert np.array_equal(inside, dist2 <= radius * radius)
         assert on_sphere > 0
 
 
@@ -675,7 +675,8 @@ class TestHeavyCubes:
     def test_invisible_balls_hold_no_cell_centre(self, d, depth):
         """``trace["invisible_balls"]`` is the number of balls that hold no cell
         centre, counted over every centre of the grid: here the two balls added
-        around cell corners, as every drawn radius is at least 4 cells."""
+        around cell corners, as every drawn radius is at least 4 cells. The
+        family renders bit for bit as its visible balls alone."""
         fam = st.random_family(d, np.random.default_rng(3), profile="peaked", config=CONFIG, grid_depth=depth)
         h = 2.0**-depth
         fam = st.BallFamily(
@@ -684,9 +685,11 @@ class TestHeavyCubes:
             np.append(fam.weights, [1.0, 50.0]),
         )
         centres = (np.indices((2**depth,) * d).reshape(d, -1).T + 0.5) * h
-        empty = sum(not np.any(((centres - c) ** 2).sum(axis=1) <= r**2) for c, r in zip(fam.centers, fam.radii))
-        assert empty == 2
-        assert st.heavy_cubes(fam, CONFIG, depth).trace["invisible_balls"] == empty
+        holds = np.array([np.any(((centres - c) ** 2).sum(axis=1) <= r * r) for c, r in zip(fam.centers, fam.radii)])
+        assert np.count_nonzero(~holds) == 2
+        assert st.heavy_cubes(fam, CONFIG, depth).trace["invisible_balls"] == 2
+        visible = st.BallFamily(fam.centers[holds], fam.radii[holds], fam.weights[holds])
+        assert np.array_equal(st.GridFunction.from_balls(fam, depth).values, st.GridFunction.from_balls(visible, depth).values)
 
     @staticmethod
     def selection(fam, config, depth):
@@ -928,12 +931,10 @@ class TestExhaustiveVerify:
         cells_in_ball = st._cells_in_ball
 
         def one_short(*args):
-            cells = cells_in_ball(*args)
-            if cells is None:
-                return None
-            window, inside = cells[0], cells[1].copy()
-            inside.flat[np.flatnonzero(inside)[0]] = False
-            return (window, inside) if inside.any() else None
+            window, inside = cells_in_ball(*args)
+            inside = inside.copy()
+            inside.flat[np.flatnonzero(inside)[:1]] = False
+            return window, inside
 
         monkeypatch.setattr(st, "_cells_in_ball", one_short)
         fam = st.random_family(1, np.random.default_rng(seed), profile="peaked", config=CONFIG, grid_depth=10)
