@@ -146,8 +146,8 @@ class CubeLattice:
 
     def key_of_point(self, point_index: int, level: int) -> CubeKey:
         _check_count("point_index", point_index, 0)
-        if point_index >= len(self.cloud.points):
-            raise ValueError(f"point_index must be below the cloud's {len(self.cloud.points)} points, got {point_index}")
+        if point_index >= (count := len(self.cloud.points)):
+            raise ValueError(f"point_index must be below the cloud's {count} points, got {point_index}")
         side = 2.0**-level
         cell = tuple(np.floor(self.cloud.points[point_index] / side).astype(np.int64).tolist())
         return (level, cell)

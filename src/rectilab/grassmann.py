@@ -275,9 +275,10 @@ def annihilating_plane(z: np.ndarray, v: Subspace, delta: float) -> Subspace:
     proj_{v'}(z) = 0 up to 1e-10 |z| and metric(v, v') < delta: the basis
     direction u aligned with proj_v(z) is rotated away from z inside the
     2-plane spanned by the projection and its orthogonal complement part,
-    and the rest of the basis is the part of v orthogonal to u, from
-    ``_plane_basis(P_v - u u^T, n - 1)``; the columns are orthonormal by
-    construction, as both parts are orthogonal to z.
+    and the rest of the basis spans the part of v orthogonal to u, from
+    ``_plane_basis(P_v - u u^T, n - 1)``. The rotated direction lies in
+    span(u, z) and the rest in v ∩ u⊥, so the columns are orthonormal by
+    construction.
     """
     z = np.asarray(z, dtype=float)
     norm_z = float(np.linalg.norm(z))

@@ -689,7 +689,8 @@ class TestHeavyCubes:
         assert np.count_nonzero(~holds) == 2
         assert st.heavy_cubes(fam, CONFIG, depth).trace["invisible_balls"] == 2
         visible = st.BallFamily(fam.centers[holds], fam.radii[holds], fam.weights[holds])
-        assert np.array_equal(st.GridFunction.from_balls(fam, depth).values, st.GridFunction.from_balls(visible, depth).values)
+        rendered = st.GridFunction.from_balls(fam, depth).values
+        assert np.array_equal(rendered, st.GridFunction.from_balls(visible, depth).values)
 
     @staticmethod
     def selection(fam, config, depth):
