@@ -15,8 +15,20 @@ output.
 The file holds both revisions and their SHAs, the seeds, the run length, the
 environment (Python, numpy and scipy versions, the BLAS thread variables and
 the CPU count), every run's result and, per workload and metric, each side's
-median and quartiles and the number of pairs in which the head's value is
-lower. No file is written, and the script exits 1, when any run reports
+median and quartiles, the number of pairs in which the head's value is lower,
+and a verdict, which is also printed:
+
+- ``change``: the relative change of the median, head against base;
+- ``bound``: the metric's bound in the head's ``BENCHMARK.json`` (null when it
+  has none);
+- ``base_spread``: the base's quartile distance over its median;
+- ``claim_rule``: the head is better (lower, or higher where the metric's
+  ``better`` says so) in at least 9 of 10 pairs, and the medians differ, in the
+  head's favour, by more than the base's quartile distance; null under 10 pairs;
+- ``within_bound``: the head's median is worse than the base's by at most the
+  bound (null without a bound).
+
+No file is written, and the script exits 1, when any run reports
 ``correct=false`` or the head fails a larger share of its operations than the
 base.
 """
@@ -63,14 +75,39 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
-def summary(runs: list[dict]) -> dict:
-    """Per metric: each side's spread and the pairs in which the head's value is lower."""
+def verdict(base: dict, head: dict, pairs: int, better_pairs: int, spec: dict) -> dict:
+    """The change of the median, the bound, the base's spread and the two rules (module docstring)."""
+    sign = -1.0 if spec.get("better", "lower") == "higher" else 1.0  # > 0: the head is worse
+    gap, quartiles = head["median"] - base["median"], base["q3"] - base["q1"]
+    bound = spec.get("bound")
+    return {
+        "change": gap / base["median"],
+        "bound": bound,
+        "base_spread": quartiles / base["median"],
+        "claim_rule": None if pairs < 10 else better_pairs >= 0.9 * pairs and -sign * gap > quartiles,
+        "within_bound": None if bound is None else sign * gap <= bound * base["median"],
+    }
+
+
+def summary(runs: list[dict], specs: dict) -> dict:
+    """Per metric: each side's spread, the pairs in which the head's value is lower, and the verdict."""
     out = {}
     for name, metric in runs[0]["result"]["metrics"].items():
         sides = {side: [r["result"]["metrics"][name]["value"] for r in runs if r["side"] == side] for side in SIDES}
         lower = sum(h < b for b, h in zip(sides["base"], sides["head"]))
-        out[name] = {"unit": metric["unit"], **{side: spread(v) for side, v in sides.items()}, "head_lower": lower}
+        spec = specs.get(name, {})
+        better = lower if spec.get("better", "lower") == "lower" else sum(h > b for b, h in zip(*sides.values()))
+        spreads = {side: spread(v) for side, v in sides.items()}
+        out[name] = {"unit": metric["unit"], **spreads, "head_lower": lower,
+                     **verdict(spreads["base"], spreads["head"], len(sides["head"]), better, spec)}
     return out
+
+
+def describe(m: dict) -> str:
+    """The verdict of one metric as one line of text."""
+    bound = "no bound" if m["bound"] is None else f"bound {m['bound']:.0%}, within: {m['within_bound']}"
+    claim = "n/a under 10 pairs" if m["claim_rule"] is None else m["claim_rule"]
+    return f"median {m['change']:+.1%} ({bound}); base quartiles {m['base_spread']:.1%} of median; claim rule: {claim}"
 
 
 def environment() -> dict:
@@ -106,7 +143,8 @@ def main() -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         checkouts = {side: export(sha, Path(tmp) / side) for side, sha in shas.items()}
-        seconds = json.loads((checkouts["head"] / "BENCHMARK.json").read_text())["run_seconds"]
+        spec = json.loads((checkouts["head"] / "BENCHMARK.json").read_text())
+        seconds, specs = spec["run_seconds"], {m["name"]: m for m in spec["end_to_end"]}
         report = {
             **{side: {"rev": rev, "sha": shas[side]} for side, rev in revs.items()},
             "seeds": seeds, "seconds": seconds, "environment": environment(),
@@ -126,12 +164,12 @@ def main() -> int:
                 print(f"{workload}: {len(bad)} runs with correct=false, failed share base {share['base']:.4g} "
                       f"head {share['head']:.4g}; no file written", file=sys.stderr)
                 return 1
-            metrics = summary(runs)
+            metrics = summary(runs, specs)
             report["workloads"][workload] = {"failed_share": share, "metrics": metrics, "runs": runs}
             for name, m in metrics.items():
                 base, head = (f"{m[side]['median']:.4g} [{m[side]['q1']:.4g}, {m[side]['q3']:.4g}]" for side in revs)
                 lower = f"head lower in {m['head_lower']} of {args.pairs} pairs"
-                print(f"{workload} {name}: base {base}, head {head}, {lower}")
+                print(f"{workload} {name}: base {base}, head {head}, {lower}; {describe(m)}")
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 

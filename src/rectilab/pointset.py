@@ -73,12 +73,12 @@ class RegularCloud:
     Invariants (checked on construction unless ``validate=False``): an integer
     n with 0 < n < d, finite positive resolution and density_constant, one
     weight per point (a 1-D array), finite points, total weight positive and
-    finite, no two points closer than resolution/4, and every weight inside
+    finite, no two points at most resolution/4 apart, and every weight inside
     [resolution^n / density_constant, density_constant * resolution^n].
-    The parameters are checked before the k-d tree is built.
+    The parameters are checked before the spacing.
 
-    The cloud owns one lazily built k-d tree over ``points`` (the spacing
-    check builds it), so its arrays must not be mutated in place.
+    The cloud owns one lazily built k-d tree over ``points`` (the first ball
+    query builds it), so its arrays must not be mutated in place.
     """
 
     points: np.ndarray
@@ -121,15 +121,15 @@ class RegularCloud:
             raise ValueError(
                 f"weights outside the uniform-density band [{lo:.3g}, {hi:.3g}]"
             )
-        pairs = self.tree.query_pairs(self.resolution / 4.0)
-        if pairs:
-            i, j = next(iter(pairs))
-            raise ValueError(f"points {i} and {j} are closer than resolution/4")
+        pair = _close_pair(self.points, self.resolution / 4.0)
+        if pair is not None:
+            raise ValueError(f"points {pair[0]} and {pair[1]} are at most resolution/4 apart")
 
     @cached_property
     def tree(self):
-        """The cloud's ``scipy.spatial.cKDTree``; ask it for balls only through ``balls_indices``.
-        ``scipy.spatial`` loads on the first access, at the separation check unless validate=False."""
+        """The cloud's ``scipy.spatial.cKDTree``, built, and ``scipy.spatial`` loaded, at the first
+        ball query: ``balls_indices``, ``_ball_batches``, ``estimate_regularity``,
+        ``graph_overlap`` and ``cubes.diagnose_david_properties`` use it."""
         from scipy.spatial import cKDTree
         return cKDTree(self.points)
 
@@ -311,6 +311,41 @@ def _row_norms(diff: np.ndarray) -> np.ndarray:
     """Euclidean norms of the rows, their squares summed column by column (np.linalg.norm sums
     rows of under 8 entries in the same order, so it agrees there bit for bit, and is slower)."""
     return np.sqrt(functools.reduce(np.add, (diff * diff).T))
+
+
+def _close_pair(points: np.ndarray, delta: float) -> tuple[int, int] | None:
+    """The least pair (i, j), i < j, that a cell scan finds at most ``delta`` apart in
+    ``_row_norms``, or None; the scan finds one whenever such a pair exists.
+
+    Points fall into cells of side a little over delta (coarser when the cloud spans over 2^30
+    cells), so a pair within delta lies in one cell or two adjacent ones despite the rounding of
+    the keys. A cell and each neighbour are found by searching sorted mixed-radix codes, which
+    wrap past 2^63: a code that wraps onto another cell only adds pairs to measure. Each run of
+    one cell's points keeps its first ``cap``: more than ceil(1.01 sqrt(d) side / delta)^d points
+    of a cell hold a pair within delta, so the rest change no verdict, and a crowded cloud costs
+    at most 3^d cap distances a point.
+    """
+    n, d = points.shape
+    lo = points.min()
+    side = max(delta * (1.0 + 2.0**-8), float(points.max() - lo) * 2.0**-30)
+    keys = np.floor((points - lo) / side).astype(np.int32)
+    radix = (keys.max() + 2) ** np.arange(d, dtype=np.int64)
+    order = np.argsort(keys @ radix, kind="stable")
+    keys = keys[order]
+    cap = min(n, math.ceil(1.01 * math.sqrt(d) * side / delta) ** d + 1)
+    run = np.r_[True, functools.reduce(np.logical_or, (keys[1:] != keys[:-1]).T)]  # where a cell's run starts
+    keep = np.arange(n) - np.maximum.accumulate(np.arange(n) * run) < cap
+    order, code, best = order[keep], keys[keep] @ radix, n * n
+    # the zero offset and those after it: each offset before it mirrors one after, which finds the same pairs
+    for off in itertools.islice(itertools.product((-1, 0, 1), repeat=d), 3**d // 2, None):
+        near = code + np.dot(off, radix)
+        start = np.searchsorted(code, near) if any(off) else np.arange(1, len(code) + 1)  # own run: later points
+        count = np.searchsorted(code, near, "right") - start
+        i = np.repeat(order, count)
+        j = order[np.arange(len(i)) - np.repeat(np.cumsum(count) - count - start, count)]
+        close = _row_norms(points[i] - points[j]) <= delta
+        best = (np.minimum(i, j) * n + np.maximum(i, j))[close].min(initial=best)
+    return None if best == n * n else divmod(int(best), n)
 
 
 def _check_count(name: str, value, least: int | None = None):

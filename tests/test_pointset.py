@@ -3,7 +3,9 @@
 import dataclasses
 import json
 import math
+import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -827,6 +829,83 @@ class TestParentValues:
             ps.graph_overlap(seg, curve, ball),
         )
         assert got == expected
+
+
+@st.composite
+def spaced_points(draw):
+    """Points in d = 2..4 and a resolution, for the spacing rule at delta = resolution/4:
+    lattice points delta, 2 delta or 3 delta apart, perhaps a point below the lattice that
+    moves the lattice to the far corners of the checked cells, copies of some points moved
+    delta (1 + eta) along an axis or the diagonal, eta within a few ulps or 2^-30 of 0 either
+    way, a second cluster offset by up to 2^36 delta, so that one integer packing all cell keys
+    would pass 2^63, and the whole cloud moved by up to 2^36 delta."""
+    d = draw(st.integers(2, 4))
+    resolution = draw(st.sampled_from([1.0, 0.3, 2.0**-11, 1e-3]))
+    delta = resolution / 4.0
+    cells = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=1, max_size=12, unique=True))
+    points = np.array(cells, dtype=float) * draw(st.sampled_from([1.0, 2.0, 3.0])) * delta
+    below = draw(st.sampled_from([None, 0.75, 0.99]))  # a point below the lattice's corner, at least delta away
+    if below is not None:
+        points = np.vstack([points.min(axis=0) - below * delta, points])
+    def shift():  # a whole number of delta, 0 or about +-2^b for b up to 36
+        return draw(st.sampled_from([0, 1, -1])) * 2 ** draw(st.sampled_from([0, 12, 24, 36])) + draw(st.integers(-8, 8))
+
+    points[len(points) // 2 :] += np.array([shift() for _ in range(d)]) * delta
+    eta = st.sampled_from([0.0, 2.0**-52, -(2.0**-52), 2.0**-50, -(2.0**-50), 2.0**-30, -(2.0**-30)])
+    axis = st.sampled_from([np.eye(d)[k] for k in range(d)] + [np.full(d, d**-0.5)] * d)  # half diagonal
+    copies = draw(st.lists(st.tuples(st.integers(0, len(points) - 1), axis, eta), max_size=4))
+    points = np.vstack([points] + [points[k] + delta * (1.0 + e) * u for k, u, e in copies])
+    return points + shift() * delta, resolution  # one shift for every coordinate keeps the corners
+
+
+class TestSpacing:
+    """A validated cloud rejects two points at most resolution/4 apart, and names them."""
+
+    @given(case=spaced_points())
+    @settings(max_examples=500, deadline=None)
+    def test_rejects_exactly_the_pairs_within_a_quarter_resolution(self, case):
+        points, resolution = case
+        i, j = np.triu_indices(len(points), 1)
+        close = ps._row_norms(points[i] - points[j]) <= resolution / 4.0
+        pairs = set(zip(i[close].tolist(), j[close].tolist()))
+        try:
+            ps.RegularCloud(points, np.full(len(points), resolution), 1, resolution)
+        except ValueError as err:
+            named = re.fullmatch(r"points (\d+) and (\d+) are at most resolution/4 apart", str(err))
+            assert named and tuple(map(int, named.groups())) in pairs
+        else:
+            assert not pairs
+
+    def test_a_quarter_apart_is_rejected_and_an_ulp_more_is_not(self):
+        with pytest.raises(ValueError, match="points 0 and 1 are at most resolution/4 apart"):
+            ps.RegularCloud([[0.0, 0.0], [0.25, 0.0]], [1.0, 1.0], 1, 1.0)
+        ps.RegularCloud([[0.0, 0.0], [math.nextafter(0.25, 1.0), 0.0]], [1.0, 1.0], 1, 1.0)
+
+    def test_a_full_cell_does_not_hide_a_pair_in_a_cell_of_the_same_code(self):
+        """In d = 3, with cell keys up to 2^22 - 2, cell codes weigh the last key by 2^44, so keys
+        0 and 2^20 there wrap to one code. Eight points at the corners of cell 0, pairwise more
+        than resolution/4 apart, come first; a close pair in cell (0, 0, 2^20) comes after them."""
+        side = 0.25 * (1.0 + 2.0**-8)
+        corners = [[a, b, c] for a in (0.001, 0.999) for b in (0.001, 0.999) for c in (0.001, 0.999)]
+        far = [[0.001, 0.001, 2.0**20 + 0.5], [0.501, 0.001, 2.0**20 + 0.5], [0.5, 0.5, 2.0**22 - 1.5]]
+        points = np.array(corners + far) * side
+        ps.RegularCloud(np.delete(points, 9, axis=0), np.ones(10), 1, 1.0)
+        with pytest.raises(ValueError, match="points 8 and 9 are at most resolution/4 apart"):
+            ps.RegularCloud(points, np.ones(11), 1, 1.0)
+
+    def test_coincident_points_fail_fast(self):
+        """20,000 coincident points hold 2 * 10^8 close pairs; the check names the first, the same
+        one each time, in bounded memory."""
+        points = np.zeros((20_000, 2))
+        for _ in range(2):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="^points 0 and 1 are at most resolution/4 apart$"):
+                    ps.RegularCloud(points, np.ones(len(points)), 1, 1.0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 32 * 2**20
 
 
 # coordinate offsets that write in every form: signed zeros, subnormals and 17-digit reprs

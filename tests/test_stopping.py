@@ -487,10 +487,10 @@ class TestPrunedMaximal:
 
 
 IMPORT_STAGES = """
-import json, sys
+import dataclasses, json, pathlib, sys, tempfile
 import numpy as np
 import rectilab
-from rectilab import beta, grassmann, pointset, stopping as st
+from rectilab import beta, cubes, grassmann, pointset, stopping as st
 
 def loaded():
     return [m for m in ("scipy.spatial", "scipy.optimize", "scipy.fft", "scipy.signal", "scipy.stats") if m in sys.modules]
@@ -500,6 +500,18 @@ config = st.StoppingConfig(N=40, M=2)
 fam = st.random_family(2, np.random.default_rng(0), config=config, grid_depth=6)
 assert st.exhaustive_verify(fam, config, st.heavy_cubes(fam, config, 6))["ok"]
 stages.append(loaded())
+corners = pointset.four_corners(4)
+curve = pointset.lipschitz_graph_cloud(lambda t: [0.2 * np.sin(4.0 * t[0])], grassmann.Subspace.axis(2, 0), 1.5, 2.0**-5)
+jittered = dataclasses.replace(corners, points=corners.points + corners.resolution / 16)
+with tempfile.TemporaryDirectory() as tmp:
+    pointset.save_cloud(jittered, pathlib.Path(tmp) / "cloud.csv")
+    back = pointset.load_cloud(pathlib.Path(tmp) / "cloud.csv")
+lattice = cubes.CubeLattice(back, 0, 4)
+flags = {cube.key: len(cube.members) % 3 == 0 for cube in lattice.all_cubes()}
+top = lattice.tops()[0]
+assert sum(len(tree.cubes) for tree in cubes.decompose_trees(lattice, flags, 2, top).trees) == len(lattice)
+assert cubes.packing_check(lattice, flags, 2, top)["ok"]
+stages.append(loaded() + ["tree"] * any("tree" in vars(c) for c in (corners, curve, jittered, back)))
 cloud, ball = pointset.four_corners(2), pointset.Ball(np.full(2, 0.5), 0.5)
 beta.beta1(cloud, ball)
 stages.append(loaded())
@@ -516,15 +528,19 @@ def test_import_leaves_out_scipy_signal_and_stats():
     """Each scipy submodule loads in the code that uses it: ``import rectilab``
     loads none of them (``maximal_function`` calls scipy.fft itself, so never
     scipy.signal or the scipy.stats it pulls in), a stopping run and its check
-    leave out scipy.spatial and scipy.optimize, a cloud's k-d tree loads
-    scipy.spatial, planar beta1 and beta_inf are exact without scipy.optimize,
-    and scipy.optimize waits for Brent's path, codimension >= 2 (d = 3, n = 1)."""
+    leave out scipy.spatial and scipy.optimize, building, checking, jittering,
+    saving and loading clouds and running the lattice, tree and packing code of
+    ``cubes`` on them build no k-d tree and leave out scipy.spatial, the first
+    ball query (beta1's) builds a tree and loads scipy.spatial, planar beta1 and
+    beta_inf are exact without scipy.optimize, and scipy.optimize waits for
+    Brent's path, codimension >= 2 (d = 3, n = 1)."""
     src = Path(__file__).resolve().parents[1] / "src"
     # ``python -c`` puts its working directory first on sys.path
     out = subprocess.run([sys.executable, "-c", IMPORT_STAGES], cwd=src, capture_output=True, text=True, check=True)
-    imported, stopped, beta1, beta_inf, codim2 = map(set, json.loads(out.stdout))
+    imported, stopped, clouds, beta1, beta_inf, codim2 = map(set, json.loads(out.stdout))
     assert imported == set()
     assert not {"scipy.spatial", "scipy.optimize"} & stopped
+    assert not {"scipy.spatial", "tree"} & clouds
     assert "scipy.spatial" in beta1 and "scipy.optimize" not in beta1
     assert "scipy.optimize" not in beta_inf
     assert "scipy.optimize" in codim2
