@@ -75,16 +75,18 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
-def verdict(base: dict, head: dict, pairs: int, better_pairs: int, spec: dict) -> dict:
+def verdict(base: dict, head: dict, spec: dict) -> dict:
     """The change of the median, the bound, the base's spread and the two rules (module docstring)."""
-    sign = -1.0 if spec.get("better", "lower") == "higher" else 1.0  # > 0: the head is worse
+    sign = -1.0 if spec.get("better", "lower") == "higher" else 1.0  # sign * (head - base) > 0: the head is worse
+    pairs = len(head["values"])
+    better = sum(sign * (h - b) < 0 for b, h in zip(base["values"], head["values"]))
     gap, quartiles = head["median"] - base["median"], base["q3"] - base["q1"]
     bound = spec.get("bound")
     return {
         "change": gap / base["median"],
         "bound": bound,
         "base_spread": quartiles / base["median"],
-        "claim_rule": None if pairs < 10 else better_pairs >= 0.9 * pairs and -sign * gap > quartiles,
+        "claim_rule": None if pairs < 10 else better >= 0.9 * pairs and -sign * gap > quartiles,
         "within_bound": None if bound is None else sign * gap <= bound * base["median"],
     }
 
@@ -93,13 +95,11 @@ def summary(runs: list[dict], specs: dict) -> dict:
     """Per metric: each side's spread, the pairs in which the head's value is lower, and the verdict."""
     out = {}
     for name, metric in runs[0]["result"]["metrics"].items():
-        sides = {side: [r["result"]["metrics"][name]["value"] for r in runs if r["side"] == side] for side in SIDES}
-        lower = sum(h < b for b, h in zip(sides["base"], sides["head"]))
-        spec = specs.get(name, {})
-        better = lower if spec.get("better", "lower") == "lower" else sum(h > b for b, h in zip(*sides.values()))
-        spreads = {side: spread(v) for side, v in sides.items()}
-        out[name] = {"unit": metric["unit"], **spreads, "head_lower": lower,
-                     **verdict(spreads["base"], spreads["head"], len(sides["head"]), better, spec)}
+        sides = {side: spread([r["result"]["metrics"][name]["value"] for r in runs if r["side"] == side])
+                 for side in SIDES}
+        lower = sum(h < b for b, h in zip(sides["base"]["values"], sides["head"]["values"]))
+        out[name] = {"unit": metric["unit"], **sides, "head_lower": lower,
+                     **verdict(sides["base"], sides["head"], specs.get(name, {}))}
     return out
 
 

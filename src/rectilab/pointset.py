@@ -6,11 +6,12 @@ deterministic; every measure-like query (projection measure, ball mass,
 regularity constant) is a grid or ball count at a declared scale, so all
 statements about clouds are scale-indexed and reproducible.
 
-Ball queries go through ``RegularCloud.balls_indices`` (many balls, one
+Ball selections go through ``RegularCloud.balls_indices`` (many balls, one
 query of one lazily built k-d tree per cloud, then the exact ``Ball.contains``
-test; ``ball_indices`` is its one-ball call), so a cloud must not be mutated
-in place; ``dilated``, ``rotated`` and ``dataclasses.replace`` make new clouds
-with fresh trees. Scans over many balls select them in runs of about
+test; ``ball_indices`` is its one-ball call); count-only and nearest-point
+queries ask the same tree, and the spacing check on construction needs none.
+So a cloud must not be mutated in place; ``dilated``, ``rotated`` and
+``dataclasses.replace`` make new clouds with fresh trees. Scans over many balls select them in runs of about
 BALL_CHUNK (ball, point) pairs, and ``_pca_frames`` fits every ball of a run
 at once. Per-ball routines select a ball's points once per call:
 ``pbp_margin`` selects once, fits its PCA candidate once and counts every

@@ -847,6 +847,7 @@ def spaced_points(draw):
     below = draw(st.sampled_from([None, 0.75, 0.99]))  # a point below the lattice's corner, at least delta away
     if below is not None:
         points = np.vstack([points.min(axis=0) - below * delta, points])
+
     def shift():  # a whole number of delta, 0 or about +-2^b for b up to 36
         return draw(st.sampled_from([0, 1, -1])) * 2 ** draw(st.sampled_from([0, 12, 24, 36])) + draw(st.integers(-8, 8))
 
@@ -1075,7 +1076,7 @@ class TestIO:
 
 
 class TestCloudParameters:
-    """A validated cloud names a bad parameter before it builds its k-d tree."""
+    """A validated cloud names a bad parameter; validation builds no k-d tree."""
 
     @pytest.fixture(autouse=True)
     def no_tree(self, monkeypatch):
